@@ -29,6 +29,7 @@ __all__ = [
     "compose",
     "apply",
     "apply_extended",
+    "apply_at",
     "pauli_basis",
     "identity_channel",
     "unitary_channel",
@@ -55,7 +56,7 @@ class KrausChannel:
         out_dim, in_dim = ops[0].shape
         if validate:
             s = sum(k.conj().T @ k for k in ops)
-            if np.abs(s - np.eye(in_dim)).max() > 1e-6:
+            if np.abs(s - np.eye(in_dim)).max() > KRAUS_COMPLETE_TOL:
                 raise ValueError("Kraus completeness violated")
         for k in ops:
             k.setflags(write=False)
@@ -203,12 +204,19 @@ def apply_extended(ch: KrausChannel, rho_joint: DensityMatrix, target_labels) ->
     targets = reg.indices(list(target_labels))
     if 2 ** len(targets) != ch.in_dim or ch.in_dim != ch.out_dim:
         raise ValueError("target label count does not match channel dimension")
-    n = reg.n
-    out = np.zeros_like(rho_joint.mat)
-    for k in ch.kraus_ops:
-        kk = embed_operator(k, targets, n)
-        out += kk @ rho_joint.mat @ kk.conj().T
+    out = apply_at(ch.kraus_ops, rho_joint.mat, targets, reg.n)
     return DensityMatrix(reg, out, validate=False)
+
+
+def apply_at(ops, mat: np.ndarray, positions, n: int) -> np.ndarray:
+    """Sum of K mat K† over the operators K, each embedded on the given qubit
+    positions (MSB-first) of an n-qubit matrix.  ``mat`` may be any square
+    matrix, not only a state: the Choi construction feeds it |i><j|."""
+    out = np.zeros(mat.shape, dtype=complex)
+    for k in ops:
+        ke = embed_operator(k, positions, n)
+        out += ke @ mat @ ke.conj().T
+    return out
 
 
 def embed_operator(op: np.ndarray, qubit_positions, n: int) -> np.ndarray:

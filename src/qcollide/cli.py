@@ -241,7 +241,7 @@ def _run_witness(args) -> int:
     right = float(by_n[args.t2][1])  # concurrence (or its lower bound) at t2
     err = float(np.hypot(float(by_n[args.t1][4]), float(by_n[args.t2][3])))
     margin = right - left
-    verdict = margin > 1e-9
+    verdict = margin > entangle.STRICT_TOL
     lines = [
         "{",
         f'  "t1": {args.t1},',

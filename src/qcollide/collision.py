@@ -11,6 +11,16 @@ Models (registers use the global MSB-first label order):
   Bell(A2,S2) ⊗ |00>_E; step 1 applies the pair unitary on (E1,S1) and
   (E2,S2), step 2 applies its adjoint (at most two steps).
 
+One evolution path serves ideal and noisy runs: each collision step becomes
+one ``UNITARY`` gate per step operation, and the circuit runs through the
+circuit channel of ``noisytomo`` with ``noise=None`` for the ideal case.  Only
+two things depend on the noise model.  Ideal runs start from
+``model.initial_state``; noisy runs start from |0...0> and run the
+preparation gates.  Noisy circuits are transpiled to native gates, with
+payloads on three or more qubits decomposed first.  The reduced channel is
+``noisytomo.noisy_channel_of_circuit`` on the system + environment circuit,
+keeping the system qubits.
+
 Tensor-order convention for the toy pair unitary: the matrix acts on (E, S)
 with the ENVIRONMENT as the first (most significant) factor.  This is the
 reading under which the ideal post-step-1 system state is pure, making the
@@ -26,20 +36,13 @@ import numpy as np
 
 from . import circuit as circ
 from . import noisytomo
-from .channel import (
-    ChoiState,
-    KrausChannel,
-    TransferMap,
-    channel_of_choi,
-    embed_operator,
-)
+from .channel import KrausChannel, TransferMap, apply
 from .qmat import (
     DensityMatrix,
     QubitRegister,
     bloch_to_state,
     ket,
     partial_trace,
-    partial_trace_mat,
     state_to_bloch,
 )
 
@@ -188,14 +191,21 @@ def _prep_gates(model: CollisionModel) -> list[circ.Gate]:
     return gates
 
 
-def _collision_gates(model: CollisionModel, step_index: int) -> list[circ.Gate]:
+def _collision_gates(model: CollisionModel, n: int) -> list[circ.Gate]:
+    """One UNITARY gate per step operation, for collisions 1..n."""
+    return [circ.Gate("UNITARY", labels, matrix=u)
+            for step in range(1, n + 1) for u, labels in _step_ops(model, step)]
+
+
+def _native(c: circ.Circuit) -> circ.Circuit:
+    """Transpile, first decomposing payloads on more than two qubits."""
     gates: list[circ.Gate] = []
-    for u, labels in _step_ops(model, step_index):
-        if len(labels) <= 2:
-            gates.append(circ.Gate("UNITARY", labels, matrix=u))
+    for g in c.gates:
+        if g.kind == "UNITARY" and len(g.qubits) > 2:
+            gates.extend(circ.decompose_multiqubit(g.matrix, g.qubits).gates)
         else:
-            gates.extend(circ.decompose_multiqubit(u, labels).gates)
-    return gates
+            gates.append(g)
+    return circ.transpile(c.with_gates(gates))
 
 
 def build_circuit(model: CollisionModel, n: int, *, include_prep: bool = True,
@@ -203,10 +213,8 @@ def build_circuit(model: CollisionModel, n: int, *, include_prep: bool = True,
     """The preparation + n-collision circuit for a model."""
     _check_steps(model, n)
     gates = _prep_gates(model) if include_prep else []
-    for step in range(1, n + 1):
-        gates.extend(_collision_gates(model, step))
-    c = circ.Circuit(model.register, gates)
-    return circ.transpile(c) if native else c
+    c = circ.Circuit(model.register, gates + _collision_gates(model, n))
+    return _native(c) if native else c
 
 
 def _check_steps(model: CollisionModel, n: int):
@@ -217,73 +225,30 @@ def _check_steps(model: CollisionModel, n: int):
         raise ValueError(f"{model.kind} model supports at most {mx} steps")
 
 
-def _ideal_step(mat: np.ndarray, model: CollisionModel, step: int,
-                reg: QubitRegister) -> np.ndarray:
-    for u, labels in _step_ops(model, step):
-        ue = embed_operator(u, reg.indices(labels), reg.n)
-        mat = ue @ mat @ ue.conj().T
-    return mat
-
-
 def _reduced_channel(model: CollisionModel, n: int,
                      noise: noisytomo.NoiseConfig | None) -> KrausChannel:
     """Channel on the system for n collisions, environment prepared in |0...0>."""
-    sys_labels = model.system_labels
-    env_labels = model.env_labels
-    reg = QubitRegister(sys_labels + env_labels)
-    d_s = 2 ** len(sys_labels)
-    d_e = 2 ** len(env_labels)
-    env0 = np.zeros((d_e, d_e), dtype=complex)
-    env0[0, 0] = 1.0
+    reg = QubitRegister(model.system_labels + model.env_labels)
+    c = circ.Circuit(reg, _collision_gates(model, n))
     if noise is not None:
-        se_circ = circ.Circuit(reg, [
-            g for step in range(1, n + 1) for g in _collision_gates(model, step)
-        ])
-        se_circ = circ.transpile(se_circ)
-    choi = np.zeros((d_s * d_s, d_s * d_s), dtype=complex)
-    keep = list(sys_labels)
-    for i in range(d_s):
-        for j in range(d_s):
-            eij = np.zeros((d_s, d_s), dtype=complex)
-            eij[i, j] = 1.0
-            joint = np.kron(eij, env0)
-            if noise is None:
-                for step in range(1, n + 1):
-                    joint = _ideal_step(joint, model, step, reg)
-            else:
-                joint = noisytomo._apply_circuit_to_matrix(se_circ, joint, noise)
-            reduced = _trace_env(joint, reg, keep)
-            choi += np.kron(reduced, eij)
-    choi /= d_s
-    labels = [f"o{k}" for k in range(len(sys_labels))] + [
-        f"r{k}" for k in range(len(sys_labels))
-    ]
-    return channel_of_choi(ChoiState(DensityMatrix(labels, choi, validate=False)))
-
-
-def _trace_env(mat: np.ndarray, reg: QubitRegister, keep: list[str]) -> np.ndarray:
-    # Works on raw matrices: the basis inputs |i><j| are not Hermitian.
-    return partial_trace_mat(mat, reg.indices(keep), reg.n)
+        c = _native(c)
+    return noisytomo.noisy_channel_of_circuit(c, noise, keep=model.system_labels)
 
 
 def evolve(model: CollisionModel, n: int,
-           noise: noisytomo.NoiseConfig | None = None,
-           seed: int | None = None) -> EvolutionRecord:
+           noise: noisytomo.NoiseConfig | None = None) -> EvolutionRecord:
     """Apply n collisions, trace out the environment, and return the joint
-    system-ancilla state plus the reduced system channel."""
+    system-ancilla state plus the reduced system channel.
+
+    Ideal runs (``noise=None``) start from ``model.initial_state``; noisy runs
+    start from |0...0>, prepare it with the transpiled prep gates, and use the
+    native circuit the noise model needs."""
     _check_steps(model, n)
-    keep = list(model.ancilla_labels) + list(model.system_labels)
-    if noise is None:
-        mat = model.initial_state.mat
-        for step in range(1, n + 1):
-            mat = _ideal_step(mat, model, step, model.register)
-        joint = partial_trace(
-            DensityMatrix(model.register, mat, validate=False), keep
-        )
-    else:
-        native = build_circuit(model, n, native=True)
-        full = noisytomo.apply_noisy_circuit(native, noise=noise)
-        joint = partial_trace(full, keep)
+    noisy = noise is not None
+    c = build_circuit(model, n, include_prep=noisy, native=noisy)
+    start = None if noisy else model.initial_state
+    full = noisytomo.apply_noisy_circuit(c, start, noise)
+    joint = partial_trace(full, model.ancilla_labels + model.system_labels)
     return EvolutionRecord(n, joint, _reduced_channel(model, n, noise))
 
 
@@ -326,9 +291,4 @@ def bloch_image_samples(record: EvolutionRecord, mesh: int = 100) -> list[np.nda
     ch = record.reduced_channel
     if ch.in_dim != 2:
         raise ValueError("qubit channel required")
-    out = []
-    for r in _fibonacci_sphere(mesh):
-        rho = bloch_to_state(r)
-        mapped = sum(k @ rho.mat @ k.conj().T for k in ch.kraus_ops)
-        out.append(state_to_bloch(DensityMatrix(("S",), mapped, validate=False)))
-    return out
+    return [state_to_bloch(apply(ch, bloch_to_state(r))) for r in _fibonacci_sphere(mesh)]

@@ -22,7 +22,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +32,20 @@ from .channel import (
     ChoiState,
     KrausChannel,
     amplitude_damping_channel,
+    apply_at,
     channel_of_choi,
     depolarizing_channel,
     embed_operator,
     phase_damping_channel,
 )
-from .qmat import DensityMatrix, PAULIS, QubitRegister, nkron, partial_trace
+from .qmat import (
+    DensityMatrix,
+    PAULIS,
+    QubitRegister,
+    nkron,
+    partial_trace,
+    partial_trace_mat,
+)
 
 __all__ = [
     "NoiseConfig",
@@ -67,7 +76,6 @@ class NoiseConfig:
     depol_1q: float = 2e-4
     depol_2q: float = 7e-3
     readout: dict = field(default_factory=lambda: {"default": (0.01, 0.01)})
-    seed: int = 0
 
     def __post_init__(self):
         if self.t2_us > 2 * self.t1_us + 1e-12:
@@ -88,13 +96,22 @@ class NoiseConfig:
     def duration(self, kind: str) -> float:
         return float(self.gate_duration_ns.get(kind, 0.0))
 
+    @cached_property
+    def native_kraus(self) -> dict:
+        """Compressed Kraus set of each noisy native kind, on the gate's own
+        qubits (RZ is virtual and noiseless)."""
+        return {
+            kind: _noisy_gate_kraus(self, kind, u)
+            for kind, u in (("SX", circ.SX_MATRIX), ("X", circ.X_MATRIX),
+                            ("ECR", circ.ECR_MATRIX))
+        }
+
     def to_text(self) -> str:
         lines = [
             f"t1_us = {self.t1_us!r}",
             f"t2_us = {self.t2_us!r}",
             f"depol_1q = {self.depol_1q!r}",
             f"depol_2q = {self.depol_2q!r}",
-            f"seed = {self.seed}",
         ]
         for k, v in sorted(self.gate_duration_ns.items()):
             lines.append(f"duration.{k} = {v!r}")
@@ -113,8 +130,6 @@ class NoiseConfig:
             key, val = key.strip(), val.strip()
             if key in ("t1_us", "t2_us", "depol_1q", "depol_2q"):
                 kwargs[key] = float(val)
-            elif key == "seed":
-                kwargs[key] = int(val)
             elif key.startswith("duration."):
                 kwargs["gate_duration_ns"][key.split(".", 1)[1]] = float(val)
             elif key.startswith("readout."):
@@ -164,42 +179,33 @@ def _compress_kraus(ops, d: int):
 
 def _gate_kraus(gate: circ.Gate, noise: NoiseConfig | None):
     """Kraus operators (on the gate's own qubits) for the noisy gate."""
-    u = gate.unitary()
     if noise is None or gate.kind == "RZ":
-        return [u]
+        return [gate.unitary()]
     if gate.kind not in circ.NATIVE_KINDS:
         raise ValueError(f"noise model requires native gates, got {gate.kind!r}")
-    cache = getattr(noise, "_kraus_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(noise, "_kraus_cache", cache)
-    if gate.kind in cache:
-        return cache[gate.kind]
-    nq = len(gate.qubits)
+    return noise.native_kraus[gate.kind]
+
+
+def _noisy_gate_kraus(noise: NoiseConfig, kind: str, u: np.ndarray):
+    """Depolarizing then thermal relaxation on each qubit, after the gate u."""
+    nq = int(np.log2(u.shape[0]))
     p = noise.depol_1q if nq == 1 else noise.depol_2q
     ops = [k @ u for k in depolarizing_channel(p, nq).kraus_ops]
-    thermal = _thermal_kraus(noise, noise.duration(gate.kind))
+    thermal = _thermal_kraus(noise, noise.duration(kind))
     if thermal is not None:
         for pos in range(nq):
             embedded = [embed_operator(k, [pos], nq) for k in thermal.kraus_ops]
             ops = [ke @ k for ke in embedded for k in ops]
-    ops = _compress_kraus(ops, 2**nq)
-    cache[gate.kind] = ops
-    return ops
+    return _compress_kraus(ops, 2**nq)
 
 
 def _apply_circuit_to_matrix(c: circ.Circuit, mat: np.ndarray,
                              noise: NoiseConfig | None) -> np.ndarray:
     """Propagate an arbitrary matrix through the (noisy) circuit channel."""
-    n = c.register.n
+    reg = c.register
     out = np.asarray(mat, dtype=complex)
     for g in c.gates:
-        positions = c.register.indices(g.qubits)
-        acc = np.zeros_like(out)
-        for k in _gate_kraus(g, noise):
-            ke = embed_operator(k, positions, n)
-            acc += ke @ out @ ke.conj().T
-        out = acc
+        out = apply_at(_gate_kraus(g, noise), out, reg.indices(g.qubits), reg.n)
     return out
 
 
@@ -216,21 +222,33 @@ def apply_noisy_circuit(c: circ.Circuit, rho: DensityMatrix | None = None,
     return DensityMatrix(c.register, out, validate=False)
 
 
-def noisy_channel_of_circuit(c: circ.Circuit, noise: NoiseConfig | None) -> KrausChannel:
-    """The circuit's CPT map as a Kraus channel (at most 3 qubits)."""
-    n = c.register.n
-    if n > 3:
-        raise ValueError("noisy_channel_of_circuit supports at most 3 qubits")
-    d = c.register.dim
+def noisy_channel_of_circuit(c: circ.Circuit, noise: NoiseConfig | None,
+                             keep=None) -> KrausChannel:
+    """The circuit's CPT map on the ``keep`` qubits (default: all) as a Kraus
+    channel, built from the circuit's action on each |i><j|.
+
+    The other qubits start in |0> and are traced out at the end.  At most 3
+    qubits may be kept; the channel orders them as the register does."""
+    reg = c.register
+    pos = sorted(reg.indices(reg.labels if keep is None else keep))
+    k = len(pos)
+    if k > 3:
+        raise ValueError("noisy_channel_of_circuit keeps at most 3 qubits")
+    d = 2**k
+    # Register index of kept basis state i, the other qubits in |0>.
+    full = [sum(((i >> (k - 1 - b)) & 1) << (reg.n - 1 - p) for b, p in enumerate(pos))
+            for i in range(d)]
     choi = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
             eij = np.zeros((d, d), dtype=complex)
             eij[i, j] = 1.0
-            out = _apply_circuit_to_matrix(c, eij, noise)
-            choi += np.kron(out, eij)
+            inp = np.zeros((reg.dim, reg.dim), dtype=complex)
+            inp[full[i], full[j]] = 1.0
+            out = _apply_circuit_to_matrix(c, inp, noise)
+            choi += np.kron(partial_trace_mat(out, pos, reg.n), eij)
     choi /= d
-    labels = [f"out{k}" for k in range(n)] + [f"ref{k}" for k in range(n)]
+    labels = [f"out{q}" for q in range(k)] + [f"ref{q}" for q in range(k)]
     return channel_of_choi(ChoiState(DensityMatrix(labels, choi, validate=False)))
 
 
@@ -295,19 +313,15 @@ def _measurement_probs(rho: DensityMatrix, measured, setting: str,
     """Outcome distribution for one setting, including readout noise."""
     reg = rho.register
     mat = rho.mat
-    n = reg.n
     for q, pauli in zip(measured, setting):
-        rot = embed_operator(_BASIS_ROTATION[pauli], [reg.index(q)], n)
-        mat = rot @ mat @ rot.conj().T
+        mat = apply_at([_BASIS_ROTATION[pauli]], mat, [reg.index(q)], reg.n)
     rho_rot = DensityMatrix(reg, mat, validate=False)
     if noise is not None:
         thermal = _thermal_kraus(noise, noise.duration("MEASURE"))
         if thermal is not None:
             for q in measured:
-                acc = np.zeros_like(rho_rot.mat)
-                for k in thermal.kraus_ops:
-                    ke = embed_operator(k, [reg.index(q)], n)
-                    acc += ke @ rho_rot.mat @ ke.conj().T
+                # Wrapping after each qubit symmetrises; the shot draws depend on it.
+                acc = apply_at(thermal.kraus_ops, rho_rot.mat, [reg.index(q)], reg.n)
                 rho_rot = DensityMatrix(reg, acc, validate=False)
     marg = partial_trace(rho_rot, list(measured))
     probs = np.clip(np.diag(marg.mat).real, 0.0, None)

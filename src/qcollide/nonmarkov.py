@@ -8,32 +8,18 @@ local Nelder-Mead refinement, with a deterministic lexicographic tie-break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import minimize
 
-from .channel import KrausChannel, transfer_of_channel
+from .channel import KrausChannel, apply, transfer_of_channel
 from .entangle import concurrence_2q, concurrence_lower
-from .qmat import DensityMatrix, bloch_to_state, trace_distance
+from .qmat import bloch_to_state, trace_distance
 
 __all__ = [
-    "NonMarkovReport",
     "rhp_series",
     "blp_max_increase",
     "bloch_volume",
 ]
-
-
-@dataclass(frozen=True)
-class NonMarkovReport:
-    rhp_concurrences: tuple[tuple[int, float], ...]
-    rhp_is_lower_bound: bool
-    rhp_increase: bool
-    blp_delta: float
-    blp_argmax_pair: tuple[np.ndarray, np.ndarray]
-    volume_ratio_t1: float
-    volume_ratio_t2: float
 
 
 def rhp_series(records) -> tuple[tuple[tuple[int, float], ...], bool, bool]:
@@ -66,11 +52,6 @@ def _antipodal_pair(theta: float, phi: float):
     return bloch_to_state(r), bloch_to_state(-r)
 
 
-def _apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    out = sum(k @ rho.mat @ k.conj().T for k in ch.kraus_ops)
-    return DensityMatrix(rho.register, out, validate=False)
-
-
 def blp_max_increase(ch1: KrausChannel, ch2: KrausChannel):
     """Maximum over antipodal pure pairs of d_tr(ch2(a), ch2(b)) - d_tr(ch1(a),
     ch1(b)); returns (delta, (bloch_a, bloch_b))."""
@@ -80,8 +61,8 @@ def blp_max_increase(ch1: KrausChannel, ch2: KrausChannel):
     def objective(params) -> float:
         theta, phi = params
         a, b = _antipodal_pair(theta, phi)
-        return trace_distance(_apply(ch2, a), _apply(ch2, b)) - trace_distance(
-            _apply(ch1, a), _apply(ch1, b)
+        return trace_distance(apply(ch2, a), apply(ch2, b)) - trace_distance(
+            apply(ch1, a), apply(ch1, b)
         )
 
     step = np.deg2rad(2.0)

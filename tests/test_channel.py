@@ -4,10 +4,12 @@ import pytest
 from conftest import random_density, random_unitary
 from qcollide import collision
 from qcollide.channel import (
+    KRAUS_COMPLETE_TOL,
     ChoiState,
     KrausChannel,
     amplitude_damping_channel,
     apply,
+    apply_at,
     apply_extended,
     channel_of_choi,
     choi_of_channel,
@@ -39,6 +41,25 @@ def test_kraus_completeness_enforced():
     ch = amplitude_damping_channel(0.3)
     s = sum(k.conj().T @ k for k in ch.kraus_ops)
     assert np.abs(s - np.eye(2)).max() < 1e-12
+
+
+def test_kraus_completeness_tolerance():
+    # sum K†K must match I within KRAUS_COMPLETE_TOL = 1e-9, as documented
+    with pytest.raises(ValueError):
+        KrausChannel([np.sqrt(1 + 1e-7) * np.eye(2)])
+    KrausChannel([np.sqrt(1 + KRAUS_COMPLETE_TOL / 10) * np.eye(2)])
+
+
+def test_apply_at_matches_explicit_embedding(rng):
+    # a non-Hermitian input on 3 qubits, two Kraus operators on qubit 1
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    ops = amplitude_damping_channel(0.4).kraus_ops
+    want = sum(
+        np.kron(np.kron(np.eye(2), k), np.eye(2)) @ m
+        @ np.kron(np.kron(np.eye(2), k), np.eye(2)).conj().T
+        for k in ops
+    )
+    assert np.abs(apply_at(ops, m, [1], 3) - want).max() < 1e-12
 
 
 def test_choi_examples():

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcollide import collision
-from qcollide.channel import apply_extended, embed_operator, transfer_of_channel
+from qcollide.channel import (
+    KrausChannel,
+    apply_extended,
+    choi_of_channel,
+    embed_operator,
+    transfer_of_channel,
+)
 from qcollide.circuit import unitary_of_circuit
 from qcollide.entangle import assistance_2q, assistance_upper, concurrence_2q
 from qcollide.qmat import (
@@ -78,6 +86,28 @@ def test_evolution_record_invariant():
             rec = collision.evolve(model, n)
             mapped = apply_extended(rec.reduced_channel, init, model.system_labels)
             assert np.abs(mapped.mat - rec.joint_state.mat).max() < 1e-9
+
+
+@pytest.mark.parametrize(
+    "make_model", [collision.single_qubit_model, collision.two_qubit_model]
+)
+@settings(max_examples=20, deadline=None)
+@given(g_dt=st.floats(-np.pi, np.pi), n=st.integers(0, 3))
+def test_ideal_reduced_channel_matches_circuit_unitary(make_model, g_dt, n):
+    # brute force: Kraus operators <k|U|0> over the non-system qubits
+    model = make_model(g_dt)
+    u = unitary_of_circuit(collision.build_circuit(model, n, include_prep=False))
+    nq = model.register.n
+    sys_pos = model.register.indices(model.system_labels)
+    other = [q for q in range(nq) if q not in sys_pos]
+    t = u.reshape([2] * (2 * nq)).transpose(
+        other + sys_pos + [nq + q for q in other] + [nq + q for q in sys_pos]
+    )
+    d_o, d_s = 2 ** len(other), 2 ** len(sys_pos)
+    t = t.reshape(d_o, d_s, d_o, d_s)[:, :, 0, :]
+    want = choi_of_channel(KrausChannel([t[k] for k in range(d_o)])).rho.mat
+    got = choi_of_channel(collision.evolve(model, n).reduced_channel).rho.mat
+    assert np.abs(got - want).max() < 1e-10
 
 
 def test_reduced_channel_is_cpt():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcollide.channel import choi_of_channel
 from qcollide.circuit import Circuit, Gate, bell_prep_circuit
 from qcollide.noisytomo import (
     NoiseConfig,
@@ -17,7 +18,15 @@ from qcollide.noisytomo import (
     sample,
     sample_calibration,
 )
-from qcollide.qmat import ket, pure_state, state_to_bloch, trace_distance
+from qcollide.qmat import (
+    DensityMatrix,
+    ket,
+    nkron,
+    partial_trace,
+    pure_state,
+    state_to_bloch,
+    trace_distance,
+)
 
 ZERO_DURATIONS = {"SX": 0.0, "X": 0.0, "ECR": 0.0, "RZ": 0.0, "MEASURE": 0.0}
 
@@ -47,14 +56,15 @@ def test_noise_config_validation():
 
 def test_noise_config_text_round_trip():
     cfg = NoiseConfig(t1_us=123.0, t2_us=90.0, depol_2q=0.02,
-                      readout={"default": (0.01, 0.02), "A": (0.03, 0.04)},
-                      seed=7)
+                      readout={"default": (0.01, 0.02), "A": (0.03, 0.04)})
     back = NoiseConfig.from_text(cfg.to_text())
     assert back == cfg
     assert back.readout_probs("A") == (0.03, 0.04)
     assert back.readout_probs("S") == (0.01, 0.02)
     with pytest.raises(ValueError):
         NoiseConfig.from_text("bogus_key = 1\n")
+    with pytest.raises(ValueError):
+        NoiseConfig.from_text("seed = 7\n")  # no longer a config key
 
 
 def test_zero_noise_channel_equals_ideal():
@@ -91,6 +101,42 @@ def test_noisy_channel_is_cpt():
     ch = noisy_channel_of_circuit(c, NoiseConfig())
     s = sum(k.conj().T @ k for k in ch.kraus_ops)
     assert np.abs(s - np.eye(4)).max() < 1e-9
+
+
+def test_noisy_channel_on_kept_qubits_matches_reference():
+    # keep (b, d) of a 4-qubit circuit: a and c start in |0> and are traced out
+    labels = ("a", "b", "c", "d")
+    c = Circuit(labels, [
+        Gate("SX", ("a",)), Gate("ECR", ("a", "b")), Gate("SX", ("c",)),
+        Gate("ECR", ("c", "d")), Gate("RZ", ("d",), theta=0.3),
+        Gate("ECR", ("b", "c")), Gate("X", ("d",)),
+    ])
+    noise = NoiseConfig()
+
+    def unit(x, y):  # |x><y| on one qubit
+        m = np.zeros((2, 2), dtype=complex)
+        m[x, y] = 1.0
+        return m
+
+    def reduced(h):  # tr_{a,c} of the circuit channel on a Hermitian input
+        out = apply_noisy_circuit(c, DensityMatrix(labels, h, validate=False), noise)
+        return partial_trace(out, ("b", "d")).mat
+
+    ref = np.zeros((16, 16), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            e_b, e_d = unit(i >> 1, j >> 1), unit(i & 1, j & 1)
+            e_in = nkron(unit(0, 0), e_b, unit(0, 0), e_d)
+            # |i><j| = (H1 + i H2) / 2 with H1, H2 Hermitian; the map is linear
+            h1 = e_in + e_in.conj().T
+            h2 = 1j * (e_in.conj().T - e_in)
+            out = (reduced(h1) + 1j * reduced(h2)) / 2
+            ref += np.kron(out, np.kron(e_b, e_d))
+    ref /= 4
+    ch = noisy_channel_of_circuit(c, noise, keep=("b", "d"))
+    assert np.abs(choi_of_channel(ch).rho.mat - ref).max() < 1e-9
+    with pytest.raises(ValueError):
+        noisy_channel_of_circuit(c, noise)  # at most 3 kept qubits
 
 
 def test_noise_requires_native_gates():
