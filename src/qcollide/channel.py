@@ -209,14 +209,29 @@ def apply_extended(ch: KrausChannel, rho_joint: DensityMatrix, target_labels) ->
 
 
 def apply_at(ops, mat: np.ndarray, positions, n: int) -> np.ndarray:
-    """Sum of K mat K† over the operators K, each embedded on the given qubit
+    """Sum of K mat K† over the operators K, each acting on the given qubit
     positions (MSB-first) of an n-qubit matrix.  ``mat`` may be any square
-    matrix, not only a state: the Choi construction feeds it |i><j|."""
-    out = np.zeros(mat.shape, dtype=complex)
-    for k in ops:
-        ke = embed_operator(k, positions, n)
-        out += ke @ mat @ ke.conj().T
-    return out
+    matrix, not only a state: the Choi construction feeds it |i><j|.
+
+    The Kraus set is folded into its local superoperator Σ K⊗K̄ (4^k × 4^k
+    for k qubits), which is contracted once with the k row and k column axes
+    of ``mat``; the identity on the other qubits is never formed."""
+    ops = np.asarray(ops, dtype=complex)
+    d = ops.shape[-1]
+    # superop[a, c, b, e] = Σ_K K[a, b] conj(K[c, e]): rows (a, c), columns (b, e).
+    superop = np.einsum("kab,kce->acbe", ops, ops.conj()).reshape(d * d, d * d)
+    axes = list(positions) + [n + p for p in positions]
+    out = _contract_at(superop, np.asarray(mat).reshape([2] * (2 * n)), axes)
+    return out.reshape(2**n, 2**n)
+
+
+def _contract_at(op: np.ndarray, tensor: np.ndarray, axes) -> np.ndarray:
+    """Apply the square operator ``op`` on len(axes) qubit axes of a tensor
+    with a length-2 axis per qubit; the axes keep their places."""
+    m = len(axes)
+    t = np.tensordot(op.reshape([2] * (2 * m)), tensor,
+                     axes=(list(range(m, 2 * m)), list(axes)))
+    return np.moveaxis(t, list(range(m)), list(axes))
 
 
 def embed_operator(op: np.ndarray, qubit_positions, n: int) -> np.ndarray:

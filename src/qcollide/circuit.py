@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cossin, schur
 
-from .channel import embed_operator
+from .channel import _contract_at
 from .qmat import QubitRegister
 
 __all__ = [
@@ -150,11 +150,11 @@ class Circuit:
 def unitary_of_circuit(c: Circuit) -> np.ndarray:
     if c.register.n > 8:
         raise ValueError("unitary_of_circuit supports at most 8 qubits")
-    u = np.eye(c.register.dim, dtype=complex)
+    n = c.register.n
+    u = np.eye(c.register.dim, dtype=complex).reshape([2] * (2 * n))
     for g in c.gates:
-        emb = embed_operator(g.unitary(), c.register.indices(g.qubits), c.register.n)
-        u = emb @ u
-    return np.exp(1j * c.global_phase) * u
+        u = _contract_at(g.unitary(), u, c.register.indices(g.qubits))
+    return np.exp(1j * c.global_phase) * u.reshape(c.register.dim, c.register.dim)
 
 
 def equivalent_up_to_global_phase(U, V, tol: float = 1e-8):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -71,10 +72,23 @@ def _build_parser() -> _Parser:
     return p
 
 
+class _InputError(Exception):
+    """A usage or input error found after argument parsing (exit code 1)."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise _InputError(message)
+
+
 def _load_noise(arg: str):
     if arg == "ideal":
         return None
-    return noisytomo.NoiseConfig.from_text(Path(arg).read_text())
+    text = Path(arg).read_text()
+    try:
+        return noisytomo.NoiseConfig.from_text(text)
+    except ValueError as exc:
+        raise _InputError(f"noise config {arg}: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -110,20 +124,21 @@ def _state_for(model, n, noise, shots, seed, mitigate):
 
 
 def _bootstrap_states(counts, seed, reps=20):
+    """Reconstructed states of ``reps`` multinomial resamples of the counts.
+
+    Each replica draws one multinomial per setting, in ``counts.counts``
+    order, from one generator; all replicas are reconstructed in one call."""
     rng = np.random.default_rng([seed, 777])
-    out = []
     k = len(counts.measured)
-    for _ in range(reps):
-        resampled = {}
-        for setting in counts.counts:
-            freqs = counts.frequencies(setting)
-            draw = rng.multinomial(counts.shots, freqs)
-            resampled[setting] = {
-                format(b, f"0{k}b"): int(c) for b, c in enumerate(draw) if c > 0
-            }
-        rc = noisytomo.ShotCounts(counts.measured, counts.shots, resampled)
-        out.append(noisytomo.reconstruct(rc).state)
-    return out
+    row = {s: i for i, s in enumerate(noisytomo.all_settings(k))}
+    freqs = [(row[s], counts.frequencies(s)) for s in counts.counts]
+    table = np.zeros((reps, 3**k, 2**k))
+    for rep in table:
+        for i, f in freqs:
+            rep[i] = rng.multinomial(counts.shots, f) / counts.shots
+    mats, _ = noisytomo._reconstruct_frequencies(table)
+    reg = qmat.QubitRegister(counts.measured)
+    return [qmat.DensityMatrix(reg, m, validate=False) for m in mats]
 
 
 def _quantities(state, sys_labels):
@@ -136,16 +151,19 @@ def _quantities(state, sys_labels):
 
 
 def _run_simulate(args) -> int:
+    _require(math.isfinite(args.gdt), "--gdt must be finite")
     noise = _load_noise(args.noise)
-    if noise is not None and args.shots <= 0:
-        print("error: --shots must be positive when noise is enabled",
-              file=sys.stderr)
-        return 1
+    _require(noise is None or args.shots > 0,
+             "--shots must be positive when noise is enabled")
     builder = MODELS[args.model]
     model = builder(args.gdt) if args.model in ("single", "two-qubit") else builder()
     n_max = args.collisions
     if n_max is None:
         n_max = 2 if model.kind in ("Toy", "Swap") else 10
+    try:
+        collision._check_steps(model, n_max)
+    except ValueError as exc:
+        raise _InputError(f"--collisions {n_max}: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sys_labels = model.system_labels
@@ -181,7 +199,7 @@ def _run_simulate(args) -> int:
 
     # non-Markovianity summary (single-qubit system channels only for BLP/volume)
     nm_lines = []
-    series, lower_flag, increase = nonmarkov.rhp_series(records)
+    series, lower_flag, increase = nonmarkov.rhp_series(records, sys_labels)
     nm_lines.append(["rhp_series", ";".join(f"{n}:{_fmt(v)}" for n, v in series)])
     nm_lines.append(["rhp_is_lower_bound", str(lower_flag)])
     nm_lines.append(["rhp_increase", str(increase)])
@@ -266,11 +284,13 @@ def _run_witness(args) -> int:
 # --------------------------------------------------------------------------
 
 def _run_nonmarkov(args) -> int:
+    _require(math.isfinite(args.gdt), "--gdt must be finite")
+    _require(min(args.t1, args.t2) >= 0, "--t1 and --t2 must be nonnegative")
     model = collision.single_qubit_model(args.gdt)
     rec1 = collision.evolve(model, args.t1)
     rec2 = collision.evolve(model, args.t2)
     series, _, increase = nonmarkov.rhp_series(
-        [collision.evolve(model, n) for n in range(args.t2 + 1)]
+        [collision.evolve(model, n) for n in range(args.t2 + 1)], model.system_labels
     )
     delta, pair = nonmarkov.blp_max_increase(rec1.reduced_channel, rec2.reduced_channel)
     v1 = nonmarkov.bloch_volume(rec1.reduced_channel)
@@ -358,6 +378,9 @@ def main(argv=None) -> int:
             return _run_transpile_check(args)
         if args.command == "continuum-check":
             return _run_continuum_check(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, AssertionError) as exc:
         print(f"numerical invariant violation: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,13 @@ measurement duration before readout.
 
 Sampling is deterministic given (job, seed); each setting draws from its own
 sub-seeded generator so the results are order-independent.
+
+Reconstruction is linear: for k measured qubits, tables built once per k map
+the (3^k settings × 2^k outcomes) frequency table to the 4^k Pauli-string
+expectations (outcome signs, weighted by 1/#compatible settings) and those to
+the estimate Σ_P <P> P / 2^k.  The estimate is projected onto the density
+matrices (Smolin–Gambetta–Smith).  Many frequency tables, such as bootstrap
+replicas, go through the same maps in one batched call.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -133,8 +140,10 @@ class NoiseConfig:
             elif key.startswith("duration."):
                 kwargs["gate_duration_ns"][key.split(".", 1)[1]] = float(val)
             elif key.startswith("readout."):
-                a, b = val.split(",")
-                kwargs["readout"][key.split(".", 1)[1]] = (float(a), float(b))
+                probs = val.split(",")
+                if len(probs) != 2:
+                    raise ValueError(f"{key} needs two comma-separated probabilities")
+                kwargs["readout"][key.split(".", 1)[1]] = (float(probs[0]), float(probs[1]))
             else:
                 raise ValueError(f"unknown noise config key {key!r}")
         if not kwargs["readout"]:
@@ -417,43 +426,66 @@ class ReconstructionResult:
 
 
 def reconstruct(counts: ShotCounts) -> ReconstructionResult:
-    """Linear-inversion tomography followed by PSD/trace-1 projection."""
-    k = len(counts.measured)
-    settings = all_settings(k)
+    """Linear-inversion tomography followed by PSD/trace-1 projection.
+
+    Each Pauli-string expectation is the mean over the settings compatible
+    with it; the estimate Σ_P <P> P / 2^k is projected onto the density
+    matrices by the eigenvalue simplex projection of Smolin, Gambetta and
+    Smith (PRL 108, 070502 (2012)).  The linear maps behind this are tables
+    built once per k (``_tomography_tables``)."""
+    settings = all_settings(len(counts.measured))
     missing = [s for s in settings if s not in counts.counts]
     if missing:
         raise ValueError(f"incomplete settings, missing {missing[:3]}...")
-    dim = 2**k
-    # Pauli-string expectation values, averaged over all compatible settings.
-    expectations: dict[str, float] = {"I" * k: 1.0}
-    for pstring in itertools.product("IXYZ", repeat=k):
-        pstring = "".join(pstring)
-        if pstring == "I" * k:
-            continue
-        vals = []
-        for setting in settings:
-            if all(p == "I" or p == s for p, s in zip(pstring, setting)):
-                freqs = counts.frequencies(setting)
-                signs = np.ones(dim)
-                for pos, p in enumerate(pstring):
-                    if p == "I":
-                        continue
-                    bit = (np.arange(dim) >> (k - 1 - pos)) & 1
-                    signs *= 1.0 - 2.0 * bit
-                vals.append(float(freqs @ signs))
-        expectations[pstring] = float(np.mean(vals))
-    est = np.zeros((dim, dim), dtype=complex)
-    for pstring, val in expectations.items():
-        est += val * nkron(*(PAULIS[c] for c in pstring))
-    est /= dim
-    est = (est + est.conj().T) / 2
-    ev, vecs = np.linalg.eigh(est)
-    projected = _project_simplex(ev)
-    mat = (vecs * projected) @ vecs.conj().T
-    dist = float(np.abs(projected - ev).sum())
+    freqs = np.stack([counts.frequencies(s) for s in settings])
+    mat, dist = _reconstruct_frequencies(freqs)
     return ReconstructionResult(
-        DensityMatrix(QubitRegister(counts.measured), mat, validate=False), dist
+        DensityMatrix(QubitRegister(counts.measured), mat, validate=False), float(dist)
     )
+
+
+@lru_cache(maxsize=None)
+def _tomography_tables(k: int):
+    """Linear maps of k-qubit tomography, over the 4^k Pauli strings in
+    ``itertools.product("IXYZ", repeat=k)`` order:
+
+    * ``signs`` (2^k, 4^k): the eigenvalue ±1 of each string on each outcome;
+    * ``weights`` (3^k, 4^k): 1/#compatible for each setting that measures
+      every non-identity factor of the string, else 0;
+    * ``paulis`` (4^k, 2^k, 2^k): the strings scaled by 1/2^k."""
+    dim = 2**k
+    pstrings = np.array(list(itertools.product(range(4), repeat=k))).reshape(-1, k)
+    settings = np.array(list(itertools.product(range(1, 4), repeat=k))).reshape(-1, k)
+    bits = (np.arange(dim)[:, None] >> (k - 1 - np.arange(k))) & 1
+    identity = pstrings == 0
+    signs = np.where(identity[None], 1.0, 1.0 - 2.0 * bits[:, None, :]).prod(axis=-1)
+    compatible = (identity[None] | (pstrings[None] == settings[:, None])).all(axis=-1)
+    weights = compatible / compatible.sum(axis=0)
+    paulis = np.stack([nkron(*(PAULIS["IXYZ"[c]] for c in p)) for p in pstrings]) / dim
+    for table in (signs, weights, paulis):
+        table.setflags(write=False)
+    return signs, weights, paulis
+
+
+def _reconstruct_frequencies(freqs: np.ndarray):
+    """Projected states and projection distances for a frequency table of
+    shape (..., 3^k, 2^k): one matrix of shape (..., 2^k, 2^k) and one
+    distance per table."""
+    freqs = np.asarray(freqs, dtype=float)
+    dim = freqs.shape[-1]
+    signs, weights, paulis = _tomography_tables(dim.bit_length() - 1)
+    flat = freqs.reshape((-1,) + freqs.shape[-2:])
+    # One table at a time keeps the (3^k, 4^k) temporary small.
+    exps = np.stack([((f @ signs) * weights).sum(axis=0) for f in flat])
+    exps[:, 0] = 1.0  # <I...I> is 1 exactly, whatever the frequency sums round to
+    est = np.tensordot(exps, paulis, axes=(1, 0))
+    est = (est + est.conj().swapaxes(-1, -2)) / 2
+    ev, vecs = np.linalg.eigh(est)
+    projected = np.stack([_project_simplex(e) for e in ev])
+    mats = (vecs * projected[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    dists = np.abs(projected - ev).sum(axis=-1)
+    batch = freqs.shape[:-2]
+    return mats.reshape(batch + (dim, dim)), dists.reshape(batch)
 
 
 def _project_simplex(ev: np.ndarray) -> np.ndarray:

@@ -22,12 +22,12 @@ __all__ = [
 ]
 
 
-def rhp_series(records) -> tuple[tuple[tuple[int, float], ...], bool, bool]:
+def rhp_series(records, system_labels) -> tuple[tuple[tuple[int, float], ...], bool, bool]:
     """Per-record system-ancilla concurrence; any strict increase flags
     CP-indivisibility.  Returns (series, used_lower_bound, increase_found).
 
-    For joint states larger than two qubits the trace-norm lower bound is used
-    and flagged."""
+    For joint states larger than two qubits the trace-norm lower bound across
+    the ``system_labels`` | rest cut is used and flagged."""
     series = []
     lower_bound = False
     for rec in records:
@@ -36,10 +36,7 @@ def rhp_series(records) -> tuple[tuple[tuple[int, float], ...], bool, bool]:
             val = concurrence_2q(rho)
         else:
             lower_bound = True
-            # split off the system labels: by convention the ancilla labels
-            # come first in the joint state register
-            half = rho.register.n // 2
-            val = concurrence_lower(rho, rho.register.labels[half:])
+            val = concurrence_lower(rho, system_labels)
         series.append((rec.n, float(val)))
     increase = any(b[1] > a[1] + 1e-9 for a, b in zip(series, series[1:]))
     return tuple(series), lower_bound, increase

@@ -81,7 +81,7 @@ def test_criterion_3_nonmarkov_ideal():
     assert abs(delta - 2.0) < 1e-6
     assert abs(bloch_volume(records[2].reduced_channel) - 0.0) < 1e-9
     assert abs(bloch_volume(records[4].reduced_channel) - 1.0) < 1e-9
-    series, _, increase = rhp_series(records)
+    series, _, increase = rhp_series(records, model.system_labels)
     vals = dict(series)
     assert increase
     assert abs(vals[2] - 0.0) < 1e-9 and abs(vals[4] - 1.0) < 1e-9

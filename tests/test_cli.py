@@ -135,3 +135,30 @@ def test_nonmarkov_subcommand(capsys):
     assert main(["nonmarkov"]) == 0
     out = capsys.readouterr().out
     assert "blp max trace-distance increase: 2.000000" in out
+
+
+def test_negative_collision_count_is_input_error(tmp_path):
+    out = tmp_path / "neg"
+    assert main(["simulate", "--model", "single", "--collisions", "-1",
+                 "--out", str(out)]) == 1
+    assert not (out / "concurrence.csv").exists()
+
+
+def test_malformed_noise_config_is_input_error(tmp_path, capsys):
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text("readout.S = 0.1\n")
+    assert main(["simulate", "--model", "single", "--noise", str(noise_file),
+                 "--shots", "64", "--out", str(tmp_path / "x")]) == 1
+    assert "readout.S" in capsys.readouterr().err
+
+
+def test_collisions_beyond_model_limit_is_input_error(tmp_path):
+    assert main(["simulate", "--model", "toy", "--collisions", "3",
+                 "--out", str(tmp_path / "toy")]) == 1
+
+
+def test_non_finite_gdt_is_input_error(tmp_path):
+    assert main(["simulate", "--model", "single", "--gdt", "nan",
+                 "--out", str(tmp_path / "nan")]) == 1
+    assert main(["nonmarkov", "--gdt", "inf"]) == 1
+    assert main(["nonmarkov", "--t1", "-1"]) == 1

@@ -17,7 +17,7 @@ def ideal_records(n_max=4):
 
 
 def test_rhp_series_ideal():
-    series, lower_flag, increase = rhp_series(ideal_records())
+    series, lower_flag, increase = rhp_series(ideal_records(), ("S",))
     vals = dict(series)
     assert vals[2] == pytest.approx(0.0, abs=1e-9)
     assert vals[4] == pytest.approx(1.0, abs=1e-9)
@@ -30,7 +30,7 @@ def test_rhp_series_unitary_dynamics_constant():
     rotated = DensityMatrix(("A", "S"), z @ BELL.mat @ z.conj().T, validate=False)
     ch = unitary_channel(np.diag([1.0, -1.0j]))
     records = [EvolutionRecord(n, s, ch) for n, s in enumerate([BELL, rotated, BELL])]
-    series, lower_flag, increase = rhp_series(records)
+    series, lower_flag, increase = rhp_series(records, ("S",))
     assert all(abs(v - 1.0) < 1e-9 for _, v in series)
     assert not increase and not lower_flag
 
@@ -38,7 +38,7 @@ def test_rhp_series_unitary_dynamics_constant():
 def test_rhp_series_flags_lower_bound_for_large_registers():
     model = collision.toy_model()
     records = [collision.evolve(model, n) for n in range(3)]
-    series, lower_flag, increase = rhp_series(records)
+    series, lower_flag, increase = rhp_series(records, model.system_labels)
     assert lower_flag and increase
     assert series[1][1] == pytest.approx(0.0, abs=1e-9)
     assert series[2][1] == pytest.approx(np.sqrt(1.5), abs=1e-9)
