@@ -2,6 +2,16 @@
 
 Choi states are normalized to trace 1 (a physical system–ancilla state whose
 concurrence can be computed directly), not to trace d.
+
+Every conversion goes through three private helpers on the row-major vec
+(vec(A)[i*d + j] = A[i, j]; Wood, Biamonte & Cory, arXiv:1111.6950):
+
+* ``_choi_matrix``: Σ vec(K) vec(K)†, output factor first, trace d;
+* ``_kraus_of_choi``: the one Choi→Kraus routine (trace-preservation check,
+  eigendecomposition, 1e-10 cutoff, exact renormalisation), behind
+  ``channel_of_choi``, the compression in ``compose`` and the noisy-gate and
+  circuit channels of ``noisytomo``;
+* ``_superop``: Σ K⊗K̄, behind ``apply_at`` and ``transfer_of_channel``.
 """
 
 from __future__ import annotations
@@ -15,8 +25,8 @@ from .qmat import (
     DensityMatrix,
     PAULIS,
     QubitRegister,
+    herm_sqrt,
     nkron,
-    partial_trace,
 )
 
 __all__ = [
@@ -137,56 +147,47 @@ def phase_damping_channel(lam: float) -> KrausChannel:
     return KrausChannel([k0, k1, k2])
 
 
-def _max_entangled(d: int) -> np.ndarray:
-    v = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        v[j * d + j] = 1.0
-    return v / np.sqrt(d)
+def _choi_matrix(ops) -> np.ndarray:
+    """Σ vec(K) vec(K)† with the row-major vec (output factor first): the
+    Choi matrix of trace d = in_dim for a trace-preserving Kraus set."""
+    vecs = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
+    return vecs.T @ vecs.conj()
 
 
 def choi_of_channel(ch: KrausChannel, labels=("S_out", "S_ref")) -> ChoiState:
     """(E ⊗ 1)|Φ+⟩⟨Φ+| with |Φ+⟩ ∝ Σ|jj⟩, trace-1 normalization."""
     d = ch.in_dim
-    phi = _max_entangled(d)
-    rho = np.outer(phi, phi.conj())
-    big = np.zeros((d * ch.out_dim, d * ch.out_dim), dtype=complex)
-    for k in ch.kraus_ops:
-        kk = np.kron(k, np.eye(d))
-        big += kk @ rho @ kk.conj().T
     n_out = int(round(np.log2(ch.out_dim)))
     n_ref = int(round(np.log2(d)))
     out_labels = [f"{labels[0]}{i}" for i in range(n_out)] if n_out > 1 else [labels[0]]
     ref_labels = [f"{labels[1]}{i}" for i in range(n_ref)] if n_ref > 1 else [labels[1]]
-    return ChoiState(DensityMatrix(QubitRegister(out_labels + ref_labels), big))
+    return ChoiState(DensityMatrix(QubitRegister(out_labels + ref_labels),
+                                   _choi_matrix(ch.kraus_ops) / d))
 
 
 def channel_of_choi(c: ChoiState) -> KrausChannel:
-    """Kraus extraction by eigendecomposition (eigenvalue cutoff 1e-10)."""
-    d = c.dim
-    reg = c.rho.register
-    out_labels = reg.labels[: reg.n // 2]
-    marg = partial_trace(c.rho, reg.labels[reg.n // 2 :]).mat
-    dev = np.abs(marg - np.eye(d) / d).max()
+    """Kraus extraction by eigendecomposition (eigenvalue cutoff 1e-10,
+    renormalised to be exactly trace preserving)."""
+    return _kraus_of_choi(c.rho.mat * c.dim, c.dim)
+
+
+def _kraus_of_choi(choi: np.ndarray, d: int) -> KrausChannel:
+    """The one Choi→Kraus routine, for a d → d map with Choi matrix ``choi``
+    of trace d (the ``_choi_matrix`` convention).
+
+    Rejects a trace-preservation deviation above 1e-3 (in trace-1 units),
+    keeps the eigenvectors with eigenvalue ≥ 1e-10 as Kraus operators and
+    renormalises them so the channel is exactly trace preserving."""
+    marg = np.einsum("ajak->jk", choi.reshape(d, d, d, d))
+    dev = np.abs(marg - np.eye(d)).max() / d
     if dev > 1e-3:
         raise ValueError(f"trace-preservation violation {dev:.2e} > 1e-3 in Choi state")
-    mat = c.rho.mat * d  # undo trace-1 normalization
-    ev, vecs = np.linalg.eigh(mat)
-    ops = []
-    for lam, v in zip(ev, vecs.T):
-        if lam < 1e-10:
-            continue
-        ops.append(np.sqrt(lam) * v.reshape(d, d))
+    ev, vecs = np.linalg.eigh((choi + choi.conj().T) / 2)
+    keep = ev >= 1e-10
+    ops = (np.sqrt(ev[keep]) * vecs[:, keep]).T.reshape(-1, d, d)
     # Renormalize so the channel is exactly trace preserving despite projection.
-    s = sum(k.conj().T @ k for k in ops)
-    inv_sqrt = np.linalg.inv(_psd_sqrt(s))
-    ops = [k @ inv_sqrt for k in ops]
-    return KrausChannel(ops)
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    ev, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    ev = np.clip(ev, 0.0, None)
-    return (vecs * np.sqrt(ev)) @ vecs.conj().T
+    s = np.einsum("kba,kbc->ac", ops.conj(), ops)
+    return KrausChannel(ops @ np.linalg.inv(herm_sqrt(s)))
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -211,18 +212,26 @@ def apply_extended(ch: KrausChannel, rho_joint: DensityMatrix, target_labels) ->
 def apply_at(ops, mat: np.ndarray, positions, n: int) -> np.ndarray:
     """Sum of K mat K† over the operators K, each acting on the given qubit
     positions (MSB-first) of an n-qubit matrix.  ``mat`` may be any square
-    matrix, not only a state: the Choi construction feeds it |i><j|.
+    matrix, not only a state (the circuit's Choi construction feeds it
+    |i><j|), or a stack of them with leading batch axes (..., 2^n, 2^n).
 
-    The Kraus set is folded into its local superoperator Σ K⊗K̄ (4^k × 4^k
-    for k qubits), which is contracted once with the k row and k column axes
-    of ``mat``; the identity on the other qubits is never formed."""
+    The Kraus set is folded into its local superoperator ``_superop`` (4^k ×
+    4^k for k qubits), which is contracted once with the k row and k column
+    axes of each matrix; the identity on the other qubits is never formed."""
+    mat = np.asarray(mat)
+    batch = mat.shape[:-2]
+    b = len(batch)
+    axes = [b + p for p in positions] + [b + n + p for p in positions]
+    out = _contract_at(_superop(ops), mat.reshape(batch + (2,) * (2 * n)), axes)
+    return out.reshape(batch + (2**n, 2**n))
+
+
+def _superop(ops) -> np.ndarray:
+    """Σ K⊗K̄, the map vec(ρ) → vec(Σ K ρ K†) on the row-major vec."""
     ops = np.asarray(ops, dtype=complex)
-    d = ops.shape[-1]
+    d_out, d_in = ops.shape[-2:]
     # superop[a, c, b, e] = Σ_K K[a, b] conj(K[c, e]): rows (a, c), columns (b, e).
-    superop = np.einsum("kab,kce->acbe", ops, ops.conj()).reshape(d * d, d * d)
-    axes = list(positions) + [n + p for p in positions]
-    out = _contract_at(superop, np.asarray(mat).reshape([2] * (2 * n)), axes)
-    return out.reshape(2**n, 2**n)
+    return np.einsum("kab,kce->acbe", ops, ops.conj()).reshape(d_out**2, d_in**2)
 
 
 def _contract_at(op: np.ndarray, tensor: np.ndarray, axes) -> np.ndarray:
@@ -246,18 +255,12 @@ def embed_operator(op: np.ndarray, qubit_positions, n: int) -> np.ndarray:
 
 
 def transfer_of_channel(ch: KrausChannel) -> TransferMap:
-    """M_ab = tr(P_a E[P_b]) with P the normalized Pauli basis."""
+    """M_ab = tr(P_a E[P_b]) = vec(P_a)† S vec(P_b) with P the normalized
+    Pauli basis and S the superoperator."""
     if ch.in_dim != ch.out_dim:
         raise ValueError("square channel required")
-    n = ch.n_qubits
-    basis = pauli_basis(n)
-    d2 = len(basis)
-    M = np.zeros((d2, d2))
-    for b, (_, pb) in enumerate(basis):
-        out = sum(k @ pb @ k.conj().T for k in ch.kraus_ops)
-        for a, (_, pa) in enumerate(basis):
-            M[a, b] = np.trace(pa.conj().T @ out).real
-    return TransferMap(M)
+    vecs = np.stack([p.reshape(-1) for _, p in pauli_basis(ch.n_qubits)], axis=1)
+    return TransferMap((vecs.conj().T @ _superop(ch.kraus_ops) @ vecs).real)
 
 
 def compose(a: KrausChannel, b: KrausChannel) -> KrausChannel:
@@ -267,5 +270,5 @@ def compose(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     ops = [ka @ kb for ka in a.kraus_ops for kb in b.kraus_ops]
     if len(ops) > a.out_dim**2:
         # Compress via Choi eigendecomposition to keep Kraus ranks bounded.
-        return channel_of_choi(choi_of_channel(KrausChannel(ops, validate=False)))
+        return _kraus_of_choi(_choi_matrix(ops), a.out_dim)
     return KrausChannel(ops, validate=False)

@@ -99,8 +99,11 @@ def _fmt(x) -> str:
 # simulate
 # --------------------------------------------------------------------------
 
-def _state_for(model, n, noise, shots, seed, mitigate):
-    """(state for quantities, ideal record, record used, bootstrap replicas)."""
+def _state_for(model, n, noise, shots, seed, calibration):
+    """(state for quantities, ideal record, record used, bootstrap replicas).
+
+    ``calibration`` is the pair of readout-calibration counts used to
+    mitigate the shot data, or None for raw counts."""
     ideal = collision.evolve(model, n)
     if noise is None:
         return ideal.joint_state, ideal, ideal, []
@@ -112,12 +115,8 @@ def _state_for(model, n, noise, shots, seed, mitigate):
     job = noisytomo.TomographyJob(native, measured, shots=shots,
                                   seed=seed * 1000 + n)
     counts = noisytomo.sample(job, noise=noise)
-    if mitigate:
-        c0, c1 = noisytomo.calibration_jobs(model.register, measured,
-                                            shots=shots, seed=seed * 1000 + 900)
-        cal0 = noisytomo.sample_calibration(c0, noise=noise)
-        cal1 = noisytomo.sample_calibration(c1, noise=noise)
-        counts = noisytomo.mitigate_readout(counts, cal0, cal1)
+    if calibration is not None:
+        counts = noisytomo.mitigate_readout(counts, *calibration)
     state = noisytomo.reconstruct(counts).state
     replicas = _bootstrap_states(counts, seed * 1000 + n, reps=20)
     return state, ideal, noisy, replicas
@@ -168,13 +167,19 @@ def _run_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     sys_labels = model.system_labels
     exact = len(sys_labels) == 1
+    calibration = None
+    if noise is not None and args.mitigate:
+        jobs = noisytomo.calibration_jobs(model.register,
+                                          model.ancilla_labels + sys_labels,
+                                          shots=args.shots, seed=args.seed * 1000 + 900)
+        calibration = [noisytomo.sample_calibration(j, noise=noise) for j in jobs]
 
     conc_rows = []
     bloch_rows = []
     records = []
     for n in range(n_max + 1):
         state, ideal_rec, used_rec, replicas = _state_for(
-            model, n, noise, args.shots, args.seed, args.mitigate
+            model, n, noise, args.shots, args.seed, calibration
         )
         c, c_sharp = _quantities(state, sys_labels)
         err_c = err_cs = 0.0
@@ -258,8 +263,7 @@ def _run_witness(args) -> int:
     left = float(by_n[args.t1][2])   # assistance (or its upper bound) at t1
     right = float(by_n[args.t2][1])  # concurrence (or its lower bound) at t2
     err = float(np.hypot(float(by_n[args.t1][4]), float(by_n[args.t2][3])))
-    margin = right - left
-    verdict = margin > entangle.STRICT_TOL
+    report = entangle.WitnessReport.of_sides(args.t1, args.t2, exact, left, right)
     lines = [
         "{",
         f'  "t1": {args.t1},',
@@ -267,9 +271,9 @@ def _run_witness(args) -> int:
         f'  "exact": {str(exact).lower()},',
         f'  "left_{header[2]}": {_fmt(left)},',
         f'  "right_{header[1]}": {_fmt(right)},',
-        f'  "margin": {_fmt(margin)},',
+        f'  "margin": {_fmt(report.margin)},',
         f'  "bootstrap_err": {_fmt(err)},',
-        f'  "quantum_memory": {str(verdict).lower()}',
+        f'  "quantum_memory": {str(report.quantum_memory).lower()}',
         "}",
     ]
     text = "\n".join(lines)
@@ -343,11 +347,12 @@ def _run_transpile_check(_args) -> int:
 
 
 def _run_continuum_check(args) -> int:
+    _require(args.points >= 0, "--points must be nonnegative")
+    _require(math.isfinite(args.tmax), "--tmax must be finite")
     grid = np.linspace(0.0, args.tmax, args.points)
-    grid = grid[np.abs(np.cos(grid)) > 1e-3]
-    worst_rate = max(
-        abs(collision.lindblad_rate(t) - np.tan(t)) for t in grid if t > 0
-    )
+    grid = grid[(grid > 0) & (np.abs(np.cos(grid)) > 1e-3)]
+    _require(grid.size > 0, "--points and --tmax leave no grid point with t > 0")
+    worst_rate = max(abs(collision.lindblad_rate(t) - np.tan(t)) for t in grid)
     worst_transfer = 0.0
     for n in range(1, 9):
         t = 0.9

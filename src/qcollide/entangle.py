@@ -52,6 +52,16 @@ class WitnessReport:
     quantum_memory: bool
     margin: float
 
+    @classmethod
+    def of_sides(cls, t1_id: int, t2_id: int, exact: bool, left: float,
+                 right: float) -> "WitnessReport":
+        """The report for left = assistance (or its upper bound) at t1 and
+        right = concurrence (or its lower bound) at t2."""
+        margin = float(right - left)
+        sides = (left, right, None, None) if exact else (None, None, left, right)
+        return cls(t1_id, t2_id, exact, *sides,
+                   quantum_memory=bool(margin > STRICT_TOL), margin=margin)
+
 
 def _wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
     """Descending square roots of the eigenvalues of rho * rho~ (2 qubits)."""
@@ -120,21 +130,8 @@ def witness(rho_t1: DensityMatrix, rho_t2: DensityMatrix, system_labels,
     other = _check_bipartition(rho_t1, system_labels)
     exact = len(system_labels) == 1 and len(other) == 1
     if exact:
-        left = assistance_2q(rho_t1)
-        right = concurrence_2q(rho_t2)
-        margin = right - left
-        return WitnessReport(
-            t1_id=t1_id, t2_id=t2_id, exact=True,
-            c_sharp_t1=left, c_t2=right,
-            c_sharp_upper_t1=None, c_lower_t2=None,
-            quantum_memory=bool(margin > STRICT_TOL), margin=float(margin),
-        )
-    left = assistance_upper(rho_t1, system_labels)
-    right = concurrence_lower(rho_t2, system_labels)
-    margin = right - left
-    return WitnessReport(
-        t1_id=t1_id, t2_id=t2_id, exact=False,
-        c_sharp_t1=None, c_t2=None,
-        c_sharp_upper_t1=left, c_lower_t2=right,
-        quantum_memory=bool(margin > STRICT_TOL), margin=float(margin),
-    )
+        left, right = assistance_2q(rho_t1), concurrence_2q(rho_t2)
+    else:
+        left = assistance_upper(rho_t1, system_labels)
+        right = concurrence_lower(rho_t2, system_labels)
+    return WitnessReport.of_sides(t1_id, t2_id, exact, left, right)

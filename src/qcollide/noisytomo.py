@@ -8,13 +8,21 @@ Noise model (per native gate):
   off-diagonal decay is exp(-d/T2) overall,
 * RZ is virtual: zero duration and noiseless.
 
+Each noisy native kind has one compressed Kraus set
+(``NoiseConfig.native_kraus``): the depolarized gate's Choi matrix, relaxed
+on each output qubit, through the one Choi→Kraus routine of ``channel``.  The
+circuit channel on kept qubits (``noisy_channel_of_circuit``) runs the
+circuit once on the stack of all inputs |i><j| and reads its Choi matrix off
+the traced-out images.
+
 Readout: per-qubit confusion flips (p01 = P(read 1 | true 0), p10 = P(read 0 |
 true 1)) applied to the outcome distribution before multinomial sampling.
 When a noise model is active, the measured qubits additionally relax for the
 measurement duration before readout.
 
 Sampling is deterministic given (job, seed); each setting draws from its own
-sub-seeded generator so the results are order-independent.
+sub-seeded generator so the results are order-independent.  Outcome
+bitstrings list the measured qubits in the job's ``measured`` order.
 
 Reconstruction is linear: for k measured qubits, tables built once per k map
 the (3^k settings × 2^k outcomes) frequency table to the 4^k Pauli-string
@@ -36,13 +44,13 @@ import numpy as np
 
 from . import circuit as circ
 from .channel import (
-    ChoiState,
     KrausChannel,
+    _choi_matrix,
+    _kraus_of_choi,
     amplitude_damping_channel,
     apply_at,
-    channel_of_choi,
+    compose,
     depolarizing_channel,
-    embed_operator,
     phase_damping_channel,
 )
 from .qmat import (
@@ -162,28 +170,8 @@ def _thermal_kraus(noise: NoiseConfig, duration_ns: float):
     lam = 1.0 - np.exp(-2.0 * duration_ns * max(rate_phi, 0.0))
     ch = amplitude_damping_channel(gamma)
     if lam > 0:
-        pd = phase_damping_channel(lam)
-        ch = KrausChannel(
-            [kp @ ka for kp in pd.kraus_ops for ka in ch.kraus_ops], validate=False
-        )
+        ch = compose(phase_damping_channel(lam), ch)
     return ch
-
-
-def _compress_kraus(ops, d: int):
-    """Reduce a redundant Kraus set to at most d^2 operators via the Choi
-    eigendecomposition (exact up to numerical rank)."""
-    if len(ops) <= d * d:
-        return ops
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for k in ops:
-        v = k.reshape(-1)
-        choi += np.outer(v, v.conj())
-    ev, vecs = np.linalg.eigh(choi)
-    out = []
-    for lam, v in zip(ev, vecs.T):
-        if lam > 1e-14:
-            out.append(np.sqrt(lam) * v.reshape(d, d))
-    return out
 
 
 def _gate_kraus(gate: circ.Gate, noise: NoiseConfig | None):
@@ -196,16 +184,18 @@ def _gate_kraus(gate: circ.Gate, noise: NoiseConfig | None):
 
 
 def _noisy_gate_kraus(noise: NoiseConfig, kind: str, u: np.ndarray):
-    """Depolarizing then thermal relaxation on each qubit, after the gate u."""
+    """Depolarizing then thermal relaxation on each qubit, after the gate u.
+
+    The relaxation acts on the output qubits of the gate's Choi matrix; the
+    result is compressed to at most 4^nq Kraus operators."""
     nq = int(np.log2(u.shape[0]))
     p = noise.depol_1q if nq == 1 else noise.depol_2q
-    ops = [k @ u for k in depolarizing_channel(p, nq).kraus_ops]
+    choi = _choi_matrix([k @ u for k in depolarizing_channel(p, nq).kraus_ops])
     thermal = _thermal_kraus(noise, noise.duration(kind))
     if thermal is not None:
         for pos in range(nq):
-            embedded = [embed_operator(k, [pos], nq) for k in thermal.kraus_ops]
-            ops = [ke @ k for ke in embedded for k in ops]
-    return _compress_kraus(ops, 2**nq)
+            choi = apply_at(thermal.kraus_ops, choi, [pos], 2 * nq)
+    return _kraus_of_choi(choi, 2**nq).kraus_ops
 
 
 def _apply_circuit_to_matrix(c: circ.Circuit, mat: np.ndarray,
@@ -234,7 +224,8 @@ def apply_noisy_circuit(c: circ.Circuit, rho: DensityMatrix | None = None,
 def noisy_channel_of_circuit(c: circ.Circuit, noise: NoiseConfig | None,
                              keep=None) -> KrausChannel:
     """The circuit's CPT map on the ``keep`` qubits (default: all) as a Kraus
-    channel, built from the circuit's action on each |i><j|.
+    channel, built from one run of the circuit on the stack of all d² inputs
+    |i><j|.
 
     The other qubits start in |0> and are traced out at the end.  At most 3
     qubits may be kept; the channel orders them as the register does."""
@@ -247,18 +238,12 @@ def noisy_channel_of_circuit(c: circ.Circuit, noise: NoiseConfig | None,
     # Register index of kept basis state i, the other qubits in |0>.
     full = [sum(((i >> (k - 1 - b)) & 1) << (reg.n - 1 - p) for b, p in enumerate(pos))
             for i in range(d)]
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            eij = np.zeros((d, d), dtype=complex)
-            eij[i, j] = 1.0
-            inp = np.zeros((reg.dim, reg.dim), dtype=complex)
-            inp[full[i], full[j]] = 1.0
-            out = _apply_circuit_to_matrix(c, inp, noise)
-            choi += np.kron(partial_trace_mat(out, pos, reg.n), eij)
-    choi /= d
-    labels = [f"out{q}" for q in range(k)] + [f"ref{q}" for q in range(k)]
-    return channel_of_choi(ChoiState(DensityMatrix(labels, choi, validate=False)))
+    inputs = np.zeros((d * d, reg.dim, reg.dim), dtype=complex)
+    inputs[np.arange(d * d), np.repeat(full, d), np.tile(full, d)] = 1.0
+    out = partial_trace_mat(_apply_circuit_to_matrix(c, inputs, noise), pos, reg.n)
+    # out[i*d + j, a, b] is the image of |i><j|; the Choi entry is [(a, i), (b, j)].
+    choi = out.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    return _kraus_of_choi(choi, d)
 
 
 # --------------------------------------------------------------------------
@@ -332,11 +317,15 @@ def _measurement_probs(rho: DensityMatrix, measured, setting: str,
                 # Wrapping after each qubit symmetrises; the shot draws depend on it.
                 acc = apply_at(thermal.kraus_ops, rho_rot.mat, [reg.index(q)], reg.n)
                 rho_rot = DensityMatrix(reg, acc, validate=False)
+    # The marginal's qubits come in register order; outcome bits are in
+    # ``measured`` order.
     marg = partial_trace(rho_rot, list(measured))
-    probs = np.clip(np.diag(marg.mat).real, 0.0, None)
+    k = len(measured)
+    probs = np.diag(marg.mat).real.reshape([2] * k)
+    probs = probs.transpose(marg.register.indices(measured)).reshape(-1)
+    probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     if noise is not None:
-        k = len(measured)
         probs = probs.reshape([2] * k)
         for axis, q in enumerate(measured):
             p01, p10 = noise.readout_probs(q)

@@ -158,15 +158,18 @@ def _reshaped(mat: np.ndarray, n: int) -> np.ndarray:
 
 def partial_trace_mat(mat: np.ndarray, keep_positions, n: int) -> np.ndarray:
     """Partial trace of a raw (not necessarily Hermitian) 2^n x 2^n matrix,
-    keeping the given qubit positions (MSB-first)."""
+    or of a stack of them with leading batch axes (..., 2^n, 2^n), keeping
+    the given qubit positions (MSB-first) in register order."""
     keep_positions = sorted(keep_positions)
-    r = mat.reshape([2] * (2 * n))
+    batch = mat.shape[:-2]
+    b = len(batch)
+    r = mat.reshape(batch + (2,) * (2 * n))
     cur = n
     for q in sorted(set(range(n)) - set(keep_positions), reverse=True):
-        r = np.trace(r, axis1=q, axis2=q + cur)
+        r = np.trace(r, axis1=b + q, axis2=b + q + cur)
         cur -= 1
     d = 2 ** len(keep_positions)
-    return r.reshape(d, d)
+    return r.reshape(batch + (d, d))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -162,3 +162,20 @@ def test_non_finite_gdt_is_input_error(tmp_path):
                  "--out", str(tmp_path / "nan")]) == 1
     assert main(["nonmarkov", "--gdt", "inf"]) == 1
     assert main(["nonmarkov", "--t1", "-1"]) == 1
+
+
+def test_continuum_check_negative_points_is_input_error(capsys):
+    assert main(["continuum-check", "--points", "-1"]) == 1
+    assert "--points" in capsys.readouterr().err
+
+
+def test_continuum_check_non_finite_tmax_is_input_error(capsys):
+    for tmax in ("nan", "inf", "-inf"):
+        assert main(["continuum-check", f"--tmax={tmax}"]) == 1
+    assert "--tmax" in capsys.readouterr().err
+
+
+def test_continuum_check_empty_grid_is_input_error():
+    for argv in (["--points", "0"], ["--points", "1"], ["--tmax", "-1"],
+                 ["--tmax", "0"]):
+        assert main(["continuum-check", *argv]) == 1

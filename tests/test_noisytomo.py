@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import random_density
 from qcollide.channel import choi_of_channel
 from qcollide.circuit import Circuit, Gate, bell_prep_circuit
 from qcollide.noisytomo import (
     NoiseConfig,
     ShotCounts,
     TomographyJob,
+    _measurement_probs,
     all_settings,
     apply_noisy_circuit,
     calibration_jobs,
@@ -280,3 +282,24 @@ def test_counts_csv_round_trip():
     back = counts_from_csv(counts_to_csv(counts), ("A", "S"), 256)
     for setting in counts.counts:
         assert np.abs(back.frequencies(setting) - counts.frequencies(setting)).max() < 1e-12
+
+
+def test_outcome_bits_follow_measured_order():
+    # H on S leaves A in |0> and S in |+>; measured as (S, A) the state is |+0>
+    c = Circuit(("A", "S"), [Gate("H", ("S",))])
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    for measured, vec in ((("S", "A"), np.kron(plus, [1.0, 0.0])),
+                          (("A", "S"), np.kron([1.0, 0.0], plus))):
+        state = reconstruct(sample(TomographyJob(c, measured, shots=200_000))).state
+        assert state.register.labels == measured
+        assert np.abs(state.mat - np.outer(vec, vec)).max() < 0.02
+
+
+def test_readout_noise_follows_measured_order():
+    # per-qubit readout flips and relaxation must act on the measured qubit's own bit
+    noise = NoiseConfig(readout={"A": (0.03, 0.04), "S": (0.2, 0.1), "E": (0.0, 0.0)})
+    rho = random_density(np.random.default_rng(5), 3, ["A", "S", "E"])
+    for setting in all_settings(2):
+        sa = _measurement_probs(rho, ("S", "A"), setting, noise)
+        as_ = _measurement_probs(rho, ("A", "S"), setting[::-1], noise)
+        assert np.abs(sa.reshape(2, 2).T - as_.reshape(2, 2)).max() < 1e-14
