@@ -193,10 +193,9 @@ def _kraus_of_choi(choi: np.ndarray, d: int) -> KrausChannel:
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     if ch.in_dim != rho.dim:
         raise ValueError("dimension mismatch")
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
-    for k in ch.kraus_ops:
-        out += k @ rho.mat @ k.conj().T
-    return DensityMatrix(rho.register, out, validate=False)
+    n = rho.register.n
+    return DensityMatrix(rho.register, apply_at(ch.kraus_ops, rho.mat, range(n), n),
+                         validate=False)
 
 
 def apply_extended(ch: KrausChannel, rho_joint: DensityMatrix, target_labels) -> DensityMatrix:

@@ -291,11 +291,9 @@ def _run_nonmarkov(args) -> int:
     _require(math.isfinite(args.gdt), "--gdt must be finite")
     _require(min(args.t1, args.t2) >= 0, "--t1 and --t2 must be nonnegative")
     model = collision.single_qubit_model(args.gdt)
-    rec1 = collision.evolve(model, args.t1)
-    rec2 = collision.evolve(model, args.t2)
-    series, _, increase = nonmarkov.rhp_series(
-        [collision.evolve(model, n) for n in range(args.t2 + 1)], model.system_labels
-    )
+    records = [collision.evolve(model, n) for n in range(max(args.t1, args.t2) + 1)]
+    rec1, rec2 = records[args.t1], records[args.t2]
+    series, _, increase = nonmarkov.rhp_series(records[: args.t2 + 1], model.system_labels)
     delta, pair = nonmarkov.blp_max_increase(rec1.reduced_channel, rec2.reduced_channel)
     v1 = nonmarkov.bloch_volume(rec1.reduced_channel)
     v2 = nonmarkov.bloch_volume(rec2.reduced_channel)

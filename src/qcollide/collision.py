@@ -36,15 +36,8 @@ import numpy as np
 
 from . import circuit as circ
 from . import noisytomo
-from .channel import KrausChannel, TransferMap, apply
-from .qmat import (
-    DensityMatrix,
-    QubitRegister,
-    bloch_to_state,
-    ket,
-    partial_trace,
-    state_to_bloch,
-)
+from .channel import KrausChannel, TransferMap, transfer_of_channel
+from .qmat import DensityMatrix, QubitRegister, ket, partial_trace
 
 __all__ = [
     "CollisionModel",
@@ -286,9 +279,12 @@ def _fibonacci_sphere(mesh: int) -> np.ndarray:
     )
 
 
-def bloch_image_samples(record: EvolutionRecord, mesh: int = 100) -> list[np.ndarray]:
-    """Image of a uniform Bloch-sphere mesh under the reduced channel."""
+def bloch_image_samples(record: EvolutionRecord, mesh: int = 100) -> np.ndarray:
+    """Image of a uniform Bloch-sphere mesh under the reduced channel, one
+    Bloch vector per row: the affine map r ↦ t + A r read off the Pauli
+    transfer matrix (t its first column, A its 3x3 block)."""
     ch = record.reduced_channel
     if ch.in_dim != 2:
         raise ValueError("qubit channel required")
-    return [state_to_bloch(apply(ch, bloch_to_state(r))) for r in _fibonacci_sphere(mesh)]
+    m = transfer_of_channel(ch).M
+    return m[1:, 0] + _fibonacci_sphere(mesh) @ m[1:, 1:].T

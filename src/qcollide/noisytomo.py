@@ -343,7 +343,8 @@ def sample(job: TomographyJob, noise: NoiseConfig | None = None,
     c = job.circuit
     if noise is not None and any(g.kind not in circ.NATIVE_KINDS for g in c.gates):
         c = circ.transpile(c)
-    rho = apply_noisy_circuit(c, noise=noise)
+    # Rotations, relaxation and readout touch only the measured qubits.
+    rho = partial_trace(apply_noisy_circuit(c, noise=noise), job.measured)
     settings = job.settings if settings is None else tuple(settings)
     k = len(job.measured)
     counts: dict = {}

@@ -137,6 +137,17 @@ def test_nonmarkov_subcommand(capsys):
     assert "blp max trace-distance increase: 2.000000" in out
 
 
+def test_nonmarkov_t1_after_t2(capsys):
+    # The revival series stops at t2 even when t1 is later.
+    assert main(["nonmarkov", "--t1", "5", "--t2", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "rhp series: [(0, 1.0), (1, 0.707107), (2, 0.0), (3, 0.707107)]",
+        "rhp increase detected: True",
+        "blp max trace-distance increase: 0.000000",
+        "volume ratio at t1: 0.250000, at t2: 0.250000",
+    ]
+
+
 def test_negative_collision_count_is_input_error(tmp_path):
     out = tmp_path / "neg"
     assert main(["simulate", "--model", "single", "--collisions", "-1",

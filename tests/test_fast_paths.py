@@ -1,20 +1,23 @@
 """Fast paths against slow references: the table-based tomography
 reconstruction, the batched bootstrap, the superoperator contraction of
-``apply_at`` and ``unitary_of_circuit``, and the channel conversions (the
+``apply_at`` and ``unitary_of_circuit``, the channel conversions (the
 batched circuit channel, the Choi matrix, the transfer matrix and the
-compressed native-gate Kraus sets)."""
+compressed native-gate Kraus sets), ``channel.apply``, and the qubit
+diagnostics that read the channel's affine Bloch map (the BLP objective and
+the Bloch-image mesh)."""
 
 import itertools
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_unitary
+from conftest import random_density, random_unitary
 from test_channel import random_channel
 from qcollide import circuit as circ
-from qcollide import noisytomo
+from qcollide import collision, noisytomo, nonmarkov
 from qcollide.channel import (
     amplitude_damping_channel,
+    apply,
     apply_at,
     choi_of_channel,
     depolarizing_channel,
@@ -32,7 +35,15 @@ from qcollide.noisytomo import (
     noisy_channel_of_circuit,
     reconstruct,
 )
-from qcollide.qmat import PAULIS, nkron, partial_trace_mat
+from qcollide.qmat import (
+    PAULIS,
+    DensityMatrix,
+    bloch_to_state,
+    nkron,
+    partial_trace_mat,
+    state_to_bloch,
+    trace_distance,
+)
 
 TOL = 1e-12
 
@@ -288,3 +299,71 @@ def test_native_kraus_superop_matches_uncompressed_product(t1, t2_ratio, depol_1
         want = sum(np.kron(k, k.conj()) for k in reference_native_ops(noise, kind, u))
         got = sum(np.kron(k, k.conj()) for k in ops)
         assert np.abs(got - want).max() <= TOL
+
+
+def reference_apply(ch, rho):
+    """Σ K ρ K†, one Kraus operator at a time: ``channel.apply`` before it
+    became ``apply_at`` on every qubit."""
+    out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
+    for k in ch.kraus_ops:
+        out += k @ rho.mat @ k.conj().T
+    return DensityMatrix(rho.register, out, validate=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3), env=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_apply_matches_kraus_sum(n, env, seed):
+    rng = np.random.default_rng(seed)
+    ch = random_channel(rng, n, env)
+    rho = random_density(rng, n)
+    got = apply(ch, rho)
+    assert got.register == rho.register
+    assert np.abs(got.mat - reference_apply(ch, rho).mat).max() <= TOL
+
+
+def reference_backflow(ch1, ch2, r):
+    """The BLP objective before the closed form: the change in trace distance
+    between the images of the antipodal states ±r, one state at a time."""
+    a, b = bloch_to_state(r), bloch_to_state(-r)
+    return (trace_distance(reference_apply(ch2, a), reference_apply(ch2, b))
+            - trace_distance(reference_apply(ch1, a), reference_apply(ch1, b)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(env1=st.integers(1, 2), env2=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_backflow_closed_form_matches_trace_distances(env1, env2, seed):
+    rng = np.random.default_rng(seed)
+    ch1, ch2 = random_channel(rng, 1, env1), random_channel(rng, 1, env2)
+    a1 = transfer_of_channel(ch1).bloch_block()
+    a2 = transfer_of_channel(ch2).bloch_block()
+    thetas, phis = rng.uniform(0, np.pi, 6), rng.uniform(0, 2 * np.pi, 6)
+    got = nonmarkov._backflow(a1, a2, nonmarkov._direction(thetas, phis))
+    for theta, phi, value in zip(thetas, phis, got):
+        r = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                      np.cos(theta)])
+        assert abs(value - reference_backflow(ch1, ch2, r)) <= TOL
+
+
+@settings(max_examples=20, deadline=None)
+@given(env=st.integers(1, 2), mesh=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_bloch_image_samples_match_per_state_images(env, mesh, seed):
+    ch = random_channel(np.random.default_rng(seed), 1, env)
+    got = collision.bloch_image_samples(collision.EvolutionRecord(0, None, ch), mesh=mesh)
+    want = [state_to_bloch(reference_apply(ch, bloch_to_state(r)))
+            for r in collision._fibonacci_sphere(mesh)]
+    assert np.shape(got) == (mesh, 3)
+    assert np.abs(np.asarray(got) - want).max() <= TOL
+
+
+# blp_delta of the default-noise single-model channels at n = 2 and 4, as the
+# per-state grid search computed it before the closed form.
+NOISY_BLP_DELTA = 1.734696027899183
+
+
+def test_noisy_blp_delta_matches_per_state_search():
+    model = collision.single_qubit_model()
+    ch2, ch4 = (collision.evolve(model, n, NoiseConfig()).reduced_channel for n in (2, 4))
+    delta, (ra, rb) = nonmarkov.blp_max_increase(ch2, ch4)
+    assert abs(delta - NOISY_BLP_DELTA) <= TOL
+    assert np.array_equal(rb, -ra)
+    assert abs(np.linalg.norm(ra) - 1.0) <= TOL

@@ -68,6 +68,11 @@ def test_bloch_volume_examples():
     assert bloch_volume(recs[4].reduced_channel) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_bloch_volume_rank_deficient_block_is_exactly_zero():
+    # The ideal n = 2 block has singular values of order 1e-16, not exactly 0.
+    assert bloch_volume(ideal_records()[2].reduced_channel) == 0.0
+
+
 def test_bloch_volume_unitary_channels(rng):
     for _ in range(10):
         ch = unitary_channel(random_unitary(rng, 2))
