@@ -111,10 +111,8 @@ def _state_for(model, n, noise, shots, seed, calibration):
     if shots <= 0:
         return noisy.joint_state, ideal, noisy, []
     measured = model.ancilla_labels + model.system_labels
-    native = collision.build_circuit(model, n, native=True)
-    job = noisytomo.TomographyJob(native, measured, shots=shots,
-                                  seed=seed * 1000 + n)
-    counts = noisytomo.sample(job, noise=noise)
+    counts = noisytomo._sample_state(noisy.joint_state, measured, shots, seed * 1000 + n,
+                                     noise, noisytomo.all_settings(len(measured)))
     if calibration is not None:
         counts = noisytomo.mitigate_readout(counts, *calibration)
     state = noisytomo.reconstruct(counts).state
@@ -151,9 +149,12 @@ def _quantities(state, sys_labels):
 
 def _run_simulate(args) -> int:
     _require(math.isfinite(args.gdt), "--gdt must be finite")
+    _require(args.seed >= 0, "--seed must be nonnegative")
     noise = _load_noise(args.noise)
     _require(noise is None or args.shots > 0,
              "--shots must be positive when noise is enabled")
+    _require(noise is not None or (args.shots == 0 and not args.mitigate),
+             "--shots and --mitigate need --noise")
     builder = MODELS[args.model]
     model = builder(args.gdt) if args.model in ("single", "two-qubit") else builder()
     n_max = args.collisions

@@ -15,14 +15,13 @@ circuit channel on kept qubits (``noisy_channel_of_circuit``) runs the
 circuit once on the stack of all inputs |i><j| and reads its Choi matrix off
 the traced-out images.
 
-Readout: per-qubit confusion flips (p01 = P(read 1 | true 0), p10 = P(read 0 |
-true 1)) applied to the outcome distribution before multinomial sampling.
-When a noise model is active, the measured qubits additionally relax for the
-measurement duration before readout.
-
-Sampling is deterministic given (job, seed); each setting draws from its own
-sub-seeded generator so the results are order-independent.  Outcome
-bitstrings list the measured qubits in the job's ``measured`` order.
+Sampling runs the reconstruction tables below forward: the measured qubits'
+4^k Pauli expectations give the (3^k settings × 2^k outcomes) table of every
+setting at once.  With noise, each outcome bit then goes through one 2x2
+readout matrix per qubit: relaxation for the measurement duration, then the
+confusion flips (p01 = P(read 1 | true 0), p10 = P(read 0 | true 1)).  The
+setting at position idx draws its shots from ``default_rng([seed, idx])``, so
+sampling is deterministic; outcome bitstrings follow the ``measured`` order.
 
 Reconstruction is linear: for k measured qubits, tables built once per k map
 the (3^k settings × 2^k outcomes) frequency table to the 4^k Pauli-string
@@ -250,14 +249,6 @@ def noisy_channel_of_circuit(c: circ.Circuit, noise: NoiseConfig | None,
 # Tomography
 # --------------------------------------------------------------------------
 
-_SDG = np.diag([1.0, -1.0j]).astype(complex)
-_BASIS_ROTATION = {
-    "X": circ.H_MATRIX,
-    "Y": circ.H_MATRIX @ _SDG,
-    "Z": np.eye(2, dtype=complex),
-}
-
-
 def all_settings(k: int) -> tuple[str, ...]:
     """All 3^k Pauli settings in canonical order (X < Y < Z per qubit)."""
     return tuple("".join(s) for s in itertools.product("XYZ", repeat=k))
@@ -302,39 +293,37 @@ class ShotCounts:
         return vec / total if total > 0 else vec
 
 
-def _measurement_probs(rho: DensityMatrix, measured, setting: str,
-                       noise: NoiseConfig | None) -> np.ndarray:
-    """Outcome distribution for one setting, including readout noise."""
-    reg = rho.register
-    mat = rho.mat
-    for q, pauli in zip(measured, setting):
-        mat = apply_at([_BASIS_ROTATION[pauli]], mat, [reg.index(q)], reg.n)
-    rho_rot = DensityMatrix(reg, mat, validate=False)
+def _apply_per_qubit(mats, table: np.ndarray) -> np.ndarray:
+    """Apply one 2x2 matrix per measured qubit (``mats[i]`` on outcome bit i,
+    most significant first) along the outcome axes of a (..., 2^k) table."""
+    lead = table.ndim - 1
+    out = table.reshape(table.shape[:-1] + (2,) * len(mats))
+    for axis, m in enumerate(mats, start=lead):
+        out = np.moveaxis(np.tensordot(m, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
+    return out.reshape(table.shape)
+
+
+def _measurement_probs(rho: DensityMatrix, measured, noise: NoiseConfig | None) -> np.ndarray:
+    """Outcome table (3^k, 2^k) of every setting, rows in ``all_settings(k)``
+    order and outcome bits in ``measured`` order.  A qubit's readout matrix
+    is its confusion times the population transfer Σ_K |K_ab|² of the
+    measurement relaxation, which is exact: amplitude damping plus dephasing
+    never feeds coherences into populations."""
+    k = len(measured)
+    marg = partial_trace(rho, list(measured))
+    order = marg.register.indices(measured)
+    mat = marg.mat.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
+    signs, weights, paulis = _tomography_tables(k)
+    exps = np.einsum("pij,ji->p", paulis, mat.reshape(2**k, 2**k)).real * 2**k
+    probs = ((weights > 0) * exps) @ signs.T / 2**k
     if noise is not None:
         thermal = _thermal_kraus(noise, noise.duration("MEASURE"))
-        if thermal is not None:
-            for q in measured:
-                # Wrapping after each qubit symmetrises; the shot draws depend on it.
-                acc = apply_at(thermal.kraus_ops, rho_rot.mat, [reg.index(q)], reg.n)
-                rho_rot = DensityMatrix(reg, acc, validate=False)
-    # The marginal's qubits come in register order; outcome bits are in
-    # ``measured`` order.
-    marg = partial_trace(rho_rot, list(measured))
-    k = len(measured)
-    probs = np.diag(marg.mat).real.reshape([2] * k)
-    probs = probs.transpose(marg.register.indices(measured)).reshape(-1)
+        pop = np.eye(2) if thermal is None else sum(abs(op) ** 2 for op in thermal.kraus_ops)
+        mats = [np.array([[1 - p01, p10], [p01, 1 - p10]]) @ pop
+                for p01, p10 in map(noise.readout_probs, measured)]
+        probs = _apply_per_qubit(mats, probs)
     probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    if noise is not None:
-        probs = probs.reshape([2] * k)
-        for axis, q in enumerate(measured):
-            p01, p10 = noise.readout_probs(q)
-            conf = np.array([[1 - p01, p10], [p01, 1 - p10]])
-            probs = np.moveaxis(
-                np.tensordot(conf, np.moveaxis(probs, axis, 0), axes=(1, 0)), 0, axis
-            )
-        probs = probs.reshape(-1)
-    return probs
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def sample(job: TomographyJob, noise: NoiseConfig | None = None,
@@ -343,19 +332,27 @@ def sample(job: TomographyJob, noise: NoiseConfig | None = None,
     c = job.circuit
     if noise is not None and any(g.kind not in circ.NATIVE_KINDS for g in c.gates):
         c = circ.transpile(c)
-    # Rotations, relaxation and readout touch only the measured qubits.
-    rho = partial_trace(apply_noisy_circuit(c, noise=noise), job.measured)
     settings = job.settings if settings is None else tuple(settings)
-    k = len(job.measured)
+    return _sample_state(apply_noisy_circuit(c, noise=noise), job.measured, job.shots,
+                         job.seed, noise, settings)
+
+
+def _sample_state(rho: DensityMatrix, measured, shots: int, seed: int,
+                  noise: NoiseConfig | None, settings) -> ShotCounts:
+    """Shot counts of the given settings on rho: the setting at position idx
+    of ``settings`` draws from ``default_rng([seed, idx])``."""
+    k = len(measured)
+    row = {s: i for i, s in enumerate(all_settings(k))}
+    if not set(settings) <= row.keys():
+        raise ValueError(f"{sorted(set(settings) - row.keys())} are not {k}-qubit settings")
+    probs = _measurement_probs(rho, measured, noise)
     counts: dict = {}
     for idx, setting in enumerate(settings):
-        probs = _measurement_probs(rho, job.measured, setting, noise)
-        rng = np.random.default_rng([job.seed, idx])
-        draw = rng.multinomial(job.shots, probs)
+        draw = np.random.default_rng([seed, idx]).multinomial(shots, probs[row[setting]])
         counts[setting] = {
             format(b, f"0{k}b"): int(n) for b, n in enumerate(draw) if n > 0
         }
-    return ShotCounts(job.measured, job.shots, counts)
+    return ShotCounts(tuple(measured), shots, counts)
 
 
 def calibration_jobs(register, measured, shots: int = 4096, seed: int = 0):
@@ -394,12 +391,7 @@ def mitigate_readout(counts: ShotCounts, calib0: ShotCounts, calib1: ShotCounts)
         invs.append(np.linalg.inv(conf))
     out: dict = {}
     for setting in counts.counts:
-        vec = counts.frequencies(setting).reshape([2] * k)
-        for axis, inv in enumerate(invs):
-            vec = np.moveaxis(
-                np.tensordot(inv, np.moveaxis(vec, axis, 0), axes=(1, 0)), 0, axis
-            )
-        vec = np.clip(vec.reshape(-1), 0.0, None)
+        vec = np.clip(_apply_per_qubit(invs, counts.frequencies(setting)), 0.0, None)
         vec = vec / vec.sum()
         out[setting] = {
             format(b, f"0{k}b"): float(v * counts.shots)

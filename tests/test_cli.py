@@ -190,3 +190,20 @@ def test_continuum_check_empty_grid_is_input_error():
     for argv in (["--points", "0"], ["--points", "1"], ["--tmax", "-1"],
                  ["--tmax", "0"]):
         assert main(["continuum-check", *argv]) == 1
+
+
+def test_negative_seed_is_input_error(tmp_path, capsys):
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text("t1_us = 280.0\n")
+    assert main(["simulate", "--model", "single", "--collisions", "1", "--noise",
+                 str(noise_file), "--shots", "16", "--seed", "-1",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_shots_or_mitigate_without_noise_is_input_error(tmp_path, capsys):
+    for extra in (["--shots", "16"], ["--mitigate"], ["--shots", "16", "--mitigate"]):
+        out = tmp_path / "ideal"
+        assert main(["simulate", "--model", "single", *extra, "--out", str(out)]) == 1
+        assert not (out / "manifest.txt").exists()
+        assert "--shots and --mitigate need --noise" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Fast paths against slow references: the table-based tomography
-reconstruction, the batched bootstrap, the superoperator contraction of
+reconstruction and its forward map (the outcome table of every setting), the
+batched bootstrap, the superoperator contraction of
 ``apply_at`` and ``unitary_of_circuit``, the channel conversions (the
 batched circuit channel, the Choi matrix, the transfer matrix and the
 compressed native-gate Kraus sets), ``channel.apply``, and the qubit
@@ -31,15 +32,18 @@ from qcollide.cli import _bootstrap_states
 from qcollide.noisytomo import (
     NoiseConfig,
     ShotCounts,
+    TomographyJob,
     all_settings,
     noisy_channel_of_circuit,
     reconstruct,
+    sample,
 )
 from qcollide.qmat import (
     PAULIS,
     DensityMatrix,
     bloch_to_state,
     nkron,
+    partial_trace,
     partial_trace_mat,
     state_to_bloch,
     trace_distance,
@@ -149,6 +153,86 @@ def test_bootstrap_matches_reference_loop():
         assert len(got) == len(want)
         for state, mat in zip(got, want):
             assert np.abs(state.mat - mat).max() <= TOL
+
+
+_SDG = np.diag([1.0, -1.0j]).astype(complex)
+_BASIS_ROTATION = {"X": circ.H_MATRIX, "Y": circ.H_MATRIX @ _SDG, "Z": np.eye(2, dtype=complex)}
+
+
+def reference_measurement_probs(rho, measured, setting, noise):
+    """One setting at a time: rotate each measured qubit into the setting's
+    basis, relax it for the measurement duration, trace out the rest and flip
+    each outcome axis with its confusion matrix: the sampling before the
+    forward table map."""
+    reg = rho.register
+    mat = rho.mat
+    for q, pauli in zip(measured, setting):
+        mat = apply_at([_BASIS_ROTATION[pauli]], mat, [reg.index(q)], reg.n)
+    rho_rot = DensityMatrix(reg, mat, validate=False)
+    if noise is not None:
+        thermal = noisytomo._thermal_kraus(noise, noise.duration("MEASURE"))
+        if thermal is not None:
+            for q in measured:
+                acc = apply_at(thermal.kraus_ops, rho_rot.mat, [reg.index(q)], reg.n)
+                rho_rot = DensityMatrix(reg, acc, validate=False)
+    marg = partial_trace(rho_rot, list(measured))
+    k = len(measured)
+    probs = np.diag(marg.mat).real.reshape([2] * k)
+    probs = probs.transpose(marg.register.indices(measured)).reshape(-1)
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    if noise is not None:
+        probs = probs.reshape([2] * k)
+        for axis, q in enumerate(measured):
+            p01, p10 = noise.readout_probs(q)
+            conf = np.array([[1 - p01, p10], [p01, 1 - p10]])
+            probs = np.moveaxis(
+                np.tensordot(conf, np.moveaxis(probs, axis, 0), axes=(1, 0)), 0, axis
+            )
+        probs = probs.reshape(-1)
+    return probs
+
+
+@st.composite
+def readout_noise(draw, labels):
+    """T2 <= 2 T1, a measurement duration that may be 0, and readout flips
+    with per-label overrides on some of the labels."""
+    t1 = draw(st.floats(20.0, 500.0))
+    durations = dict(noisytomo.DEFAULT_DURATIONS_NS,
+                     MEASURE=draw(st.one_of(st.just(0.0), st.floats(1.0, 5000.0))))
+    flips = st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3))
+    readout = {"default": draw(flips)}
+    for q in labels:
+        if draw(st.booleans()):
+            readout[q] = draw(flips)
+    return NoiseConfig(t1_us=t1, t2_us=draw(st.floats(0.05, 2.0)) * t1,
+                       gate_duration_ns=durations, readout=readout)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_measurement_probs_match_per_setting_loop(n, data, seed):
+    labels = [f"q{i}" for i in range(n)]
+    k = data.draw(st.integers(1, min(4, n)))
+    measured = tuple(data.draw(st.permutations(labels))[:k])
+    noise = data.draw(st.one_of(st.none(), readout_noise(labels)))
+    rho = random_density(np.random.default_rng(seed), n, labels)
+    table = noisytomo._measurement_probs(rho, measured, noise)
+    assert table.shape == (3**k, 2**k)
+    for row, setting in zip(table, all_settings(k)):
+        want = reference_measurement_probs(rho, measured, setting, noise)
+        assert np.abs(row - want).max() <= TOL
+
+
+def test_sampling_the_evolved_state_matches_sampling_the_circuit():
+    noise = NoiseConfig()
+    for model, n in ((collision.single_qubit_model(), 2), (collision.toy_model(), 1)):
+        measured = model.ancilla_labels + model.system_labels
+        job = TomographyJob(collision.build_circuit(model, n, native=True), measured,
+                            shots=256, seed=5)
+        state = collision.evolve(model, n, noise).joint_state
+        got = noisytomo._sample_state(state, measured, 256, 5, noise, job.settings)
+        assert got.counts == sample(job, noise=noise).counts
 
 
 @st.composite

@@ -190,6 +190,13 @@ def test_sample_reproducible_and_order_independent():
     assert full.counts["ZZ"] == sample(job).counts["ZZ"]
 
 
+def test_sample_rejects_settings_outside_all_settings():
+    job = TomographyJob(bell_prep_circuit(), ("A", "S"), shots=64, seed=1)
+    for settings in (("X",), ("QQ",), ("XX", "XYZ")):
+        with pytest.raises(ValueError, match="are not 2-qubit settings"):
+            sample(job, settings=settings)
+
+
 def test_calibration_budget():
     # an 81-setting 4-qubit job plus the two calibration circuits = 83 runs
     reg = ("a", "b", "c", "d")
@@ -300,6 +307,6 @@ def test_readout_noise_follows_measured_order():
     noise = NoiseConfig(readout={"A": (0.03, 0.04), "S": (0.2, 0.1), "E": (0.0, 0.0)})
     rho = random_density(np.random.default_rng(5), 3, ["A", "S", "E"])
     for setting in all_settings(2):
-        sa = _measurement_probs(rho, ("S", "A"), setting, noise)
-        as_ = _measurement_probs(rho, ("A", "S"), setting[::-1], noise)
+        sa = _measurement_probs(rho, ("S", "A"), noise)[all_settings(2).index(setting)]
+        as_ = _measurement_probs(rho, ("A", "S"), noise)[all_settings(2).index(setting[::-1])]
         assert np.abs(sa.reshape(2, 2).T - as_.reshape(2, 2)).max() < 1e-14
