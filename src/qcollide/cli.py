@@ -99,25 +99,23 @@ def _fmt(x) -> str:
 # simulate
 # --------------------------------------------------------------------------
 
-def _state_for(model, n, noise, shots, seed, calibration):
-    """(state for quantities, ideal record, record used, bootstrap replicas).
+def _state_for(model, rec, noise, shots, seed, calibration):
+    """(state for quantities, bootstrap replicas) at collision ``rec.n``: the
+    record's joint state, or with shots the state reconstructed from
+    tomography of it.
 
     ``calibration`` is the pair of readout-calibration counts used to
     mitigate the shot data, or None for raw counts."""
-    ideal = collision.evolve(model, n)
-    if noise is None:
-        return ideal.joint_state, ideal, ideal, []
-    noisy = collision.evolve(model, n, noise=noise)
     if shots <= 0:
-        return noisy.joint_state, ideal, noisy, []
+        return rec.joint_state, []
     measured = model.ancilla_labels + model.system_labels
-    counts = noisytomo._sample_state(noisy.joint_state, measured, shots, seed * 1000 + n,
+    counts = noisytomo._sample_state(rec.joint_state, measured, shots, seed * 1000 + rec.n,
                                      noise, noisytomo.all_settings(len(measured)))
     if calibration is not None:
         counts = noisytomo.mitigate_readout(counts, *calibration)
     state = noisytomo.reconstruct(counts).state
-    replicas = _bootstrap_states(counts, seed * 1000 + n, reps=20)
-    return state, ideal, noisy, replicas
+    replicas = _bootstrap_states(counts, seed * 1000 + rec.n, reps=20)
+    return state, replicas
 
 
 def _bootstrap_states(counts, seed, reps=20):
@@ -178,10 +176,12 @@ def _run_simulate(args) -> int:
     conc_rows = []
     bloch_rows = []
     records = []
-    for n in range(n_max + 1):
-        state, ideal_rec, used_rec, replicas = _state_for(
-            model, n, noise, args.shots, args.seed, calibration
-        )
+    ideal_series = collision.evolve_series(model, n_max)
+    used_series = (ideal_series if noise is None
+                   else collision.evolve_series(model, n_max, noise))
+    for n, (ideal_rec, used_rec) in enumerate(zip(ideal_series, used_series)):
+        state, replicas = _state_for(model, used_rec, noise, args.shots, args.seed,
+                                     calibration)
         c, c_sharp = _quantities(state, sys_labels)
         err_c = err_cs = 0.0
         if replicas:
@@ -292,7 +292,7 @@ def _run_nonmarkov(args) -> int:
     _require(math.isfinite(args.gdt), "--gdt must be finite")
     _require(min(args.t1, args.t2) >= 0, "--t1 and --t2 must be nonnegative")
     model = collision.single_qubit_model(args.gdt)
-    records = [collision.evolve(model, n) for n in range(max(args.t1, args.t2) + 1)]
+    records = collision.evolve_series(model, max(args.t1, args.t2))
     rec1, rec2 = records[args.t1], records[args.t2]
     series, _, increase = nonmarkov.rhp_series(records[: args.t2 + 1], model.system_labels)
     delta, pair = nonmarkov.blp_max_increase(rec1.reduced_channel, rec2.reduced_channel)

@@ -11,15 +11,20 @@ Models (registers use the global MSB-first label order):
   Bell(A2,S2) ⊗ |00>_E; step 1 applies the pair unitary on (E1,S1) and
   (E2,S2), step 2 applies its adjoint (at most two steps).
 
-One evolution path serves ideal and noisy runs: each collision step becomes
-one ``UNITARY`` gate per step operation, and the circuit runs through the
-circuit channel of ``noisytomo`` with ``noise=None`` for the ideal case.  Only
-two things depend on the noise model.  Ideal runs start from
+One evolution path serves ideal and noisy runs: ``evolve_series`` makes one
+pass over the collisions (the collision-model picture of Ciccarello et al.,
+Phys. Rep. 954 (2022)), and ``evolve(model, n)`` is its record n.  Each
+distinct step (one for SingleQubit and TwoQubitExchange, the step and its
+adjoint for Toy/Swap) becomes one ``UNITARY`` gate per step operation, and
+runs through the circuit channel of ``noisytomo``, with ``noise=None`` for the
+ideal case, on two running objects: the register state and the stack of all
+inputs |i><j| on the system, the environment in |0...0>.  Record n traces the
+environment out of the state and reads the reduced system channel off the
+stack.  Only two things depend on the noise model.  Ideal runs start from
 ``model.initial_state``; noisy runs start from |0...0> and run the
-preparation gates.  Noisy circuits are transpiled to native gates, with
-payloads on three or more qubits decomposed first.  The reduced channel is
-``noisytomo.noisy_channel_of_circuit`` on the system + environment circuit,
-keeping the system qubits.
+preparation gates.  Noisy runs transpile the preparation once and each
+distinct step once, on its system + environment qubits, decomposing payloads
+on three or more qubits first.
 
 Tensor-order convention for the toy pair unitary: the matrix acts on (E, S)
 with the ENVIRONMENT as the first (most significant) factor.  This is the
@@ -51,6 +56,7 @@ __all__ = [
     "toy_model",
     "swap_model",
     "evolve",
+    "evolve_series",
     "continuum_transfer",
     "lindblad_rate",
     "bloch_image_samples",
@@ -159,18 +165,21 @@ def swap_model() -> CollisionModel:
     return _pairwise_model("Swap")
 
 
-def _step_ops(model: CollisionModel, step_index: int):
-    """(matrix, labels) pairs for collision number step_index (1-based)."""
+def _steps(model: CollisionModel) -> list[list[circ.Gate]]:
+    """The distinct collision steps, one ``UNITARY`` gate per step operation:
+    collision n applies ``steps[min(n, len(steps)) - 1]``.  SingleQubit and
+    TwoQubitExchange repeat one step; Toy/Swap apply the pair unitary on
+    (E1,S1) and (E2,S2), then its adjoint."""
     if model.kind == "SingleQubit":
-        return [(collision_unitary(model.g_dt), ("S", "E"))]
-    if model.kind == "TwoQubitExchange":
-        return [(two_qubit_unitary(model.g_dt), ("S1", "S2", "E"))]
-    if model.kind in ("Toy", "Swap"):
+        ops = [[(collision_unitary(model.g_dt), ("S", "E"))]]
+    elif model.kind == "TwoQubitExchange":
+        ops = [[(two_qubit_unitary(model.g_dt), ("S1", "S2", "E"))]]
+    elif model.kind in ("Toy", "Swap"):
         u = toy_unitary() if model.kind == "Toy" else swap_unitary()
-        if step_index == 2:
-            u = u.conj().T
-        return [(u, ("E1", "S1")), (u, ("E2", "S2"))]
-    raise ValueError(f"unknown model kind {model.kind!r}")
+        ops = [[(v, ("E1", "S1")), (v, ("E2", "S2"))] for v in (u, u.conj().T)]
+    else:
+        raise ValueError(f"unknown model kind {model.kind!r}")
+    return [[circ.Gate("UNITARY", labels, matrix=m) for m, labels in step] for step in ops]
 
 
 def _max_steps(model: CollisionModel) -> int | None:
@@ -185,9 +194,9 @@ def _prep_gates(model: CollisionModel) -> list[circ.Gate]:
 
 
 def _collision_gates(model: CollisionModel, n: int) -> list[circ.Gate]:
-    """One UNITARY gate per step operation, for collisions 1..n."""
-    return [circ.Gate("UNITARY", labels, matrix=u)
-            for step in range(1, n + 1) for u, labels in _step_ops(model, step)]
+    """The gates of collisions 1..n."""
+    steps = _steps(model)
+    return [g for m in range(1, n + 1) for g in steps[min(m, len(steps)) - 1]]
 
 
 def _native(c: circ.Circuit) -> circ.Circuit:
@@ -218,31 +227,49 @@ def _check_steps(model: CollisionModel, n: int):
         raise ValueError(f"{model.kind} model supports at most {mx} steps")
 
 
-def _reduced_channel(model: CollisionModel, n: int,
-                     noise: noisytomo.NoiseConfig | None) -> KrausChannel:
-    """Channel on the system for n collisions, environment prepared in |0...0>."""
-    reg = QubitRegister(model.system_labels + model.env_labels)
-    c = circ.Circuit(reg, _collision_gates(model, n))
-    if noise is not None:
-        c = _native(c)
-    return noisytomo.noisy_channel_of_circuit(c, noise, keep=model.system_labels)
+def evolve_series(model: CollisionModel, n_max: int,
+                  noise: noisytomo.NoiseConfig | None = None) -> list[EvolutionRecord]:
+    """Records for n = 0..n_max collisions from one pass over the collisions.
+
+    Each step acts on two running objects: the register state, and the stack
+    of all inputs |i><j| on the system with the environment in |0...0>.
+    Record n traces the environment out of the state and reads the reduced
+    system channel off the stack's images.  Ideal runs (``noise=None``) start
+    from ``model.initial_state``; noisy runs start from |0...0>, run the
+    transpiled prep gates, and transpile each distinct step once, on the
+    system + environment qubits it acts on."""
+    _check_steps(model, n_max)
+    se = QubitRegister(model.system_labels + model.env_labels)
+    steps = [circ.Circuit(se, gates) for gates in _steps(model)[:n_max]]
+    if noise is None:
+        mat = model.initial_state.mat
+    else:
+        prep = _native(circ.Circuit(model.register, _prep_gates(model)))
+        mat = np.zeros((model.register.dim,) * 2, dtype=complex)
+        mat[0, 0] = 1.0
+        mat = noisytomo._apply_circuit_to_matrix(prep, mat, noise)
+        steps = [_native(c) for c in steps]
+    full = [circ.Circuit(model.register, c.gates) for c in steps]
+    pos, stack = noisytomo._channel_inputs(se, model.system_labels)
+    records = []
+    for n in range(n_max + 1):
+        if n:
+            i = min(n, len(steps)) - 1
+            mat = noisytomo._apply_circuit_to_matrix(full[i], mat, noise)
+            stack = noisytomo._apply_circuit_to_matrix(steps[i], stack, noise)
+        rho = DensityMatrix(model.register, mat, validate=False)
+        joint = partial_trace(rho, model.ancilla_labels + model.system_labels)
+        channel = noisytomo._channel_of_images(stack, pos, se.n)
+        records.append(EvolutionRecord(n, joint, channel))
+    return records
 
 
 def evolve(model: CollisionModel, n: int,
            noise: noisytomo.NoiseConfig | None = None) -> EvolutionRecord:
     """Apply n collisions, trace out the environment, and return the joint
-    system-ancilla state plus the reduced system channel.
-
-    Ideal runs (``noise=None``) start from ``model.initial_state``; noisy runs
-    start from |0...0>, prepare it with the transpiled prep gates, and use the
-    native circuit the noise model needs."""
-    _check_steps(model, n)
-    noisy = noise is not None
-    c = build_circuit(model, n, include_prep=noisy, native=noisy)
-    start = None if noisy else model.initial_state
-    full = noisytomo.apply_noisy_circuit(c, start, noise)
-    joint = partial_trace(full, model.ancilla_labels + model.system_labels)
-    return EvolutionRecord(n, joint, _reduced_channel(model, n, noise))
+    system-ancilla state plus the reduced system channel: record n of
+    ``evolve_series``."""
+    return evolve_series(model, n, noise)[n]
 
 
 def continuum_transfer(t: float) -> TransferMap:

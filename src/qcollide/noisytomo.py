@@ -228,7 +228,14 @@ def noisy_channel_of_circuit(c: circ.Circuit, noise: NoiseConfig | None,
 
     The other qubits start in |0> and are traced out at the end.  At most 3
     qubits may be kept; the channel orders them as the register does."""
-    reg = c.register
+    pos, inputs = _channel_inputs(c.register, keep)
+    images = _apply_circuit_to_matrix(c, inputs, noise)
+    return _channel_of_images(images, pos, c.register.n)
+
+
+def _channel_inputs(reg: QubitRegister, keep=None) -> tuple[list[int], np.ndarray]:
+    """Sorted positions of the ``keep`` qubits (default: all, at most 3) and
+    the (d², D, D) stack of inputs |i><j| on them, the other qubits in |0>."""
     pos = sorted(reg.indices(reg.labels if keep is None else keep))
     k = len(pos)
     if k > 3:
@@ -239,7 +246,14 @@ def noisy_channel_of_circuit(c: circ.Circuit, noise: NoiseConfig | None,
             for i in range(d)]
     inputs = np.zeros((d * d, reg.dim, reg.dim), dtype=complex)
     inputs[np.arange(d * d), np.repeat(full, d), np.tile(full, d)] = 1.0
-    out = partial_trace_mat(_apply_circuit_to_matrix(c, inputs, noise), pos, reg.n)
+    return pos, inputs
+
+
+def _channel_of_images(images: np.ndarray, pos, n: int) -> KrausChannel:
+    """The channel read off the images of the ``_channel_inputs`` stack on an
+    n-qubit register, keeping the qubits at ``pos``."""
+    d = 2 ** len(pos)
+    out = partial_trace_mat(images, pos, n)
     # out[i*d + j, a, b] is the image of |i><j|; the Choi entry is [(a, i), (b, j)].
     choi = out.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
     return _kraus_of_choi(choi, d)
@@ -389,10 +403,11 @@ def mitigate_readout(counts: ShotCounts, calib0: ShotCounts, calib1: ShotCounts)
         if abs(np.linalg.det(conf)) < 1e-9:
             raise ValueError("singular confusion matrix (flip probability >= 0.5)")
         invs.append(np.linalg.inv(conf))
+    table = np.reshape([counts.frequencies(s) for s in counts.counts], (-1, 2**k))
+    table = np.clip(_apply_per_qubit(invs, table), 0.0, None)
+    table = table / table.sum(axis=1, keepdims=True)
     out: dict = {}
-    for setting in counts.counts:
-        vec = np.clip(_apply_per_qubit(invs, counts.frequencies(setting)), 0.0, None)
-        vec = vec / vec.sum()
+    for setting, vec in zip(counts.counts, table):
         out[setting] = {
             format(b, f"0{k}b"): float(v * counts.shots)
             for b, v in enumerate(vec)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcollide.cli import main
 
@@ -207,3 +208,59 @@ def test_shots_or_mitigate_without_noise_is_input_error(tmp_path, capsys):
         assert main(["simulate", "--model", "single", *extra, "--out", str(out)]) == 1
         assert not (out / "manifest.txt").exists()
         assert "--shots and --mitigate need --noise" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "noise.cfg").write_text("t1_us = 280.0\n")
+    (base / "bad.cfg").write_text("t2_us = 900.0\n")  # T2 > 2 T1
+    assert main(["simulate", "--model", "single", "--collisions", "4",
+                 "--out", str(base / "single")]) == 0
+    return base
+
+
+def cli_arguments(base):
+    """Small argument lists over every subcommand: valid and invalid models,
+    collision counts, shots, seeds and noise configs, and non-finite floats."""
+    def opt(flag, values):
+        return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+    floats = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(["nan", "inf", "-inf"]))
+    counts = st.integers(-2, 6)
+    missing = base / "missing.cfg"
+    simulate = st.tuples(
+        st.just(["simulate", "--out", str(base / "run")]),
+        opt("--model", st.sampled_from(["single", "two-qubit", "toy", "swap", "qutrit"])),
+        opt("--collisions", st.integers(-2, 4)),
+        opt("--noise", st.sampled_from(["ideal", base / "noise.cfg", base / "bad.cfg", missing])),
+        opt("--shots", st.sampled_from([-1, 0, 1, 64])),
+        opt("--seed", st.sampled_from([-1, 0, 3])),
+        opt("--gdt", floats),
+        st.sampled_from([[], ["--mitigate"]]),
+    )
+    witness = st.tuples(
+        st.just(["witness"]),
+        opt("--csv", st.sampled_from([base / "single" / "concurrence.csv", missing])),
+        opt("--t1", counts),
+        opt("--t2", counts),
+    )
+    nonmarkov = st.tuples(st.just(["nonmarkov"]), opt("--gdt", floats),
+                          opt("--t1", counts), opt("--t2", counts))
+    continuum = st.tuples(st.just(["continuum-check"]), opt("--points", counts),
+                          opt("--tmax", floats))
+    other = st.sampled_from([[["transpile-check"]], [[]], [["bogus"]], [["--help"]]])
+    return st.one_of(simulate, witness, nonmarkov, continuum, other).map(
+        lambda parts: [str(a) for part in parts for a in part])
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_cli_exit_code_is_always_0_1_or_2(fuzz_files, data):
+    """Whatever the arguments, ``main`` returns (or exits with) 0, 1 or 2."""
+    argv = data.draw(cli_arguments(fuzz_files))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), argv

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcollide import circuit as circ
 from qcollide import collision
 from qcollide.channel import (
     KrausChannel,
@@ -13,6 +16,7 @@ from qcollide.channel import (
 )
 from qcollide.circuit import unitary_of_circuit
 from qcollide.entangle import assistance_2q, assistance_upper, concurrence_2q
+from qcollide.noisytomo import NoiseConfig
 from qcollide.qmat import (
     DensityMatrix,
     ket,
@@ -214,6 +218,23 @@ def test_build_circuit_native_is_equivalent():
     u_native = unitary_of_circuit(c)
     u_plain = unitary_of_circuit(collision.build_circuit(model, 1))
     assert np.abs(u_native - u_plain).max() < 1e-8
+
+
+@pytest.mark.parametrize("model, n_max, transpiles", [
+    (collision.single_qubit_model(), 6, 2),   # prep + the one step
+    (collision.two_qubit_model(), 3, 2),
+    (collision.toy_model(), 2, 3),            # prep + the step and its adjoint
+    (collision.toy_model(), 1, 2),
+    (collision.single_qubit_model(), 0, 1),   # prep only
+])
+def test_noisy_series_transpiles_each_distinct_step_once(model, n_max, transpiles):
+    with mock.patch.object(circ, "transpile", wraps=circ.transpile) as spy:
+        records = collision.evolve_series(model, n_max, NoiseConfig())
+    assert spy.call_count == transpiles
+    assert [r.n for r in records] == list(range(n_max + 1))
+    with mock.patch.object(circ, "transpile", wraps=circ.transpile) as spy:
+        collision.evolve_series(model, n_max)
+    assert spy.call_count == 0
 
 
 def test_negative_collision_count_rejected():

@@ -5,9 +5,11 @@ batched bootstrap, the superoperator contraction of
 batched circuit channel, the Choi matrix, the transfer matrix and the
 compressed native-gate Kraus sets), ``channel.apply``, and the qubit
 diagnostics that read the channel's affine Bloch map (the BLP objective and
-the Bloch-image mesh)."""
+the Bloch-image mesh), and the one-pass collision series against the per-n
+evolution, with the CPTP property of every channel it yields."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +19,8 @@ from test_channel import random_channel
 from qcollide import circuit as circ
 from qcollide import collision, noisytomo, nonmarkov
 from qcollide.channel import (
+    _choi_matrix,
+    _kraus_of_choi,
     amplitude_damping_channel,
     apply,
     apply_at,
@@ -41,6 +45,7 @@ from qcollide.noisytomo import (
 from qcollide.qmat import (
     PAULIS,
     DensityMatrix,
+    QubitRegister,
     bloch_to_state,
     nkron,
     partial_trace,
@@ -451,3 +456,101 @@ def test_noisy_blp_delta_matches_per_state_search():
     assert abs(delta - NOISY_BLP_DELTA) <= TOL
     assert np.array_equal(rb, -ra)
     assert abs(np.linalg.norm(ra) - 1.0) <= TOL
+
+
+def reference_step_ops(model, step):
+    """(matrix, labels) pairs of collision number ``step`` (1-based), written
+    out from the model definitions: the step list before the series."""
+    if model.kind == "SingleQubit":
+        return [(collision.collision_unitary(model.g_dt), ("S", "E"))]
+    if model.kind == "TwoQubitExchange":
+        return [(collision.two_qubit_unitary(model.g_dt), ("S1", "S2", "E"))]
+    u = collision.toy_unitary() if model.kind == "Toy" else collision.swap_unitary()
+    if step == 2:
+        u = u.conj().T
+    return [(u, ("E1", "S1")), (u, ("E2", "S2"))]
+
+
+def reference_evolve(model, n, noise):
+    """(joint state, reduced channel) after n collisions, each n evolved
+    anew: the whole prep + n-step circuit on the register (prepared and
+    transpiled as one circuit when noisy), and the channel of the n-step
+    circuit on system + environment."""
+    noisy = noise is not None
+    prep = [Gate("H", (a,)) for a in model.ancilla_labels]
+    prep += [Gate("CNOT", pair) for pair in zip(model.ancilla_labels, model.system_labels)]
+    steps = [Gate("UNITARY", labels, matrix=u)
+             for step in range(1, n + 1) for u, labels in reference_step_ops(model, step)]
+    c = Circuit(model.register, (prep if noisy else []) + steps)
+    se = Circuit(QubitRegister(model.system_labels + model.env_labels), steps)
+    if noisy:
+        c, se = collision._native(c), collision._native(se)
+    full = noisytomo.apply_noisy_circuit(c, None if noisy else model.initial_state, noise)
+    joint = partial_trace(full, model.ancilla_labels + model.system_labels)
+    return joint, noisy_channel_of_circuit(se, noise, keep=model.system_labels)
+
+
+@st.composite
+def model_series(draw, max_collisions=3):
+    """One of the four models (random g_dt where it has one) and a series
+    length within its step limit."""
+    kind = draw(st.sampled_from(["single", "two-qubit", "toy", "swap"]))
+    if kind in ("toy", "swap"):
+        model = collision.toy_model() if kind == "toy" else collision.swap_model()
+        return model, draw(st.integers(0, 2))
+    g_dt = draw(st.floats(-np.pi, np.pi))
+    build = collision.single_qubit_model if kind == "single" else collision.two_qubit_model
+    return build(g_dt), draw(st.integers(0, max_collisions))
+
+
+@st.composite
+def device_noise(draw):
+    """T2 <= 2 T1 and depolarizing rates up to about 5x a current device's."""
+    t1 = draw(st.floats(20.0, 500.0))
+    return NoiseConfig(t1_us=t1, t2_us=draw(st.floats(0.05, 2.0)) * t1,
+                       depol_1q=draw(st.floats(0.0, 1e-3)),
+                       depol_2q=draw(st.floats(0.0, 4e-2)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=model_series(), noise=st.one_of(st.none(), device_noise()))
+@example(case=(collision.toy_model(), 2), noise=NoiseConfig())
+@example(case=(collision.two_qubit_model(0.7), 3), noise=NoiseConfig())
+def test_evolve_series_matches_per_n_evolution(case, noise):
+    model, n_max = case
+    records = collision.evolve_series(model, n_max, noise)
+    assert [r.n for r in records] == list(range(n_max + 1))
+    for rec in records:
+        joint, channel = reference_evolve(model, rec.n, noise)
+        assert rec.joint_state.register == joint.register
+        assert np.abs(rec.joint_state.mat - joint.mat).max() <= TOL
+        got = choi_of_channel(rec.reduced_channel).rho.mat
+        assert np.abs(got - choi_of_channel(channel).rho.mat).max() <= TOL
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=model_series(max_collisions=5), noise=st.one_of(st.none(), device_noise()))
+def test_evolve_series_channels_are_cptp(case, noise):
+    """Every reduced channel is CPTP within 1e-9, both as read off the input
+    stack (before the Kraus conversion) and as the Kraus set it becomes."""
+    model, n_max = case
+    if noise is not None:
+        noise.native_kraus  # built before the spy, which should see only channel read-offs
+    raw = []
+
+    def spy(choi, d):
+        raw.append(choi)
+        return _kraus_of_choi(choi, d)
+
+    with mock.patch.object(noisytomo, "_kraus_of_choi", spy):
+        records = collision.evolve_series(model, n_max, noise)
+    assert len(raw) == len(records)
+    for choi, rec in zip(raw, records):
+        ops = np.asarray(rec.reduced_channel.kraus_ops)
+        d = ops.shape[-1]
+        assert np.abs(np.einsum("kab,kac->bc", ops.conj(), ops) - np.eye(d)).max() <= 1e-9
+        assert np.abs(choi - choi.conj().T).max() <= 1e-9
+        assert np.linalg.eigvalsh((choi + choi.conj().T) / 2).min() >= -1e-9
+        # Choi entry [(a, i), (b, j)]: tracing the output a leaves Tr E(|i><j|) = δ_ij.
+        assert np.abs(np.einsum("aiaj->ij", choi.reshape(d, d, d, d)) - np.eye(d)).max() <= 1e-9
+        assert np.abs(_choi_matrix(ops) - choi).max() <= 1e-9
