@@ -11,7 +11,8 @@ Every conversion goes through three private helpers on the row-major vec
   eigendecomposition, 1e-10 cutoff, exact renormalisation), behind
   ``channel_of_choi``, the compression in ``compose`` and the noisy-gate and
   circuit channels of ``noisytomo``;
-* ``_superop``: Σ K⊗K̄, behind ``apply_at`` and ``transfer_of_channel``.
+* ``_superop``: Σ K⊗K̄, behind ``apply_at`` and ``transfer_of_channel``;
+  ``_superop_at`` applies it on some qubits of a matrix.
 """
 
 from __future__ import annotations
@@ -215,13 +216,20 @@ def apply_at(ops, mat: np.ndarray, positions, n: int) -> np.ndarray:
     |i><j|), or a stack of them with leading batch axes (..., 2^n, 2^n).
 
     The Kraus set is folded into its local superoperator ``_superop`` (4^k ×
-    4^k for k qubits), which is contracted once with the k row and k column
-    axes of each matrix; the identity on the other qubits is never formed."""
+    4^k for k qubits), which ``_superop_at`` contracts once with the k row and
+    k column axes of each matrix; the identity on the other qubits is never
+    formed."""
+    return _superop_at(_superop(ops), mat, positions, n)
+
+
+def _superop_at(superop: np.ndarray, mat: np.ndarray, positions, n: int) -> np.ndarray:
+    """Apply a local superoperator (``_superop`` of a Kraus set on the given
+    qubit positions) to an n-qubit matrix or stack of matrices."""
     mat = np.asarray(mat)
     batch = mat.shape[:-2]
     b = len(batch)
     axes = [b + p for p in positions] + [b + n + p for p in positions]
-    out = _contract_at(_superop(ops), mat.reshape(batch + (2,) * (2 * n)), axes)
+    out = _contract_at(superop, mat.reshape(batch + (2,) * (2 * n)), axes)
     return out.reshape(batch + (2**n, 2**n))
 
 

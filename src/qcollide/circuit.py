@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cossin, schur
 
 from .channel import _contract_at
 from .qmat import QubitRegister
@@ -623,6 +622,8 @@ def _uc_rotation(kind: str, angles, target: str, controls: tuple[str, ...]) -> l
 
 def _demultiplex(A: np.ndarray, B: np.ndarray, msb: str, rest: tuple[str, ...]):
     """A ⊕ B (on msb=0 / msb=1) = (I⊗V) (D ⊕ D†) (I⊗W); returns gate list."""
+    from scipy.linalg import schur
+
     M = A @ B.conj().T
     T, V = schur(M, output="complex")
     d2 = np.diag(T)
@@ -642,6 +643,10 @@ def _unitary_gates(u: np.ndarray, labels: tuple[str, ...]) -> list[Gate]:
 
 
 def _qsd(u: np.ndarray, labels: tuple[str, ...]) -> list[Gate]:
+    # SciPy is imported here, not at module load: only unitaries on three or
+    # more qubits (the two-qubit model's step) reach the QSD.
+    from scipy.linalg import cossin
+
     d = u.shape[0]
     half = d // 2
     msb, rest = labels[0], labels[1:]

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import __version__, channel, collision, entangle, nonmarkov, noisytomo, qmat
 from . import circuit as circ
@@ -123,7 +124,7 @@ def _bootstrap_states(counts, seed, reps=20):
 
     Each replica draws one multinomial per setting, in ``counts.counts``
     order, from one generator; all replicas are reconstructed in one call."""
-    rng = np.random.default_rng([seed, 777])
+    rng = default_rng([seed, 777])
     k = len(counts.measured)
     row = {s: i for i, s in enumerate(noisytomo.all_settings(k))}
     freqs = [(row[s], counts.frequencies(s)) for s in counts.counts]
@@ -328,7 +329,7 @@ def _run_transpile_check(_args) -> int:
     if not ok:
         failures.append("collision")
 
-    rng = np.random.default_rng(12345)
+    rng = default_rng(12345)
     worst = 0.0
     for _ in range(10):
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

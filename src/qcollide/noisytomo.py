@@ -10,10 +10,11 @@ Noise model (per native gate):
 
 Each noisy native kind has one compressed Kraus set
 (``NoiseConfig.native_kraus``): the depolarized gate's Choi matrix, relaxed
-on each output qubit, through the one Choi→Kraus routine of ``channel``.  The
-circuit channel on kept qubits (``noisy_channel_of_circuit``) runs the
-circuit once on the stack of all inputs |i><j| and reads its Choi matrix off
-the traced-out images.
+on each output qubit, through the one Choi→Kraus routine of ``channel``,
+and one superoperator (``NoiseConfig.native_superop``), which every gate of
+that kind applies.  The circuit channel on kept qubits
+(``noisy_channel_of_circuit``) runs the circuit once on the stack of all
+inputs |i><j| and reads its Choi matrix off the traced-out images.
 
 Sampling runs the reconstruction tables below forward: the measured qubits'
 4^k Pauli expectations give the (3^k settings × 2^k outcomes) table of every
@@ -40,12 +41,15 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import circuit as circ
 from .channel import (
     KrausChannel,
     _choi_matrix,
     _kraus_of_choi,
+    _superop,
+    _superop_at,
     amplitude_damping_channel,
     apply_at,
     compose,
@@ -120,6 +124,12 @@ class NoiseConfig:
                             ("ECR", circ.ECR_MATRIX))
         }
 
+    @cached_property
+    def native_superop(self) -> dict:
+        """``_superop`` of each ``native_kraus`` set, built once per config
+        instead of once per gate application."""
+        return {kind: _superop(ops) for kind, ops in self.native_kraus.items()}
+
     def to_text(self) -> str:
         lines = [
             f"t1_us = {self.t1_us!r}",
@@ -173,13 +183,13 @@ def _thermal_kraus(noise: NoiseConfig, duration_ns: float):
     return ch
 
 
-def _gate_kraus(gate: circ.Gate, noise: NoiseConfig | None):
-    """Kraus operators (on the gate's own qubits) for the noisy gate."""
+def _gate_superop(gate: circ.Gate, noise: NoiseConfig | None) -> np.ndarray:
+    """Superoperator (on the gate's own qubits) of the noisy gate."""
     if noise is None or gate.kind == "RZ":
-        return [gate.unitary()]
+        return _superop([gate.unitary()])
     if gate.kind not in circ.NATIVE_KINDS:
         raise ValueError(f"noise model requires native gates, got {gate.kind!r}")
-    return noise.native_kraus[gate.kind]
+    return noise.native_superop[gate.kind]
 
 
 def _noisy_gate_kraus(noise: NoiseConfig, kind: str, u: np.ndarray):
@@ -203,7 +213,7 @@ def _apply_circuit_to_matrix(c: circ.Circuit, mat: np.ndarray,
     reg = c.register
     out = np.asarray(mat, dtype=complex)
     for g in c.gates:
-        out = apply_at(_gate_kraus(g, noise), out, reg.indices(g.qubits), reg.n)
+        out = _superop_at(_gate_superop(g, noise), out, reg.indices(g.qubits), reg.n)
     return out
 
 
@@ -362,7 +372,7 @@ def _sample_state(rho: DensityMatrix, measured, shots: int, seed: int,
     probs = _measurement_probs(rho, measured, noise)
     counts: dict = {}
     for idx, setting in enumerate(settings):
-        draw = np.random.default_rng([seed, idx]).multinomial(shots, probs[row[setting]])
+        draw = default_rng([seed, idx]).multinomial(shots, probs[row[setting]])
         counts[setting] = {
             format(b, f"0{k}b"): int(n) for b, n in enumerate(draw) if n > 0
         }

@@ -6,17 +6,20 @@ Pauli transfer matrix.  The BLP search runs over antipodal pure pairs ±r,
 which is optimal for qubit trace-distance criteria; their images lie at
 unnormalised trace distance 2‖A r‖.  The objective 2(‖A₂r‖ − ‖A₁r‖) is
 evaluated on a 2-degree (θ, φ) grid in one array operation, with the first
-point better by more than 1e-12 winning, then refined by Nelder-Mead.  The
+point better by more than 1e-12 winning, then refined by Newton's method on
+the unit sphere (analytic gradient and Hessian in the tangent plane,
+retraction by normalising).  Newton starts from the grid point and, where A₁
+is nearly rank-deficient, also from the maximiser of ‖A₂r‖ on A₁'s
+near-kernel, the crest of a ridge of the objective narrower than the grid.  A
 refined point is kept only if it beats the grid by more than 1e-12, so a
 plateau maximum (the ideal channel's) reports its grid point.  At a smooth
-maximum the refined argmax (``blp_argmax_a``) is fixed only to ~1e-8: channel
-round-off of 1e-15 moves it that far while the maximum moves by ~1e-15.
+maximum the refined argmax (``blp_argmax_a``) is fixed to round-off: a 1e-15
+change of the channel moves it by ~1e-13.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import KrausChannel, transfer_of_channel
 from .entangle import concurrence_2q, concurrence_lower
@@ -77,18 +80,80 @@ def blp_max_increase(ch1: KrausChannel, ch2: KrausChannel):
     for i, v in enumerate(grid.ravel().tolist()):
         if v > best_val + 1e-12:
             best_i, best_val = i, v
-    best = (thetas[best_i // len(phis)], phis[best_i % len(phis)])
-    res = minimize(
-        lambda p: -_backflow(a1, a2, _direction(*p)),
-        x0=np.array(best),
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 500},
-    )
-    if -res.fun > best_val + 1e-12:
-        best_val = -res.fun
-        best = tuple(res.x)
-    r = _direction(*best)
+    r = _direction(thetas[best_i // len(phis)], phis[best_i % len(phis)])
+    for start in (r, *_kernel_start(a1, a2)):
+        cand, val = _newton_refine(a1, a2, start)
+        if val > best_val + 1e-12:
+            best_val, r = val, cand
     return max(0.0, float(best_val)), (r, -r)
+
+
+def _backflow_derivatives(a1: np.ndarray, a2: np.ndarray, r: np.ndarray):
+    """Gradient and Hessian of f(r) = 2(‖A₂r‖ − ‖A₁r‖) in R³.
+
+    With v = A r, ‖v‖ has gradient g = Aᵀv/‖v‖ and Hessian (AᵀA − g gᵀ)/‖v‖.
+    A term with ‖v‖ < 1e-12 (on a kernel of Aᵢ, where ‖Aᵢr‖ is not smooth) is
+    left out of both."""
+    grad = np.zeros(3)
+    hess = np.zeros((3, 3))
+    for sign, a in ((-2.0, a1), (2.0, a2)):
+        v = a @ r
+        norm = np.linalg.norm(v)
+        if norm >= 1e-12:
+            g = a.T @ v / norm
+            grad += sign * g
+            hess += sign * (a.T @ a - np.outer(g, g)) / norm
+    return grad, hess
+
+
+def _newton_refine(a1: np.ndarray, a2: np.ndarray, r: np.ndarray):
+    """Newton ascent of f(r) = 2(‖A₂r‖ − ‖A₁r‖) on the unit sphere from r;
+    returns the final (r, f(r)).
+
+    On the sphere the tangent Hessian is the Hessian projected on the tangent
+    plane minus (r·∇f) times the identity.  Each step divides the tangent
+    gradient by the absolute eigenvalues of the tangent Hessian (Newton's step
+    at a maximum, an ascent step elsewhere), skipping eigenvalues below 1e-12
+    times the Hessian's scale, retracts r + step onto the sphere, and is
+    halved while it lowers f by more than 1e-14 (which also keeps r on a
+    kernel ridge whose term ``_backflow_derivatives`` leaves out).  The ascent
+    stops at the first of: no curved direction (a plateau), no halving that
+    helps, a step below 1e-12, or 30 steps."""
+    val = _backflow(a1, a2, r)
+    for _ in range(30):
+        grad, hess = _backflow_derivatives(a1, a2, r)
+        basis = np.linalg.qr(r[:, None], mode="complete")[0][:, 1:]
+        radial = r @ grad
+        ev, vecs = np.linalg.eigh(basis.T @ hess @ basis - radial * np.eye(2))
+        curved = np.abs(ev) > 1e-12 * (np.abs(hess).max() + abs(radial))
+        if not curved.any():
+            break
+        step = vecs[:, curved] @ ((vecs[:, curved].T @ (basis.T @ grad)) / np.abs(ev[curved]))
+        for _ in range(50):
+            trial = r + basis @ step
+            trial /= np.linalg.norm(trial)
+            trial_val = _backflow(a1, a2, trial)
+            if trial_val >= val - 1e-14:
+                break
+            step = step / 2
+        else:
+            break
+        r, val = trial, trial_val
+        if np.linalg.norm(step) < 1e-12:
+            break
+    return r, val
+
+
+def _kernel_start(a1: np.ndarray, a2: np.ndarray) -> list:
+    """[r] maximising ‖A₂r‖ over the unit vectors of A₁'s near-kernel (its
+    right singular vectors with singular value below 1e-3 times the largest,
+    plus 1e-12), or [] if there are none.  Near that kernel ‖A₁r‖ makes a
+    ridge of f narrower than the grid, on whose crest r starts Newton."""
+    _, sv, vt = np.linalg.svd(a1)
+    kernel = vt[sv < 1e-3 * sv[0] + 1e-12]
+    if not len(kernel):
+        return []
+    return [kernel.T @ np.linalg.svd(a2 @ kernel.T)[2][0]]
 
 
 def bloch_volume(ch: KrausChannel) -> float:

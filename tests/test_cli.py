@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcollide
 from qcollide.cli import main
 
 
@@ -191,6 +195,39 @@ def test_continuum_check_empty_grid_is_input_error():
     for argv in (["--points", "0"], ["--points", "1"], ["--tmax", "-1"],
                  ["--tmax", "0"]):
         assert main(["continuum-check", *argv]) == 1
+
+
+# Prints the SciPy modules loaded by ``import qcollide`` and the NumPy and
+# SciPy modules that ``cli.main(argv)`` loads on top of the imported package.
+IMPORT_PROBE = """
+import json, sys
+import qcollide
+at_import = sorted(m for m in sys.modules if m.startswith("scipy"))
+from qcollide import cli
+before = set(sys.modules)
+code = cli.main(sys.argv[1:])
+during = sorted(m for m in set(sys.modules) - before if m.startswith(("numpy", "scipy")))
+print(json.dumps({"code": code, "at_import": at_import, "during": during}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "single"],
+    ["--model", "toy", "--noise", "{noise}", "--shots", "64", "--mitigate"],
+])
+def test_import_and_simulate_load_no_scipy_or_new_numpy_modules(tmp_path, argv):
+    """A fresh interpreter: ``import qcollide`` loads no SciPy, and a
+    ``simulate`` run of the single or toy model loads no further NumPy or
+    SciPy module (those would be paid inside every timed CLI run)."""
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text("t1_us = 280.0\n")
+    argv = [a.format(noise=noise_file) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(qcollide.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, "simulate", *argv, "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"code": 0, "at_import": [], "during": []}
 
 
 def test_negative_seed_is_input_error(tmp_path, capsys):
