@@ -12,7 +12,9 @@ Every conversion goes through three private helpers on the row-major vec
   ``channel_of_choi``, the compression in ``compose`` and the noisy-gate and
   circuit channels of ``noisytomo``;
 * ``_superop``: Σ K⊗K̄, behind ``apply_at`` and ``transfer_of_channel``;
-  ``_superop_at`` applies it on some qubits of a matrix.
+  ``_superop_at`` applies a local superoperator on some qubits of a matrix or
+  a stack of matrices.  It is the one routine that does: ``apply_at`` calls
+  it, and so does the circuit path of ``noisytomo``, once per fused block.
 """
 
 from __future__ import annotations

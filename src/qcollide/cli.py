@@ -223,12 +223,15 @@ def _run_simulate(args) -> int:
         nm_lines.append(["volume_ratio_t2", _fmt(nonmarkov.bloch_volume(ch2))])
     _write_csv(out_dir / "nonmarkov.csv", ["quantity", "value"], nm_lines)
 
+    noise_lines = [] if noise is None else noise.to_text().splitlines()
     manifest = [
         f"qcollide {__version__}",
         f"model = {args.model}",
         f"gdt = {args.gdt!r}",
         f"collisions = {n_max}",
         f"noise = {args.noise}",
+        *(f"noise.{line}" for line in noise_lines),
+        f"numpy = {np.__version__}",
         f"shots = {args.shots}",
         f"seed = {args.seed}",
         f"mitigate = {args.mitigate}",
@@ -253,18 +256,31 @@ def _write_csv(path: Path, header, rows):
 # witness
 # --------------------------------------------------------------------------
 
+def _witness_rows(path: str):
+    """Header and {n: [C, C♯, C_err, C♯_err]} of a concurrence.csv; a file
+    without data rows, a short row or a non-numeric cell is an input error."""
+    rows = list(csv.reader(Path(path).read_text().splitlines()))
+    _require(len(rows) > 1, f"{path}: no data rows")
+    _require(len(rows[0]) >= 5, f"{path}: header has fewer than 5 columns")
+    by_n = {}
+    for line, row in enumerate(rows[1:], start=2):
+        _require(len(row) >= 5, f"{path} line {line}: fewer than 5 cells")
+        try:
+            by_n[int(row[0])] = [float(x) for x in row[1:5]]
+        except ValueError:
+            raise _InputError(f"{path} line {line}: n must be an integer and "
+                              "the next four cells numbers") from None
+    return rows[0], by_n
+
+
 def _run_witness(args) -> int:
-    rows = list(csv.reader(Path(args.csv).read_text().splitlines()))
-    header, data = rows[0], rows[1:]
-    by_n = {int(r[0]): r for r in data}
-    if args.t1 not in by_n or args.t2 not in by_n:
-        print(f"error: rows for n={args.t1} and n={args.t2} required",
-              file=sys.stderr)
-        return 1
+    header, by_n = _witness_rows(args.csv)
+    _require(args.t1 in by_n and args.t2 in by_n,
+             f"rows for n={args.t1} and n={args.t2} required")
     exact = header[1] == "C"
-    left = float(by_n[args.t1][2])   # assistance (or its upper bound) at t1
-    right = float(by_n[args.t2][1])  # concurrence (or its lower bound) at t2
-    err = float(np.hypot(float(by_n[args.t1][4]), float(by_n[args.t2][3])))
+    left = by_n[args.t1][1]   # assistance (or its upper bound) at t1
+    right = by_n[args.t2][0]  # concurrence (or its lower bound) at t2
+    err = float(np.hypot(by_n[args.t1][3], by_n[args.t2][2]))
     report = entangle.WitnessReport.of_sides(args.t1, args.t2, exact, left, right)
     lines = [
         "{",

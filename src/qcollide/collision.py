@@ -237,7 +237,9 @@ def evolve_series(model: CollisionModel, n_max: int,
     system channel off the stack's images.  Ideal runs (``noise=None``) start
     from ``model.initial_state``; noisy runs start from |0...0>, run the
     transpiled prep gates, and transpile each distinct step once, on the
-    system + environment qubits it acts on."""
+    system + environment qubits it acts on.  Each distinct step is fused
+    once into superoperator blocks keyed by label, which act on the state
+    and on the stack alike."""
     _check_steps(model, n_max)
     se = QubitRegister(model.system_labels + model.env_labels)
     steps = [circ.Circuit(se, gates) for gates in _steps(model)[:n_max]]
@@ -249,14 +251,14 @@ def evolve_series(model: CollisionModel, n_max: int,
         mat[0, 0] = 1.0
         mat = noisytomo._apply_circuit_to_matrix(prep, mat, noise)
         steps = [_native(c) for c in steps]
-    full = [circ.Circuit(model.register, c.gates) for c in steps]
+    blocks = [noisytomo._fused_superops(c, noise) for c in steps]
     pos, stack = noisytomo._channel_inputs(se, model.system_labels)
     records = []
     for n in range(n_max + 1):
         if n:
             i = min(n, len(steps)) - 1
-            mat = noisytomo._apply_circuit_to_matrix(full[i], mat, noise)
-            stack = noisytomo._apply_circuit_to_matrix(steps[i], stack, noise)
+            mat = noisytomo._apply_blocks(blocks[i], model.register, mat)
+            stack = noisytomo._apply_blocks(blocks[i], se, stack)
         rho = DensityMatrix(model.register, mat, validate=False)
         joint = partial_trace(rho, model.ancilla_labels + model.system_labels)
         channel = noisytomo._channel_of_images(stack, pos, se.n)

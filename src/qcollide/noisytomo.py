@@ -11,10 +11,20 @@ Noise model (per native gate):
 Each noisy native kind has one compressed Kraus set
 (``NoiseConfig.native_kraus``): the depolarized gate's Choi matrix, relaxed
 on each output qubit, through the one Choi→Kraus routine of ``channel``,
-and one superoperator (``NoiseConfig.native_superop``), which every gate of
-that kind applies.  The circuit channel on kept qubits
-(``noisy_channel_of_circuit``) runs the circuit once on the stack of all
-inputs |i><j| and reads its Choi matrix off the traced-out images.
+and one superoperator (``NoiseConfig.native_superop``).
+
+A circuit runs as a few fused local superoperators, not one contraction per
+gate (gate clustering, Häner & Steiger, SC'17, arXiv:1704.01127).
+``_fused_superops`` multiplies each qubit's run of 1-qubit gates into one 4x4
+superoperator (a virtual RZ is the diagonal (1, e^{-iθ}, e^{iθ}, 1)), folds
+it into the input side of the next multi-qubit gate on that qubit, and merges
+a multi-qubit gate into the block that last touched all of its qubits when
+that block has the same labels in the same order.  This only composes
+superoperators, so it is exact.  ``_apply_blocks`` then applies the blocks
+with ``channel._superop_at`` to a matrix or a stack of matrices.  The circuit
+channel on kept qubits (``noisy_channel_of_circuit``) runs the circuit once
+on the stack of all inputs |i><j| and reads its Choi matrix off the
+traced-out images.
 
 Sampling runs the reconstruction tables below forward: the measured qubits'
 4^k Pauli expectations give the (3^k settings × 2^k outcomes) table of every
@@ -207,14 +217,61 @@ def _noisy_gate_kraus(noise: NoiseConfig, kind: str, u: np.ndarray):
     return _kraus_of_choi(choi, 2**nq).kraus_ops
 
 
+def _fused_superops(c: circ.Circuit, noise: NoiseConfig | None) -> list:
+    """The (noisy) circuit channel as a short list of (superoperator, labels)
+    blocks, to be applied in order.
+
+    Each qubit's run of 1-qubit gates is multiplied into one pending 4x4
+    superoperator (an RZ scales its rows by the diagonal (1, e^{-iθ},
+    e^{iθ}, 1)).  The next multi-qubit gate on the qubit takes it on its
+    input side, and what is still pending at the end becomes a 1-qubit
+    block.  A multi-qubit gate joins the block that last touched all of its
+    qubits if that block acts on the same labels in the same order."""
+    pending: dict[str, np.ndarray] = {}
+    blocks: list[list] = []
+    last: dict[str, int] = {}  # label -> index of the last block on it
+    for g in c.gates:
+        if len(g.qubits) == 1:
+            q = g.qubits[0]
+            if g.kind == "RZ":
+                phase = np.exp(-1j * g.theta)
+                diag = np.array([1.0, phase, phase.conjugate(), 1.0])
+                pending[q] = diag[:, None] * pending[q] if q in pending else np.diag(diag)
+            else:
+                s = _gate_superop(g, noise)
+                pending[q] = s @ pending[q] if q in pending else s
+            continue
+        s = _gate_superop(g, noise)
+        folded = [(j, pending.pop(q)) for j, q in enumerate(g.qubits) if q in pending]
+        if folded:
+            k = len(g.qubits)
+            stack = np.eye(4**k, dtype=complex).reshape(4**k, 2**k, 2**k)  # all |b><e|
+            for j, p in folded:
+                stack = _superop_at(p, stack, [j], k)
+            s = s @ stack.reshape(4**k, 4**k).T
+        i = last.get(g.qubits[0])
+        if (i is not None and blocks[i][1] == g.qubits
+                and all(last.get(q) == i for q in g.qubits)):
+            blocks[i][0] = s @ blocks[i][0]
+        else:
+            last.update(dict.fromkeys(g.qubits, len(blocks)))
+            blocks.append([s, g.qubits])
+    return blocks + [[p, (q,)] for q, p in pending.items()]
+
+
+def _apply_blocks(blocks, reg: QubitRegister, mat: np.ndarray) -> np.ndarray:
+    """Apply ``_fused_superops`` blocks in order to a matrix or a stack of
+    matrices on the register ``reg``."""
+    out = np.asarray(mat, dtype=complex)
+    for s, labels in blocks:
+        out = _superop_at(s, out, reg.indices(labels), reg.n)
+    return out
+
+
 def _apply_circuit_to_matrix(c: circ.Circuit, mat: np.ndarray,
                              noise: NoiseConfig | None) -> np.ndarray:
     """Propagate an arbitrary matrix through the (noisy) circuit channel."""
-    reg = c.register
-    out = np.asarray(mat, dtype=complex)
-    for g in c.gates:
-        out = _superop_at(_gate_superop(g, noise), out, reg.indices(g.qubits), reg.n)
-    return out
+    return _apply_blocks(_fused_superops(c, noise), c.register, mat)
 
 
 def apply_noisy_circuit(c: circ.Circuit, rho: DensityMatrix | None = None,

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import qcollide
 from qcollide.cli import main
+from qcollide.noisytomo import DEFAULT_DURATIONS_NS
 
 
 def read_csv(path):
@@ -195,6 +196,37 @@ def test_continuum_check_empty_grid_is_input_error():
     for argv in (["--points", "0"], ["--points", "1"], ["--tmax", "-1"],
                  ["--tmax", "0"]):
         assert main(["continuum-check", *argv]) == 1
+
+
+WITNESS_HEADER = "n,C,C_sharp,C_err,C_sharp_err,fidelity_to_ideal\n"
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    WITNESS_HEADER,
+    WITNESS_HEADER + "0,1.0,1.0,0.0,0.0,1.0\n1,0.5,0.5\n",
+    WITNESS_HEADER + "0,1.0,1.0,0.0,0.0,1.0\n1,0.5,abc,0.0,0.0,1.0\n",
+    WITNESS_HEADER + "0,1.0,1.0,0.0,0.0,1.0\n1.5,0.5,0.5,0.0,0.0,1.0\n",
+], ids=["empty", "header-only", "short-row", "non-numeric-cell", "non-integer-n"])
+def test_malformed_witness_csv_is_input_error(tmp_path, capsys, text):
+    csv_path = tmp_path / "c.csv"
+    csv_path.write_text(text)
+    assert main(["witness", "--csv", str(csv_path), "--t1", "0", "--t2", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_manifest_records_resolved_noise_config(tmp_path):
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text("t1_us = 250.0\nduration.ECR = 500.0\n")
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", "single", "--collisions", "1", "--noise",
+                 str(noise_file), "--shots", "16", "--out", str(out)]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert lines[lines.index(f"noise = {noise_file}") + 1] == "noise.t1_us = 250.0"
+    for kind, ns in dict(DEFAULT_DURATIONS_NS, ECR=500.0).items():
+        assert f"noise.duration.{kind} = {ns!r}" in lines
+    assert f"numpy = {np.__version__}" in lines
 
 
 # Prints the SciPy modules loaded by ``import qcollide`` and the NumPy and

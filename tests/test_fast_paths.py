@@ -1,7 +1,8 @@
 """Fast paths against slow references: the table-based tomography
 reconstruction and its forward map (the outcome table of every setting), the
 batched bootstrap, the superoperator contraction of
-``apply_at`` and ``unitary_of_circuit``, the channel conversions (the
+``apply_at`` and ``unitary_of_circuit``, the fused circuit application
+against one contraction per gate, the channel conversions (the
 batched circuit channel, the Choi matrix, the transfer matrix and the
 compressed native-gate Kraus sets), ``channel.apply``, and the qubit
 diagnostics that read the channel's affine Bloch map (the BLP objective, its
@@ -12,6 +13,7 @@ import itertools
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_density, random_unitary
@@ -22,6 +24,7 @@ from qcollide.channel import (
     KrausChannel,
     _choi_matrix,
     _kraus_of_choi,
+    _superop_at,
     amplitude_damping_channel,
     apply,
     apply_at,
@@ -333,6 +336,89 @@ def test_noisy_channel_of_circuit_matches_reference_loop(n, data, noisy, seed):
     noise = NoiseConfig() if noisy else None
     got = choi_of_channel(noisy_channel_of_circuit(c, noise, keep=keep)).rho.mat
     assert np.abs(got - reference_channel_choi(c, noise, keep)).max() <= TOL
+
+
+def per_gate_apply(c, mat, noise):
+    """One ``_superop_at`` contraction per gate: the circuit application
+    before gate fusion."""
+    reg = c.register
+    out = np.asarray(mat, dtype=complex)
+    for g in c.gates:
+        out = _superop_at(noisytomo._gate_superop(g, noise), out, reg.indices(g.qubits), reg.n)
+    return out
+
+
+def fusion_circuit(rng, n, n_gates, native):
+    """Native gates with RZ runs (RZ, SX, X, ECR) or UNITARYs on 1 to 3 qubits."""
+    labels = [f"q{i}" for i in range(n)]
+    gates = []
+    for _ in range(n_gates):
+        arity = rng.integers(1, min(2 if native else 3, n) + 1)
+        wires = [labels[w] for w in rng.permutation(n)[:arity]]
+        if not native:
+            gates.append(Gate("UNITARY", wires, matrix=random_unitary(rng, 2**arity)))
+        elif arity == 2:
+            gates.append(Gate("ECR", wires))
+        else:
+            kind = ("RZ", "RZ", "SX", "X")[rng.integers(4)]
+            theta = rng.uniform(-2 * np.pi, 2 * np.pi) if kind == "RZ" else None
+            gates.append(Gate(kind, wires, theta=theta))
+    return Circuit(labels, gates)
+
+
+def assert_fused_matches_per_gate(c, noise, batch, rng):
+    shape = batch + (c.register.dim,) * 2
+    mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = noisytomo._apply_circuit_to_matrix(c, mat, noise)
+    assert got.shape == shape
+    assert np.abs(got - per_gate_apply(c, mat, noise)).max() <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), n_gates=st.integers(0, 14), native=st.booleans(),
+       noisy=st.booleans(), batch=st.sampled_from([(), (3,)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_fused_circuit_matches_per_gate_application(n, n_gates, native, noisy, batch, seed):
+    rng = np.random.default_rng(seed)
+    c = fusion_circuit(rng, n, n_gates, native)
+    assert_fused_matches_per_gate(c, NoiseConfig() if native and noisy else None, batch, rng)
+
+
+def _rz(q, theta):
+    return Gate("RZ", (q,), theta=theta)
+
+
+# (gates on qubits a, b, c, d; number of fused blocks; native?)
+FUSION_CASES = {
+    "1q gates after the last ECR": (
+        [Gate("SX", "a"), Gate("ECR", "ab"), Gate("SX", "a"), _rz("b", 0.4),
+         Gate("X", "a"), Gate("SX", "b")], 3, True),
+    "ECR(a,b), ECR(c,d), ECR(a,b) merge": (
+        [Gate("ECR", "ab"), Gate("SX", "b"), Gate("ECR", "cd"), _rz("a", 1.1),
+         Gate("ECR", "ab")], 2, True),
+    "ECR(a,b), ECR(b,a) do not merge": (
+        [Gate("ECR", "ab"), Gate("SX", "a"), Gate("ECR", "ba")], 2, True),
+    "ECR(a,b), ECR(b,c), ECR(a,b) do not merge": (
+        [Gate("ECR", "ab"), Gate("ECR", "bc"), Gate("ECR", "ab")], 3, True),
+    "RZ runs around an X": (
+        [_rz("a", 0.3), _rz("a", -1.7), Gate("X", "a"), _rz("a", 2.9), _rz("a", 0.5),
+         Gate("SX", "b"), _rz("b", 0.8)], 2, True),
+    "3-qubit UNITARY after pending gates on all three": (
+        [Gate("SX", "a"), _rz("b", 0.6), Gate("H", "c"), _rz("c", -0.2), Gate("X", "b"),
+         Gate("UNITARY", "cab", matrix=random_unitary(np.random.default_rng(9), 8)),
+         Gate("SX", "b")], 2, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSION_CASES))
+@pytest.mark.parametrize("batch", [(), (2, 3)])
+def test_fused_orderings_match_per_gate_application(name, batch):
+    gates, n_blocks, native = FUSION_CASES[name]
+    c = Circuit("abcd", gates)
+    assert len(noisytomo._fused_superops(c, None)) == n_blocks
+    rng = np.random.default_rng(17)
+    for noise in (None, NoiseConfig()) if native else (None,):
+        assert_fused_matches_per_gate(c, noise, batch, rng)
 
 
 @settings(max_examples=20, deadline=None)
