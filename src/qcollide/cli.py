@@ -106,17 +106,30 @@ def _state_for(model, rec, noise, shots, seed, calibration):
     tomography of it.
 
     ``calibration`` is the pair of readout-calibration counts used to
-    mitigate the shot data, or None for raw counts."""
+    mitigate the shot data, or None for raw counts.  The shot data stay
+    count and frequency tables throughout (rows in ``all_settings`` order)."""
     if shots <= 0:
         return rec.joint_state, []
     measured = model.ancilla_labels + model.system_labels
-    counts = noisytomo._sample_state(rec.joint_state, measured, shots, seed * 1000 + rec.n,
-                                     noise, noisytomo.all_settings(len(measured)))
+    stream = seed * 1000 + rec.n
+    table = noisytomo._sample_table(rec.joint_state, measured, shots, stream, noise)
     if calibration is not None:
-        counts = noisytomo.mitigate_readout(counts, *calibration)
-    state = noisytomo.reconstruct(counts).state
-    replicas = _bootstrap_states(counts, seed * 1000 + rec.n, reps=20)
+        table = noisytomo._mitigate_table(noisytomo._frequencies(table),
+                                          noisytomo._confusion_inverses(*calibration), shots)
+    freqs = noisytomo._frequencies(table)
+    mat, _ = noisytomo._reconstruct_frequencies(freqs)
+    mats, _ = noisytomo._reconstruct_frequencies(
+        _bootstrap_tables(freqs, shots, stream, reps=20))
+    state, *replicas = _states(measured, [mat, *mats])
     return state, replicas
+
+
+def _bootstrap_tables(freqs, shots, seed, reps=20):
+    """(reps, rows, 2^k) multinomial resamples of a (rows, 2^k) frequency
+    table, divided by ``shots``: one draw per row from one generator,
+    replica after replica, rows in table order."""
+    rng = default_rng([seed, 777])
+    return rng.multinomial(shots, freqs, size=(reps, len(freqs))) / shots
 
 
 def _bootstrap_states(counts, seed, reps=20):
@@ -124,16 +137,18 @@ def _bootstrap_states(counts, seed, reps=20):
 
     Each replica draws one multinomial per setting, in ``counts.counts``
     order, from one generator; all replicas are reconstructed in one call."""
-    rng = default_rng([seed, 777])
     k = len(counts.measured)
     row = {s: i for i, s in enumerate(noisytomo.all_settings(k))}
-    freqs = [(row[s], counts.frequencies(s)) for s in counts.counts]
+    settings = list(counts.counts)
+    freqs = np.reshape([counts.frequencies(s) for s in settings], (-1, 2**k))
     table = np.zeros((reps, 3**k, 2**k))
-    for rep in table:
-        for i, f in freqs:
-            rep[i] = rng.multinomial(counts.shots, f) / counts.shots
+    table[:, [row[s] for s in settings]] = _bootstrap_tables(freqs, counts.shots, seed, reps)
     mats, _ = noisytomo._reconstruct_frequencies(table)
-    reg = qmat.QubitRegister(counts.measured)
+    return _states(counts.measured, mats)
+
+
+def _states(measured, mats):
+    reg = qmat.QubitRegister(measured)
     return [qmat.DensityMatrix(reg, m, validate=False) for m in mats]
 
 
@@ -149,6 +164,7 @@ def _quantities(state, sys_labels):
 def _run_simulate(args) -> int:
     _require(math.isfinite(args.gdt), "--gdt must be finite")
     _require(args.seed >= 0, "--seed must be nonnegative")
+    _require(args.shots < 2**63, "--shots must be below 2^63 (a 64-bit count)")
     noise = _load_noise(args.noise)
     _require(noise is None or args.shots > 0,
              "--shots must be positive when noise is enabled")

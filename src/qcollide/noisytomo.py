@@ -39,7 +39,16 @@ the (3^k settings × 2^k outcomes) frequency table to the 4^k Pauli-string
 expectations (outcome signs, weighted by 1/#compatible settings) and those to
 the estimate Σ_P <P> P / 2^k.  The estimate is projected onto the density
 matrices (Smolin–Gambetta–Smith).  Many frequency tables, such as bootstrap
-replicas, go through the same maps in one batched call.
+replicas, go through the same maps in one batched call.  The Pauli table is
+built by one broadcast Kronecker step per qubit over the I, X, Y, Z stack.
+
+The shot path runs on count tables, rows in ``all_settings`` order:
+``_sample_table`` draws one, ``_frequencies`` normalises it,
+``_mitigate_table`` mitigates a frequency table with the per-qubit inverses of
+``_confusion_inverses``, and ``_reconstruct_frequencies`` reconstructs it.
+``ShotCounts`` (setting -> bitstring -> count) is the boundary and CSV view:
+``_sample_state``, ``mitigate_readout`` and ``reconstruct`` are thin wrappers
+that convert to and from it, with the same numbers.
 """
 
 from __future__ import annotations
@@ -70,7 +79,6 @@ from .qmat import (
     DensityMatrix,
     PAULIS,
     QubitRegister,
-    nkron,
     partial_trace,
     partial_trace_mat,
 )
@@ -370,8 +378,26 @@ class ShotCounts:
         vec = np.zeros(2**k)
         for bits, cnt in self.counts[setting].items():
             vec[int(bits, 2)] = cnt
-        total = vec.sum()
-        return vec / total if total > 0 else vec
+        return _frequencies(vec)
+
+    @classmethod
+    def of_table(cls, measured, shots: int, settings, table: np.ndarray) -> "ShotCounts":
+        """The counts of a (len(settings), 2^k) count table, row i for
+        ``settings[i]``; zero entries are left out."""
+        k = len(measured)
+        counts = {
+            setting: {format(b, f"0{k}b"): v for b, v in enumerate(row) if v > 0}
+            for setting, row in zip(settings, table.tolist())
+        }
+        return cls(tuple(measured), shots, counts)
+
+
+def _frequencies(table: np.ndarray) -> np.ndarray:
+    """A count table (..., 2^k) divided by its row sums; a row that does not
+    sum to a positive number is left as it is."""
+    table = np.asarray(table, dtype=float)
+    total = table.sum(axis=-1, keepdims=True)
+    return np.divide(table, total, out=table.copy(), where=total > 0)
 
 
 def _apply_per_qubit(mats, table: np.ndarray) -> np.ndarray:
@@ -426,14 +452,22 @@ def _sample_state(rho: DensityMatrix, measured, shots: int, seed: int,
     row = {s: i for i, s in enumerate(all_settings(k))}
     if not set(settings) <= row.keys():
         raise ValueError(f"{sorted(set(settings) - row.keys())} are not {k}-qubit settings")
+    table = _sample_table(rho, measured, shots, seed, noise, [row[s] for s in settings])
+    return ShotCounts.of_table(measured, shots, settings, table)
+
+
+def _sample_table(rho: DensityMatrix, measured, shots: int, seed: int,
+                  noise: NoiseConfig | None, rows=None) -> np.ndarray:
+    """Count table (len(rows), 2^k) of the settings at ``rows`` of
+    ``all_settings(k)`` (default: all of them, in order); table row idx
+    draws from ``default_rng([seed, idx])``."""
     probs = _measurement_probs(rho, measured, noise)
-    counts: dict = {}
-    for idx, setting in enumerate(settings):
-        draw = default_rng([seed, idx]).multinomial(shots, probs[row[setting]])
-        counts[setting] = {
-            format(b, f"0{k}b"): int(n) for b, n in enumerate(draw) if n > 0
-        }
-    return ShotCounts(tuple(measured), shots, counts)
+    if rows is not None:
+        probs = probs[rows]
+    table = np.zeros(probs.shape, dtype=np.int64)
+    for idx, p in enumerate(probs):
+        table[idx] = default_rng([seed, idx]).multinomial(shots, p)
+    return table
 
 
 def calibration_jobs(register, measured, shots: int = 4096, seed: int = 0):
@@ -457,7 +491,17 @@ def mitigate_readout(counts: ShotCounts, calib0: ShotCounts, calib1: ShotCounts)
     runs; negative entries are clipped and frequencies renormalized."""
     if calib0.measured != counts.measured or calib1.measured != counts.measured:
         raise ValueError("calibration runs must measure the same qubits")
-    k = len(counts.measured)
+    settings = tuple(counts.counts)
+    freqs = np.reshape([counts.frequencies(s) for s in settings],
+                       (-1, 2 ** len(counts.measured)))
+    table = _mitigate_table(freqs, _confusion_inverses(calib0, calib1), counts.shots)
+    return ShotCounts.of_table(counts.measured, counts.shots, settings, table)
+
+
+def _confusion_inverses(calib0: ShotCounts, calib1: ShotCounts) -> list:
+    """Inverse 2x2 confusion matrix of each measured qubit, from its marginal
+    Z-basis frequencies in the all-|0> and all-|1> calibration runs."""
+    k = len(calib0.measured)
     zkey = "Z" * k
     f0 = calib0.frequencies(zkey).reshape([2] * k)
     f1 = calib1.frequencies(zkey).reshape([2] * k)
@@ -470,17 +514,17 @@ def mitigate_readout(counts: ShotCounts, calib0: ShotCounts, calib1: ShotCounts)
         if abs(np.linalg.det(conf)) < 1e-9:
             raise ValueError("singular confusion matrix (flip probability >= 0.5)")
         invs.append(np.linalg.inv(conf))
-    table = np.reshape([counts.frequencies(s) for s in counts.counts], (-1, 2**k))
-    table = np.clip(_apply_per_qubit(invs, table), 0.0, None)
+    return invs
+
+
+def _mitigate_table(freqs: np.ndarray, invs, shots: int) -> np.ndarray:
+    """Mitigated (real-valued) count table of a (rows, 2^k) frequency table:
+    the inverse confusion matrices applied per qubit, negative entries
+    clipped, each row renormalised and scaled to ``shots``."""
+    table = np.clip(_apply_per_qubit(invs, freqs), 0.0, None)
     table = table / table.sum(axis=1, keepdims=True)
-    out: dict = {}
-    for setting, vec in zip(counts.counts, table):
-        out[setting] = {
-            format(b, f"0{k}b"): float(v * counts.shots)
-            for b, v in enumerate(vec)
-            if v > 0
-        }
-    return ShotCounts(counts.measured, counts.shots, out)
+    # Clipped entries are exact zeros, as in the counts that leave them out.
+    return np.where(table > 0, table * shots, 0.0)
 
 
 @dataclass(frozen=True)
@@ -525,7 +569,14 @@ def _tomography_tables(k: int):
     signs = np.where(identity[None], 1.0, 1.0 - 2.0 * bits[:, None, :]).prod(axis=-1)
     compatible = (identity[None] | (pstrings[None] == settings[:, None])).all(axis=-1)
     weights = compatible / compatible.sum(axis=0)
-    paulis = np.stack([nkron(*(PAULIS["IXYZ"[c]] for c in p)) for p in pstrings]) / dim
+    # One Kronecker step per qubit over the whole stack, left factor most
+    # significant, in the multiplication order of ``nkron``.
+    stack = np.stack([PAULIS[c] for c in "IXYZ"])[None, :, None, :, None, :]
+    paulis = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(k):
+        n, d = paulis.shape[:2]
+        paulis = (paulis[:, None, :, None, :, None] * stack).reshape(4 * n, 2 * d, 2 * d)
+    paulis = paulis / dim
     for table in (signs, weights, paulis):
         table.setflags(write=False)
     return signs, weights, paulis

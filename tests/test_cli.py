@@ -262,6 +262,43 @@ def test_import_and_simulate_load_no_scipy_or_new_numpy_modules(tmp_path, argv):
     assert report == {"code": 0, "at_import": [], "during": []}
 
 
+# Prints the tomography-table cache misses after ``import qcollide`` and after
+# an ideal ``simulate --model single`` run (``argv``) from a cleared cache.
+LAZY_TABLES_PROBE = """
+import json, sys
+import qcollide
+from qcollide import cli, noisytomo
+at_import = noisytomo._tomography_tables.cache_info().misses
+noisytomo._tomography_tables.cache_clear()
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "at_import": at_import,
+                  "ideal_run": noisytomo._tomography_tables.cache_info().misses}))
+"""
+
+
+def test_import_and_ideal_run_build_no_tomography_tables(tmp_path):
+    """The tomography tables are built on first use only: neither importing
+    the package nor an ideal single-model run (no shots) builds one."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qcollide.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_TABLES_PROBE, "simulate", "--model", "single",
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"code": 0, "at_import": 0, "ideal_run": 0}
+
+
+def test_shots_beyond_int64_is_input_error(tmp_path, capsys):
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text("t1_us = 280.0\n")
+    assert main(["simulate", "--model", "single", "--collisions", "1", "--noise",
+                 str(noise_file), "--shots", "99999999999999999999",
+                 "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "--shots" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_negative_seed_is_input_error(tmp_path, capsys):
     noise_file = tmp_path / "noise.cfg"
     noise_file.write_text("t1_us = 280.0\n")

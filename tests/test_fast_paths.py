@@ -1,7 +1,8 @@
 """Fast paths against slow references: the table-based tomography
 reconstruction and its forward map (the outcome table of every setting), the
-batched bootstrap, the superoperator contraction of
-``apply_at`` and ``unitary_of_circuit``, the fused circuit application
+Pauli table against one ``nkron`` per string, the batched bootstrap, the
+CLI's shot path on count tables against the ShotCounts pipeline, the
+superoperator contraction of ``apply_at`` and ``unitary_of_circuit``, the fused circuit application
 against one contraction per gate, the channel conversions (the
 batched circuit channel, the Choi matrix, the transfer matrix and the
 compressed native-gate Kraus sets), ``channel.apply``, and the qubit
@@ -10,6 +11,7 @@ derivatives and Newton refine against Nelder-Mead, and the Bloch-image mesh), an
 evolution, with the CPTP property of every channel it yields."""
 
 import itertools
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -39,7 +41,7 @@ from qcollide.channel import (
     unitary_channel,
 )
 from qcollide.circuit import Circuit, Gate, unitary_of_circuit
-from qcollide.cli import _bootstrap_states
+from qcollide.cli import _bootstrap_states, _state_for
 from qcollide.noisytomo import (
     NoiseConfig,
     ShotCounts,
@@ -145,6 +147,20 @@ def test_reconstruct_matches_reference(seed, k, mitigated):
     assert abs(got.projection_distance - want_dist) <= TOL
 
 
+def test_pauli_table_matches_nkron_per_string():
+    """The broadcast Kronecker build of the Pauli table against one ``nkron``
+    per string, and all three tables read-only."""
+    for k in range(1, 6):
+        signs, weights, paulis = noisytomo._tomography_tables(k)
+        want = np.stack([nkron(*(PAULIS[c] for c in p))
+                         for p in itertools.product("IXYZ", repeat=k)]) / 2**k
+        assert np.array_equal(paulis, want), k
+        for table in (signs, weights, paulis):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0
+
+
 def test_tomography_tables_built_once_per_k():
     noisytomo._tomography_tables.cache_clear()
     for _ in range(3):
@@ -165,6 +181,61 @@ def test_bootstrap_matches_reference_loop():
         assert len(got) == len(want)
         for state, mat in zip(got, want):
             assert np.abs(state.mat - mat).max() <= TOL
+
+
+@st.composite
+def shot_path_cases(draw):
+    """A random state on 1-5 qubits, k = 1..4 of them measured in a random
+    order, shots, a seed, and either no mitigation or calibration runs whose
+    readout flips exceed the data's, so that mitigation often clips entries
+    to 0."""
+    n = draw(st.integers(1, 5))
+    labels = [f"q{i}" for i in range(n)]
+    measured = tuple(draw(st.permutations(labels))[: draw(st.integers(1, min(4, n)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = random_density(rng, n, labels, rank=draw(st.integers(1, 2**n)))
+    noise = draw(st.one_of(st.none(), st.builds(
+        lambda f: NoiseConfig(readout={"default": f}),
+        st.tuples(st.floats(0.0, 0.1), st.floats(0.0, 0.1)))))
+    calibration = None
+    if draw(st.booleans()):
+        # Calibration flips above the data's over-correct, which clips.
+        cal_noise = NoiseConfig(readout={"default": draw(
+            st.tuples(st.floats(0.1, 0.4), st.floats(0.1, 0.4)))})
+        reg = QubitRegister(measured)
+        zero = np.zeros((reg.dim, reg.dim), dtype=complex)
+        one = zero.copy()
+        zero[0, 0] = one[-1, -1] = 1.0
+        cal_shots = draw(st.integers(64, 4096))
+        calibration = [noisytomo._sample_state(DensityMatrix(reg, m), measured, cal_shots,
+                                               seed, cal_noise, ("Z" * len(measured),))
+                       for seed, m in ((900, zero), (901, one))]
+    return (measured, rho, noise, draw(st.integers(1, 2048)),
+            draw(st.integers(0, 10**6)), draw(st.integers(0, 10)), calibration)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shot_path_cases())
+def test_cli_shot_path_matches_shot_counts_pipeline(case):
+    """``cli._state_for`` on count tables gives the state and every bootstrap
+    replica of the ShotCounts pipeline, bit for bit."""
+    measured, rho, noise, shots, seed, n, calibration = case
+    model = SimpleNamespace(ancilla_labels=measured[:1], system_labels=measured[1:])
+    rec = SimpleNamespace(joint_state=rho, n=n)
+    state, replicas = _state_for(model, rec, noise, shots, seed, calibration)
+
+    counts = noisytomo._sample_state(rho, measured, shots, seed * 1000 + n, noise,
+                                     all_settings(len(measured)))
+    if calibration is not None:
+        counts = noisytomo.mitigate_readout(counts, *calibration)
+    want = reconstruct(counts).state
+    want_replicas = _bootstrap_states(counts, seed * 1000 + n, reps=20)
+    assert state.register.labels == want.register.labels
+    assert np.array_equal(state.mat, want.mat)
+    assert len(replicas) == len(want_replicas) == 20
+    for got, ref in zip(replicas, want_replicas):
+        assert got.register.labels == ref.register.labels
+        assert np.array_equal(got.mat, ref.mat)
 
 
 _SDG = np.diag([1.0, -1.0j]).astype(complex)
