@@ -8,9 +8,9 @@ Every conversion goes through three private helpers on the row-major vec
 
 * ``_choi_matrix``: Σ vec(K) vec(K)†, output factor first, trace d;
 * ``_kraus_of_choi``: the one Choi→Kraus routine (trace-preservation check,
-  eigendecomposition, 1e-10 cutoff, exact renormalisation), behind
-  ``channel_of_choi``, the compression in ``compose`` and the noisy-gate and
-  circuit channels of ``noisytomo``;
+  eigendecomposition, round-off cutoff 1e-15·d, exact renormalisation),
+  behind ``channel_of_choi``, the compression in ``compose`` and the circuit
+  channel of ``noisytomo``;
 * ``_superop``: Σ K⊗K̄, behind ``apply_at`` and ``transfer_of_channel``;
   ``_superop_at`` applies a local superoperator on some qubits of a matrix or
   a stack of matrices.  It is the one routine that does: ``apply_at`` calls
@@ -169,8 +169,8 @@ def choi_of_channel(ch: KrausChannel, labels=("S_out", "S_ref")) -> ChoiState:
 
 
 def channel_of_choi(c: ChoiState) -> KrausChannel:
-    """Kraus extraction by eigendecomposition (eigenvalue cutoff 1e-10,
-    renormalised to be exactly trace preserving)."""
+    """Kraus extraction by eigendecomposition (eigenvalues above the
+    round-off 1e-15·d, renormalised to be exactly trace preserving)."""
     return _kraus_of_choi(c.rho.mat * c.dim, c.dim)
 
 
@@ -179,14 +179,14 @@ def _kraus_of_choi(choi: np.ndarray, d: int) -> KrausChannel:
     of trace d (the ``_choi_matrix`` convention).
 
     Rejects a trace-preservation deviation above 1e-3 (in trace-1 units),
-    keeps the eigenvectors with eigenvalue ≥ 1e-10 as Kraus operators and
-    renormalises them so the channel is exactly trace preserving."""
+    keeps the eigenvectors with eigenvalue above round-off (1e-15·d, relative
+    to the trace) as Kraus operators and renormalises them to be exactly TP."""
     marg = np.einsum("ajak->jk", choi.reshape(d, d, d, d))
     dev = np.abs(marg - np.eye(d)).max() / d
     if dev > 1e-3:
         raise ValueError(f"trace-preservation violation {dev:.2e} > 1e-3 in Choi state")
     ev, vecs = np.linalg.eigh((choi + choi.conj().T) / 2)
-    keep = ev >= 1e-10
+    keep = ev > 1e-15 * d
     ops = (np.sqrt(ev[keep]) * vecs[:, keep]).T.reshape(-1, d, d)
     # Renormalize so the channel is exactly trace preserving despite projection.
     s = np.einsum("kba,kbc->ac", ops.conj(), ops)

@@ -170,11 +170,10 @@ def _run_simulate(args) -> int:
              "--shots must be positive when noise is enabled")
     _require(noise is not None or (args.shots == 0 and not args.mitigate),
              "--shots and --mitigate need --noise")
-    builder = MODELS[args.model]
-    model = builder(args.gdt) if args.model in ("single", "two-qubit") else builder()
+    model = MODELS[args.model](args.gdt)
     n_max = args.collisions
     if n_max is None:
-        n_max = 2 if model.kind in ("Toy", "Swap") else 10
+        n_max = collision._max_steps(model) or 10
     try:
         collision._check_steps(model, n_max)
     except ValueError as exc:

@@ -4,14 +4,15 @@ mitigation, and state reconstruction.
 Noise model (per native gate):
 * a depolarizing channel on the gate's qubits (``depol_1q`` / ``depol_2q``),
 * thermal relaxation on each touched qubit for the gate duration: amplitude
-  damping with gamma = 1 - exp(-d/T1) plus extra pure dephasing so the
-  off-diagonal decay is exp(-d/T2) overall,
+  damping with gamma = 1 - exp(-d/T1), then phase damping with
+  lam = 1 - exp(-2d(1/T2 - 1/2T1)).  Meant to decay off-diagonals as
+  exp(-d/T2), this decays them as exp(d/2T1 - 2d/T2), since phase damping
+  scales them by 1 - lam (a known defect: T2 = 180 us acts as ~107 us),
 * RZ is virtual: zero duration and noiseless.
 
-Each noisy native kind has one compressed Kraus set
-(``NoiseConfig.native_kraus``): the depolarized gate's Choi matrix, relaxed
-on each output qubit, through the one Choi→Kraus routine of ``channel``,
-and one superoperator (``NoiseConfig.native_superop``).
+Each noisy native kind has one exact superoperator
+(``NoiseConfig.native_superop``): the depolarized gate, relaxed on each
+output qubit, with no Kraus set or eigenvalue cutoff in between.
 
 A circuit runs as a few fused local superoperators, not one contraction per
 gate (gate clustering, Häner & Steiger, SC'17, arXiv:1704.01127).
@@ -65,14 +66,11 @@ from numpy.random import default_rng
 from . import circuit as circ
 from .channel import (
     KrausChannel,
-    _choi_matrix,
+    _contract_at,
     _kraus_of_choi,
     _superop,
     _superop_at,
     amplitude_damping_channel,
-    apply_at,
-    compose,
-    depolarizing_channel,
     phase_damping_channel,
 )
 from .qmat import (
@@ -133,20 +131,14 @@ class NoiseConfig:
         return float(self.gate_duration_ns.get(kind, 0.0))
 
     @cached_property
-    def native_kraus(self) -> dict:
-        """Compressed Kraus set of each noisy native kind, on the gate's own
-        qubits (RZ is virtual and noiseless)."""
+    def native_superop(self) -> dict:
+        """Superoperator of each noisy native kind on the gate's own qubits
+        (RZ is virtual and noiseless), built once per config."""
         return {
-            kind: _noisy_gate_kraus(self, kind, u)
+            kind: _noisy_gate_superop(self, kind, u)
             for kind, u in (("SX", circ.SX_MATRIX), ("X", circ.X_MATRIX),
                             ("ECR", circ.ECR_MATRIX))
         }
-
-    @cached_property
-    def native_superop(self) -> dict:
-        """``_superop`` of each ``native_kraus`` set, built once per config
-        instead of once per gate application."""
-        return {kind: _superop(ops) for kind, ops in self.native_kraus.items()}
 
     def to_text(self) -> str:
         lines = [
@@ -186,8 +178,9 @@ class NoiseConfig:
         return cls(**kwargs)
 
 
-def _thermal_kraus(noise: NoiseConfig, duration_ns: float):
-    """Amplitude damping + extra dephasing for one qubit over a duration."""
+def _thermal_superop(noise: NoiseConfig, duration_ns: float):
+    """Superoperator of amplitude damping then extra dephasing on one qubit
+    over a duration (None for a duration <= 0; see the T2 defect above)."""
     if duration_ns <= 0:
         return None
     t1 = noise.t1_us * 1000.0
@@ -195,10 +188,8 @@ def _thermal_kraus(noise: NoiseConfig, duration_ns: float):
     gamma = 1.0 - np.exp(-duration_ns / t1)
     rate_phi = 1.0 / t2 - 1.0 / (2.0 * t1)
     lam = 1.0 - np.exp(-2.0 * duration_ns * max(rate_phi, 0.0))
-    ch = amplitude_damping_channel(gamma)
-    if lam > 0:
-        ch = compose(phase_damping_channel(lam), ch)
-    return ch
+    return (_superop(phase_damping_channel(lam).kraus_ops)
+            @ _superop(amplitude_damping_channel(gamma).kraus_ops))
 
 
 def _gate_superop(gate: circ.Gate, noise: NoiseConfig | None) -> np.ndarray:
@@ -210,19 +201,21 @@ def _gate_superop(gate: circ.Gate, noise: NoiseConfig | None) -> np.ndarray:
     return noise.native_superop[gate.kind]
 
 
-def _noisy_gate_kraus(noise: NoiseConfig, kind: str, u: np.ndarray):
-    """Depolarizing then thermal relaxation on each qubit, after the gate u.
-
-    The relaxation acts on the output qubits of the gate's Choi matrix; the
-    result is compressed to at most 4^nq Kraus operators."""
-    nq = int(np.log2(u.shape[0]))
+def _noisy_gate_superop(noise: NoiseConfig, kind: str, u: np.ndarray) -> np.ndarray:
+    """The gate u depolarized, (1 - p) u⊗ū + (p/d) vec(I) vec(I)ᵀ, then
+    relaxed on each output qubit of its (d², d, d) stack of images."""
+    d = u.shape[0]
+    nq = d.bit_length() - 1
     p = noise.depol_1q if nq == 1 else noise.depol_2q
-    choi = _choi_matrix([k @ u for k in depolarizing_channel(p, nq).kraus_ops])
-    thermal = _thermal_kraus(noise, noise.duration(kind))
-    if thermal is not None:
-        for pos in range(nq):
-            choi = apply_at(thermal.kraus_ops, choi, [pos], 2 * nq)
-    return _kraus_of_choi(choi, 2**nq).kraus_ops
+    vec_i = np.eye(d).reshape(-1)
+    s = (1 - p) * np.kron(u, u.conj()) + (p / d) * np.outer(vec_i, vec_i)
+    thermal = _thermal_superop(noise, noise.duration(kind))
+    if thermal is None:
+        return s
+    images = s.T.reshape(d * d, d, d)  # images[b*d + e] is the image of |b><e|
+    for pos in range(nq):
+        images = _superop_at(thermal, images, [pos], nq)
+    return images.reshape(d * d, d * d).T
 
 
 def _fused_superops(c: circ.Circuit, noise: NoiseConfig | None) -> list:
@@ -406,16 +399,16 @@ def _apply_per_qubit(mats, table: np.ndarray) -> np.ndarray:
     lead = table.ndim - 1
     out = table.reshape(table.shape[:-1] + (2,) * len(mats))
     for axis, m in enumerate(mats, start=lead):
-        out = np.moveaxis(np.tensordot(m, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
+        out = _contract_at(m, out, [axis])
     return out.reshape(table.shape)
 
 
 def _measurement_probs(rho: DensityMatrix, measured, noise: NoiseConfig | None) -> np.ndarray:
     """Outcome table (3^k, 2^k) of every setting, rows in ``all_settings(k)``
     order and outcome bits in ``measured`` order.  A qubit's readout matrix
-    is its confusion times the population transfer Σ_K |K_ab|² of the
-    measurement relaxation, which is exact: amplitude damping plus dephasing
-    never feeds coherences into populations."""
+    is its confusion times the population block [0, 3] × [0, 3] of the
+    measurement relaxation's superoperator, which is exact: amplitude
+    damping plus dephasing never feeds coherences into populations."""
     k = len(measured)
     marg = partial_trace(rho, list(measured))
     order = marg.register.indices(measured)
@@ -424,8 +417,8 @@ def _measurement_probs(rho: DensityMatrix, measured, noise: NoiseConfig | None) 
     exps = np.einsum("pij,ji->p", paulis, mat.reshape(2**k, 2**k)).real * 2**k
     probs = ((weights > 0) * exps) @ signs.T / 2**k
     if noise is not None:
-        thermal = _thermal_kraus(noise, noise.duration("MEASURE"))
-        pop = np.eye(2) if thermal is None else sum(abs(op) ** 2 for op in thermal.kraus_ops)
+        thermal = _thermal_superop(noise, noise.duration("MEASURE"))
+        pop = np.eye(2) if thermal is None else thermal[np.ix_([0, 3], [0, 3])].real
         mats = [np.array([[1 - p01, p10], [p01, 1 - p10]]) @ pop
                 for p01, p10 in map(noise.readout_probs, measured)]
         probs = _apply_per_qubit(mats, probs)

@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
 EIG_TOL = 1e-9
 
 I2 = np.eye(2)

@@ -9,6 +9,7 @@ from qcollide.noisytomo import (
     ShotCounts,
     TomographyJob,
     _measurement_probs,
+    _thermal_superop,
     all_settings,
     apply_noisy_circuit,
     calibration_jobs,
@@ -96,6 +97,14 @@ def test_thermal_relaxation_decay():
     c = Circuit(("q",), [Gate("X", ("q",))])
     out = apply_noisy_circuit(c, noise=noise)
     assert out.mat[1, 1].real == pytest.approx(np.exp(-1.0), abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="phase damping scales coherences by 1 - lam, not "
+                   "sqrt(1 - lam): they decay as exp(d/2T1 - 2d/T2), not exp(-d/T2)")
+def test_thermal_coherence_decays_with_t2():
+    # Superoperator entry [(0, 1), (0, 1)]: the factor on |0><1| over one ECR.
+    factor = _thermal_superop(NoiseConfig(), 533.0)[1, 1]
+    assert abs(factor - np.exp(-533.0 / 180_000.0)) <= 1e-12
 
 
 def test_noisy_channel_is_cpt():
