@@ -535,18 +535,57 @@ def _two_qubit_gates(u: np.ndarray, wires: tuple[str, str]) -> list[Gate]:
 # --------------------------------------------------------------------------
 
 def transpile(c: Circuit) -> Circuit:
-    """Rewrite a circuit over {RZ, SX, ECR, X} only; exact including phase."""
+    """Rewrite a circuit over {RZ, SX, ECR, X} only; exact including phase.
+
+    Each distinct source gate (kind, angle, payload, arity) is lowered once
+    per call on placeholder wires, checked on its own one or two qubits, and
+    relabelled onto every wire pair it occurs on.  The check compares the
+    lowered gates' unitary with the source gate's up to a local phase; the
+    operator-norm deviations, summed over every gate instance (plus the
+    angles of the near-zero RZ that ``_merge_rz`` drops), must stay within
+    1e-8.  That sum bounds the deviation of the whole circuit, so no
+    register-wide unitary is ever built.
+
+    The output ``global_phase`` is the input phase plus the local phases,
+    plus π for each 2π wrap of an RZ angle that ``_merge_rz`` applies while
+    merging or dropping RZ gates: RZ(θ − 2π) = −RZ(θ), so dropping RZ(2π)
+    adds π.  The native circuit's unitary then equals the input's exactly,
+    not merely up to phase."""
+    lowered: dict = {}
     native: list[Gate] = []
+    phase, dev = c.global_phase, 0.0
     for g in c.gates:
-        native.extend(_lower(g))
-    native = _merge_rz(native)
-    out = Circuit(c.register, native, 0.0)
-    target = unitary_of_circuit(c)
-    got = unitary_of_circuit(out)
-    ok, phase = equivalent_up_to_global_phase(target, got, tol=1e-8)
-    if not ok:
+        key = (g.kind, g.theta, None if g.matrix is None else g.matrix.tobytes(),
+               len(g.qubits))
+        if key not in lowered:
+            lowered[key] = _checked_lowering(g)
+        gates, local_phase, local_dev = lowered[key]
+        wire = dict(zip(_PLACEHOLDERS, g.qubits))
+        native.extend(Gate(s.kind, tuple(wire[q] for q in s.qubits), s.theta)
+                      for s in gates)
+        phase += local_phase
+        dev += local_dev
+    native, wraps, dropped = _merge_rz(native)
+    if dev + dropped / 2 > 1e-8:
         raise AssertionError("transpile produced a non-equivalent circuit")
-    return replace(out, global_phase=_wrap_angle(phase))
+    return Circuit(c.register, native, _wrap_angle(phase + np.pi * wraps))
+
+
+_PLACEHOLDERS = ("q0", "q1")
+
+
+def _checked_lowering(g: Gate):
+    """(native gates on ``_PLACEHOLDERS``, phase, deviation) for one source
+    gate: its lowering u_native with g.unitary() = e^{i phase} u_native up to
+    an operator-norm deviation ``deviation``."""
+    local = replace(g, qubits=_PLACEHOLDERS[:len(g.qubits)])
+    if g.kind in NATIVE_KINDS:
+        return [local], 0.0, 0.0
+    gates = _lower(local)
+    target = g.unitary()
+    got = unitary_of_circuit(Circuit(local.qubits, gates))
+    _, phase = equivalent_up_to_global_phase(target, got)
+    return gates, phase, float(np.linalg.norm(target - np.exp(1j * phase) * got, 2))
 
 
 def _lower(g: Gate) -> list[Gate]:
@@ -571,20 +610,31 @@ def _lower(g: Gate) -> list[Gate]:
     raise ValueError(f"unknown gate kind {g.kind!r}")
 
 
-def _merge_rz(gates: list[Gate]) -> list[Gate]:
-    """Merge adjacent RZ on the same qubit and drop angle-zero RZ."""
+def _merge_rz(gates: list[Gate]):
+    """Merge adjacent RZ on the same qubit and drop angle-zero RZ.
+
+    Returns (gates, wraps, dropped): ``wraps`` counts the multiples of 2π
+    taken off the angles of merged or dropped RZ, each of which flips the
+    sign of the unitary, and ``dropped`` sums the |angle| of the dropped RZ."""
     out: list[Gate] = []
+    wraps, dropped = 0, 0.0
     for g in gates:
         if g.kind == "RZ" and out and out[-1].kind == "RZ" and out[-1].qubits == g.qubits:
-            angle = _wrap_angle(out[-1].theta + g.theta)
+            total = out[-1].theta + g.theta
+            angle = _wrap_angle(total)
+            wraps += round((total - angle) / (2 * np.pi))
             out.pop()
             if abs(angle) > 1e-12:
                 out.append(Gate("RZ", g.qubits, theta=angle))
+            else:
+                dropped += abs(angle)
         elif g.kind == "RZ" and abs(_wrap_angle(g.theta)) < 1e-12:
-            continue
+            angle = _wrap_angle(g.theta)
+            wraps += round((g.theta - angle) / (2 * np.pi))
+            dropped += abs(angle)
         else:
             out.append(g)
-    return out
+    return out, wraps, dropped
 
 
 # --------------------------------------------------------------------------

@@ -132,33 +132,9 @@ def _bootstrap_tables(freqs, shots, seed, reps=20):
     return rng.multinomial(shots, freqs, size=(reps, len(freqs))) / shots
 
 
-def _bootstrap_states(counts, seed, reps=20):
-    """Reconstructed states of ``reps`` multinomial resamples of the counts.
-
-    Each replica draws one multinomial per setting, in ``counts.counts``
-    order, from one generator; all replicas are reconstructed in one call."""
-    k = len(counts.measured)
-    row = {s: i for i, s in enumerate(noisytomo.all_settings(k))}
-    settings = list(counts.counts)
-    freqs = np.reshape([counts.frequencies(s) for s in settings], (-1, 2**k))
-    table = np.zeros((reps, 3**k, 2**k))
-    table[:, [row[s] for s in settings]] = _bootstrap_tables(freqs, counts.shots, seed, reps)
-    mats, _ = noisytomo._reconstruct_frequencies(table)
-    return _states(counts.measured, mats)
-
-
 def _states(measured, mats):
     reg = qmat.QubitRegister(measured)
     return [qmat.DensityMatrix(reg, m, validate=False) for m in mats]
-
-
-def _quantities(state, sys_labels):
-    if state.register.n == 2:
-        return entangle.concurrence_2q(state), entangle.assistance_2q(state)
-    return (
-        entangle.concurrence_lower(state, sys_labels),
-        entangle.assistance_upper(state, sys_labels),
-    )
 
 
 def _run_simulate(args) -> int:
@@ -181,7 +157,6 @@ def _run_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sys_labels = model.system_labels
-    exact = len(sys_labels) == 1
     calibration = None
     if noise is not None and args.mitigate:
         jobs = noisytomo.calibration_jobs(model.register,
@@ -198,12 +173,15 @@ def _run_simulate(args) -> int:
     for n, (ideal_rec, used_rec) in enumerate(zip(ideal_series, used_series)):
         state, replicas = _state_for(model, used_rec, noise, args.shots, args.seed,
                                      calibration)
-        c, c_sharp = _quantities(state, sys_labels)
+        # The state and its bootstrap replicas go through the quantifiers as
+        # one stack; row 0 is the state.
+        mats = np.stack([s.mat for s in (state, *replicas)])
+        exact, conc, assist = entangle.quantifiers(mats, sys_labels, register=state.register)
+        c, c_sharp = float(conc[0]), float(assist[0])
         err_c = err_cs = 0.0
         if replicas:
-            vals = np.array([_quantities(s, sys_labels) for s in replicas])
-            err_c = float(vals[:, 0].std(ddof=1))
-            err_cs = float(vals[:, 1].std(ddof=1))
+            err_c = float(conc[1:].std(ddof=1))
+            err_cs = float(assist[1:].std(ddof=1))
         fid = qmat.state_fidelity(ideal_rec.joint_state, state)
         conc_rows.append([n, c, c_sharp, err_c, err_cs, fid])
         records.append(collision.EvolutionRecord(n, state, used_rec.reduced_channel))

@@ -4,6 +4,9 @@ For two single-qubit parties the exact Wootters concurrence and concurrence of
 assistance are used.  For larger bipartitions the witness falls back to the
 bound pair: an upper bound on the concurrence of assistance at the earlier
 time and a trace-norm lower bound on the concurrence at the later time.
+``quantifiers`` is the one place that rule is decided.  Every quantifier
+takes a ``DensityMatrix`` or a (..., d, d) stack of states and evaluates the
+whole stack in one pass.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from .qmat import (
     DensityMatrix,
     SY,
     herm_sqrt,
-    partial_trace,
-    partial_transpose,
+    partial_trace_mat,
+    partial_transpose_mat,
     trace_norm,
 )
 
@@ -27,6 +30,7 @@ __all__ = [
     "assistance_2q",
     "assistance_upper",
     "concurrence_lower",
+    "quantifiers",
     "witness",
 ]
 
@@ -63,62 +67,113 @@ class WitnessReport:
                    quantum_memory=bool(margin > STRICT_TOL), margin=margin)
 
 
-def _wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
-    """Descending square roots of the eigenvalues of rho * rho~ (2 qubits)."""
-    if rho.dim != 4:
+def _stack(rho, register=None):
+    """(matrices, register) of a DensityMatrix, or of a (..., d, d) stack of
+    matrices on ``register`` (None where the caller needs no labels)."""
+    if isinstance(rho, DensityMatrix):
+        return rho.mat, rho.register
+    return np.asarray(rho, dtype=complex), register
+
+
+def _value(x):
+    """A float for one state, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _wootters_lambdas(mats: np.ndarray) -> np.ndarray:
+    """Descending square roots of the eigenvalues of rho * rho~, along the
+    last axis, for a (..., 4, 4) stack of two-qubit states."""
+    if mats.shape[-2:] != (4, 4):
         raise ValueError("two-qubit state required")
     yy = np.kron(SY, SY)
-    rho_tilde = yy @ rho.mat.conj() @ yy
-    sr = herm_sqrt(rho.mat)
+    rho_tilde = yy @ mats.conj() @ yy
+    sr = herm_sqrt(mats)
     herm = sr @ rho_tilde @ sr
-    ev = np.linalg.eigvalsh((herm + herm.conj().T) / 2)
+    ev = np.linalg.eigvalsh((herm + herm.conj().swapaxes(-1, -2)) / 2)
     # Clamp round-off noise before the square root: eigenvalues of order the
     # machine epsilon would otherwise inflate to ~1e-8 contributions.
     ev[ev < 1e-14] = 0.0
-    return np.sort(np.sqrt(ev))[::-1]
+    return np.sort(np.sqrt(ev), axis=-1)[..., ::-1]
 
 
-def concurrence_2q(rho: DensityMatrix) -> float:
-    """Wootters concurrence max(0, l1 - l2 - l3 - l4)."""
-    lam = _wootters_lambdas(rho)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+def _wootters_pair(lam: np.ndarray):
+    """(C, C♯) = (max(0, l1 - l2 - l3 - l4), l1 + l2 + l3 + l4)."""
+    conc = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return conc, lam.sum(axis=-1)
 
 
-def assistance_2q(rho: DensityMatrix) -> float:
-    """Concurrence of assistance l1 + l2 + l3 + l4."""
-    return float(_wootters_lambdas(rho).sum())
+def concurrence_2q(rho):
+    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit
+    DensityMatrix, or of each state of a (..., 4, 4) stack."""
+    return _value(_wootters_pair(_wootters_lambdas(_stack(rho)[0]))[0])
 
 
-def assistance_upper(rho_sa: DensityMatrix, system_labels) -> float:
-    """Upper bound sqrt(2 (1 - tr(rho_S^2))) on the concurrence of assistance."""
-    system_labels = list(system_labels)
-    _check_bipartition(rho_sa, system_labels)
-    rho_s = partial_trace(rho_sa, system_labels)
-    val = 2.0 * (1.0 - rho_s.purity())
-    return float(np.sqrt(max(0.0, val)))
+def assistance_2q(rho):
+    """Concurrence of assistance l1 + l2 + l3 + l4 of a two-qubit
+    DensityMatrix, or of each state of a (..., 4, 4) stack."""
+    return _value(_wootters_pair(_wootters_lambdas(_stack(rho)[0]))[1])
 
 
-def concurrence_lower(rho_sa: DensityMatrix, system_labels) -> float:
-    """Trace-norm lower bound m~ * max(||rho^{T_S}|| - 1, ||rho^{T_A}|| - 1)."""
-    system_labels = list(system_labels)
-    other = _check_bipartition(rho_sa, system_labels)
-    m = min(2 ** len(system_labels), 2 ** len(other))
-    if m < 2:
-        raise ValueError("smaller party dimension must be at least 2")
-    mt = np.sqrt(2.0 / (m * (m - 1)))
-    best = max(
-        trace_norm(partial_transpose(rho_sa, system_labels)) - 1.0,
-        trace_norm(partial_transpose(rho_sa, other)) - 1.0,
-    )
-    return float(max(0.0, mt * best))
-
-
-def _check_bipartition(rho: DensityMatrix, system_labels) -> list[str]:
-    labels = set(rho.register.labels)
-    sset = set(system_labels)
-    if not sset or not sset <= labels or sset == labels:
+def _bipartition(rho, system_labels, register):
+    """(matrices, register, system labels, other labels) of a DensityMatrix
+    or of a stack on ``register``, for a proper nonempty system part."""
+    mats, register = _stack(rho, register)
+    if register is None:
+        raise ValueError("a stack of matrices needs its register")
+    system = list(system_labels)
+    sset = set(system)
+    if not sset or not sset <= set(register.labels) or sset == set(register.labels):
         raise ValueError("system labels must be a proper nonempty subset of the register")
-    return [x for x in rho.register.labels if x not in sset]
+    return mats, register, system, [x for x in register.labels if x not in sset]
+
+
+def _assistance_upper(mats, register, system):
+    rho_s = partial_trace_mat(mats, register.indices(system), register.n)
+    rho_s = (rho_s + rho_s.conj().swapaxes(-1, -2)) / 2
+    purity = np.trace(rho_s @ rho_s, axis1=-2, axis2=-1).real
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
+
+
+def _concurrence_lower(mats, register, system, other):
+    m = min(2 ** len(system), 2 ** len(other))
+    mt = np.sqrt(2.0 / (m * (m - 1)))
+    transposes = np.stack([partial_transpose_mat(mats, register.indices(part), register.n)
+                           for part in (system, other)])
+    best = (trace_norm(transposes) - 1.0).max(axis=0)
+    return np.maximum(0.0, mt * best)
+
+
+def assistance_upper(rho_sa, system_labels, *, register=None):
+    """Upper bound sqrt(2 (1 - tr(rho_S^2))) on the concurrence of assistance
+    of a DensityMatrix, or of each state of a (..., d, d) stack on
+    ``register``."""
+    mats, register, system, _ = _bipartition(rho_sa, system_labels, register)
+    return _value(_assistance_upper(mats, register, system))
+
+
+def concurrence_lower(rho_sa, system_labels, *, register=None):
+    """Trace-norm lower bound m~ * max(||rho^{T_S}|| - 1, ||rho^{T_A}|| - 1)
+    of a DensityMatrix, or of each state of a (..., d, d) stack on
+    ``register``; both partial transposes of every state go through one
+    ``trace_norm``."""
+    return _value(_concurrence_lower(*_bipartition(rho_sa, system_labels, register)))
+
+
+def quantifiers(rho, system_labels, *, register=None):
+    """(exact, C, C♯) of a DensityMatrix, or of each state of a (..., d, d)
+    stack on ``register``, across the ``system_labels`` | rest cut.
+
+    With one qubit on each side (exact) these are the Wootters concurrence
+    and concurrence of assistance; otherwise the trace-norm lower bound on
+    C and the purity upper bound on C♯."""
+    mats, register, system, other = _bipartition(rho, system_labels, register)
+    exact = len(system) == 1 and len(other) == 1
+    if exact:
+        conc, assist = _wootters_pair(_wootters_lambdas(mats))
+    else:
+        conc = _concurrence_lower(mats, register, system, other)
+        assist = _assistance_upper(mats, register, system)
+    return exact, _value(conc), _value(assist)
 
 
 def witness(rho_t1: DensityMatrix, rho_t2: DensityMatrix, system_labels,
@@ -126,12 +181,6 @@ def witness(rho_t1: DensityMatrix, rho_t2: DensityMatrix, system_labels,
     """Two-time quantum-memory test on a fixed system/ancilla split."""
     if rho_t1.register.labels != rho_t2.register.labels:
         raise ValueError("the two states must share a register")
-    system_labels = list(system_labels)
-    other = _check_bipartition(rho_t1, system_labels)
-    exact = len(system_labels) == 1 and len(other) == 1
-    if exact:
-        left, right = assistance_2q(rho_t1), concurrence_2q(rho_t2)
-    else:
-        left = assistance_upper(rho_t1, system_labels)
-        right = concurrence_lower(rho_t2, system_labels)
-    return WitnessReport.of_sides(t1_id, t2_id, exact, left, right)
+    exact, conc, assist = quantifiers(np.stack([rho_t1.mat, rho_t2.mat]),
+                                      system_labels, register=rho_t1.register)
+    return WitnessReport.of_sides(t1_id, t2_id, exact, float(assist[0]), float(conc[1]))

@@ -589,7 +589,7 @@ def _reconstruct_frequencies(freqs: np.ndarray):
     est = np.tensordot(exps, paulis, axes=(1, 0))
     est = (est + est.conj().swapaxes(-1, -2)) / 2
     ev, vecs = np.linalg.eigh(est)
-    projected = np.stack([_project_simplex(e) for e in ev])
+    projected = _project_simplex(ev)
     mats = (vecs * projected[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     dists = np.abs(projected - ev).sum(axis=-1)
     batch = freqs.shape[:-2]
@@ -597,11 +597,15 @@ def _reconstruct_frequencies(freqs: np.ndarray):
 
 
 def _project_simplex(ev: np.ndarray) -> np.ndarray:
-    """Euclidean projection of eigenvalues onto {x >= 0, sum x = 1}."""
-    u = np.sort(ev)[::-1]
-    css = np.cumsum(u)
-    rho_idx = np.nonzero(u + (1.0 - css) / np.arange(1, len(u) + 1) > 0)[0][-1]
-    theta = (1.0 - css[rho_idx]) / (rho_idx + 1)
+    """Euclidean projection of eigenvalues onto {x >= 0, sum x = 1}, along
+    the last axis."""
+    u = np.sort(ev, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    size = u.shape[-1]
+    feasible = u + (1.0 - css) / np.arange(1, size + 1) > 0
+    # The last feasible index of each row (index 0 always is).
+    rho_idx = size - 1 - np.argmax(feasible[..., ::-1], axis=-1)[..., None]
+    theta = (1.0 - np.take_along_axis(css, rho_idx, axis=-1)) / (rho_idx + 1)
     return np.clip(ev + theta, 0.0, None)
 
 

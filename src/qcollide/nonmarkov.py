@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import KrausChannel, transfer_of_channel
-from .entangle import concurrence_2q, concurrence_lower
+from .entangle import quantifiers
 
 __all__ = [
     "rhp_series",
@@ -35,20 +35,17 @@ def rhp_series(records, system_labels) -> tuple[tuple[tuple[int, float], ...], b
     """Per-record system-ancilla concurrence; any strict increase flags
     CP-indivisibility.  Returns (series, used_lower_bound, increase_found).
 
-    For joint states larger than two qubits the trace-norm lower bound across
-    the ``system_labels`` | rest cut is used and flagged."""
-    series = []
-    lower_bound = False
-    for rec in records:
-        rho = rec.joint_state
-        if rho.register.n == 2:
-            val = concurrence_2q(rho)
-        else:
-            lower_bound = True
-            val = concurrence_lower(rho, system_labels)
-        series.append((rec.n, float(val)))
+    The records' joint states go through ``entangle.quantifiers`` as one
+    stack.  For joint states larger than two qubits the trace-norm lower
+    bound across the ``system_labels`` | rest cut is used and flagged."""
+    records = list(records)
+    if not records:
+        return (), False, False
+    exact, conc, _ = quantifiers(np.stack([rec.joint_state.mat for rec in records]),
+                                 system_labels, register=records[0].joint_state.register)
+    series = tuple((rec.n, float(c)) for rec, c in zip(records, conc))
     increase = any(b[1] > a[1] + 1e-9 for a, b in zip(series, series[1:]))
-    return tuple(series), lower_bound, increase
+    return series, not exact, increase
 
 
 def _direction(theta, phi) -> np.ndarray:

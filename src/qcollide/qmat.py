@@ -183,25 +183,35 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(QubitRegister(out_labels), out, validate=False)
 
 
+def partial_transpose_mat(mat: np.ndarray, positions, n: int) -> np.ndarray:
+    """Entrywise transpose on the given qubit positions (MSB-first) of a raw
+    2^n x 2^n matrix, or of a stack of them (..., 2^n, 2^n)."""
+    batch = mat.shape[:-2]
+    b = len(batch)
+    r = mat.reshape(batch + (2,) * (2 * n))
+    for q in positions:
+        r = np.swapaxes(r, b + q, b + q + n)
+    return r.reshape(mat.shape)
+
+
 def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
     """Entrywise transpose on the chosen tensor factor(s); returns a raw matrix."""
     reg = rho.register
-    part_idx = reg.indices(list(part))
-    n = reg.n
-    r = _reshaped(rho.mat, n)
-    for q in part_idx:
-        r = np.swapaxes(r, q, q + n)
-    return r.reshape(reg.dim, reg.dim)
+    return partial_transpose_mat(rho.mat, reg.indices(list(part)), reg.n)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
+def trace_norm(m: np.ndarray):
+    """Sum of singular values, of one matrix (a float) or along the last two
+    axes of a stack (an array).  Hermitian matrices (within 1e-12) take
+    their eigenvalues, all in one ``eigvalsh``; the rest take an SVD."""
     m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-1] != m.shape[-2]:
         raise ValueError("square matrix required")
-    if np.abs(m - m.conj().T).max() < 1e-12:
-        return float(np.abs(np.linalg.eigvalsh(m)).sum())
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) < 1e-12
+    out = np.empty(m.shape[:-2])
+    out[herm] = np.abs(np.linalg.eigvalsh(m[herm])).sum(axis=-1)
+    out[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -212,13 +222,14 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def herm_sqrt(m: np.ndarray) -> np.ndarray:
-    """PSD square root of a Hermitian matrix, small negative eigenvalues clamped."""
-    ev, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    """PSD square root of a Hermitian matrix, or of each matrix along the
+    last two axes of a stack; small negative eigenvalues clamped."""
+    ev, vecs = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
     ev = np.clip(ev, 0.0, None)
     # Round-off noise of order machine epsilon would inflate to ~1e-8 per
     # eigenvalue through the square root; clamp it first.
     ev[ev < 1e-14] = 0.0
-    return (vecs * np.sqrt(ev)) @ vecs.conj().T
+    return (vecs * np.sqrt(ev)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary
+from qcollide import circuit as circ
+from qcollide import collision
 from qcollide.circuit import (
     Circuit,
     ECR_MATRIX,
@@ -19,7 +24,7 @@ from qcollide.circuit import (
     unitary_of_circuit,
 )
 from qcollide.collision import collision_unitary, two_qubit_unitary
-from qcollide.qmat import ket
+from qcollide.qmat import QubitRegister, ket
 
 
 def test_gate_validation():
@@ -200,3 +205,182 @@ def test_serialization_round_trip(rng):
     assert back.register.labels == c.register.labels
     assert back.global_phase == pytest.approx(1.25, abs=1e-12)
     assert np.abs(unitary_of_circuit(back) - unitary_of_circuit(c)).max() < 1e-10
+
+
+def reference_merge_rz(gates):
+    """Merge adjacent RZ on the same qubit and drop angle-zero RZ, with no
+    account of the 2π wraps: the merge of the register-wide transpile."""
+    out = []
+    for g in gates:
+        if g.kind == "RZ" and out and out[-1].kind == "RZ" and out[-1].qubits == g.qubits:
+            angle = circ._wrap_angle(out[-1].theta + g.theta)
+            out.pop()
+            if abs(angle) > 1e-12:
+                out.append(Gate("RZ", g.qubits, theta=angle))
+        elif g.kind == "RZ" and abs(circ._wrap_angle(g.theta)) < 1e-12:
+            continue
+        else:
+            out.append(g)
+    return out
+
+
+def reference_transpile(c):
+    """The register-wide transpile: lower every gate instance, merge RZ, and
+    take the phase from the two 2^n x 2^n unitaries."""
+    native = []
+    for g in c.gates:
+        native.extend(circ._lower(g))
+    out = Circuit(c.register, reference_merge_rz(native))
+    ok, phase = equivalent_up_to_global_phase(unitary_of_circuit(c),
+                                              unitary_of_circuit(out), tol=1e-8)
+    assert ok
+    return out.with_gates(out.gates, circ._wrap_angle(phase))
+
+
+_BOUNDARY_ANGLES = (1e-9, 1e-6, -1e-6, 1e-3, 0.001953125, np.pi / 2 + 1e-7, np.pi - 1e-6)
+_RZ_ANGLES = st.one_of(
+    st.floats(-4 * np.pi, 4 * np.pi),
+    st.builds(lambda s, e: s * np.pi + e, st.sampled_from([-1.0, 1.0]),
+              st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-3, -1e-3])),
+    st.builds(lambda k, e: 2 * np.pi * k + e, st.integers(-2, 2),
+              st.sampled_from([0.0, 1e-13, -1e-13, 5e-13])),
+)
+
+
+@st.composite
+def transpile_cases(draw):
+    """A random circuit on 1-6 qubits: H, CNOT, RZ (and RZ pairs on one
+    qubit) at angles near ±π and multiples of 2π, and 1- and 2-qubit
+    UNITARY payloads drawn from a small pool, so each is repeated on
+    different wires; 2-qubit payloads include ones near CNOT-class
+    boundaries (the exchange unitary at small or near-π/2 angles between
+    random locals)."""
+    n = draw(st.integers(1, 6))
+    labels = [f"w{i}" for i in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    one = [random_unitary(rng, 2) for _ in range(2)]
+    two = [random_unitary(rng, 4)]
+    for angle in draw(st.lists(st.sampled_from(_BOUNDARY_ANGLES), min_size=1, max_size=2)):
+        locals_ = [random_unitary(rng, 2) if draw(st.booleans()) else np.eye(2)
+                   for _ in range(4)]
+        two.append(np.kron(*locals_[:2]) @ collision_unitary(angle) @ np.kron(*locals_[2:]))
+    kinds = ["H", "RZ", "RZRZ", "U1"] + (["CNOT", "U2"] if n > 1 else [])
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=14)):
+        q = draw(st.sampled_from(labels))
+        if kind in ("CNOT", "U2"):
+            pair = tuple(draw(st.permutations(labels))[:2])
+        if kind == "H":
+            gates.append(Gate("H", (q,)))
+        elif kind in ("RZ", "RZRZ"):
+            for _ in range(2 if kind == "RZRZ" else 1):
+                gates.append(Gate("RZ", (q,), theta=draw(_RZ_ANGLES)))
+        elif kind == "U1":
+            gates.append(Gate("UNITARY", (q,), matrix=one[draw(st.integers(0, 1))]))
+        elif kind == "CNOT":
+            gates.append(Gate("CNOT", pair))
+        else:
+            gates.append(Gate("UNITARY", pair,
+                              matrix=two[draw(st.integers(0, len(two) - 1))]))
+    return Circuit(labels, gates, draw(st.floats(-np.pi, np.pi)))
+
+
+def _gate_list(c):
+    return [(g.kind, g.qubits, g.theta) for g in c.gates]
+
+
+def _phase_gap(a, b):
+    return abs((a - b + np.pi) % (2 * np.pi) - np.pi)
+
+
+def _residual(c, native):
+    """Operator-norm distance between the unitaries of a circuit and its
+    transpiled form, phase included."""
+    return float(np.linalg.norm(unitary_of_circuit(native) - unitary_of_circuit(c), 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(transpile_cases())
+def test_transpile_matches_register_wide_reference(c):
+    """Gate by gate, once per distinct gate: the same native gates as the
+    register-wide transpile, and the same global phase modulo 2π.
+
+    Both outputs share the gates V, so their phases differ by at most the
+    sum of their residuals ‖U − e^{iφ}V‖.  Those are round-off (the 1e-12
+    then holds) except near CNOT-class boundaries, where the KAK is exact
+    only to ~1e-9 and the phase is defined only to that residual.  Where the
+    two-qubit synthesis fails, both transpiles raise."""
+    try:
+        want = reference_transpile(c)
+    except AssertionError:
+        with pytest.raises(AssertionError):
+            transpile(c)
+        return
+    got = transpile(c)
+    assert _gate_list(got) == _gate_list(want)
+    residual = _residual(c, got)
+    assert residual <= 1e-8
+    slack = residual + _residual(c, want)
+    assert _phase_gap(got.global_phase, want.global_phase) <= 1e-12 + slack
+
+
+def test_transpile_matches_reference_on_toy_circuits():
+    """The toy prep and both steps, on their registers; the prep's phase is
+    +π on one side and −π on the other, equal modulo 2π."""
+    model = collision.toy_model()
+    se = QubitRegister(model.system_labels + model.env_labels)
+    circuits = [Circuit(model.register, collision._prep_gates(model))]
+    circuits += [Circuit(se, gates) for gates in collision._steps(model)]
+    for c in circuits:
+        got, want = transpile(c), reference_transpile(c)
+        assert _gate_list(got) == _gate_list(want)
+        assert _phase_gap(got.global_phase, want.global_phase) <= 1e-12
+
+
+def test_transpile_catches_a_wrong_lowering():
+    """A lowering that misses its gate fails the local check, and so does a
+    small error repeated over enough instances of one distinct gate: the
+    bound is on the sum over every instance."""
+    cnot = Circuit(("a", "b"), [Gate("CNOT", ("a", "b"))])
+    with mock.patch.object(circ, "_cnot_native", lambda c, t: [Gate("ECR", (c, t))]):
+        with pytest.raises(AssertionError):
+            transpile(cnot)
+    euler = circ._euler_native
+    with mock.patch.object(circ, "_euler_native",
+                           lambda u, q: euler(u, q) + [Gate("SX", (q,))]):
+        with pytest.raises(AssertionError):
+            transpile(Circuit(("a",), [Gate("H", ("a",))]))
+
+    def slightly_off(u, q):
+        return euler(u, q) + [Gate("RZ", (q,), theta=4e-9)]
+
+    labels = [f"w{i}" for i in range(6)]
+    one = Circuit(labels, [Gate("H", ("w0",))])
+    many = Circuit(labels, [Gate("H", (q,)) for q in labels] * 2)
+    with mock.patch.object(circ, "_euler_native", slightly_off):
+        transpile(one)
+        with pytest.raises(AssertionError):
+            transpile(many)
+
+
+def test_toy_transpile_is_local_and_lowers_each_payload_once():
+    """No unitary wider than two qubits is built while the toy prep and
+    steps are transpiled, and the two steps (each one payload on two wire
+    pairs) run one KAK each."""
+    model = collision.toy_model()
+    se = QubitRegister(model.system_labels + model.env_labels)
+    widths = []
+    build = circ.unitary_of_circuit
+
+    def spy(c):
+        widths.append(c.register.n)
+        return build(c)
+
+    with mock.patch.object(circ, "unitary_of_circuit", spy), \
+            mock.patch.object(circ, "_kak", wraps=circ._kak) as kak:
+        collision._native(Circuit(model.register, collision._prep_gates(model)))
+        assert kak.call_count == 0
+        for gates in collision._steps(model):
+            collision._native(Circuit(se, gates))
+    assert widths and max(widths) <= 2
+    assert kak.call_count == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_density, random_pure, random_unitary
 from qcollide.entangle import (
@@ -7,14 +8,19 @@ from qcollide.entangle import (
     assistance_upper,
     concurrence_2q,
     concurrence_lower,
+    quantifiers,
     witness,
 )
 from qcollide.qmat import (
+    SY,
     DensityMatrix,
+    QubitRegister,
     ket,
     partial_trace,
+    partial_transpose,
     pure_state,
     tensor,
+    trace_norm,
 )
 
 BELL = pure_state((ket("00") + ket("11")) / np.sqrt(2), ("A", "S"))
@@ -125,3 +131,103 @@ def test_local_unitary_invariance(rng):
         assert abs(
             concurrence_lower(rho, ["S"]) - concurrence_lower(rotated, ["S"])
         ) < 1e-9
+
+
+def reference_pair(rho, system_labels):
+    """(C, C♯) of one state from the formulas, one matrix at a time: the
+    Wootters pair for two qubits, else the trace-norm lower bound and the
+    purity upper bound, each partial transpose through its own norm."""
+    mat = rho.mat
+    if rho.register.n == 2:
+        ev, vecs = np.linalg.eigh(mat)
+        ev[ev < 1e-14] = 0.0
+        sr = (vecs * np.sqrt(ev)) @ vecs.conj().T
+        yy = np.kron(SY, SY)
+        herm = sr @ yy @ mat.conj() @ yy @ sr
+        lam = np.linalg.eigvalsh((herm + herm.conj().T) / 2)
+        lam = np.sort(np.sqrt(np.where(lam < 1e-14, 0.0, lam)))[::-1]
+        return max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), lam.sum()
+    other = [x for x in rho.register.labels if x not in system_labels]
+    m = min(2 ** len(system_labels), 2 ** len(other))
+    norms = [np.linalg.svd(partial_transpose(rho, part), compute_uv=False).sum()
+             for part in (system_labels, other)]
+    lower = max(0.0, np.sqrt(2.0 / (m * (m - 1))) * (max(norms) - 1.0))
+    purity = partial_trace(rho, system_labels).purity()
+    return lower, np.sqrt(max(0.0, 2.0 * (1.0 - purity)))
+
+
+_SPLITS = {"1|1": (("A", "S"), ["S"]),
+           "2|2": (("A1", "A2", "S1", "S2"), ["S1", "S2"]),
+           "1|3": (("A1", "A2", "S1", "S2"), ["S1"])}
+
+
+def _bell_state(labels):
+    """The Bell state on (A, S), or a Bell pair on each (Ai, Si)."""
+    if len(labels) == 2:
+        return DensityMatrix(labels, BELL.mat)
+    # kron orders the factors (A1, S1, A2, S2); reorder to (A1, A2, S1, S2).
+    pair = np.kron(BELL.mat, BELL.mat).reshape((2,) * 8)
+    return DensityMatrix(labels, pair.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16))
+
+
+def _state(labels, rng, kind):
+    """A random state of random rank, or one whose zero eigenvalues sit at
+    -1e-17 (round-off below zero), or the Bell state."""
+    if kind == "bell":
+        return _bell_state(labels)
+    d = 2 ** len(labels)
+    ev = np.zeros(d)
+    rank = int(rng.integers(1, d + 1))
+    ev[:rank] = rng.dirichlet(np.ones(rank))
+    if kind == "negative":
+        ev[rank:] = -1e-17
+    u = random_unitary(rng, d)
+    return DensityMatrix(labels, (u * ev) @ u.conj().T, validate=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(split=st.sampled_from(sorted(_SPLITS)), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["random", "negative", "bell"]),
+                      min_size=1, max_size=6))
+@example(split="1|1", seed=0, kinds=["bell", "negative", "random"])
+@example(split="2|2", seed=1, kinds=["bell", "negative", "random"])
+@example(split="1|3", seed=2, kinds=["bell", "negative", "random"])
+def test_stacked_quantifiers_match_per_state(split, seed, kinds):
+    """The quantifiers of a stack against each state on its own, through the
+    public functions and through the per-state formulas, to 1e-12."""
+    labels, system = _SPLITS[split]
+    rng = np.random.default_rng(seed)
+    states = [_state(labels, rng, kind) for kind in kinds]
+    mats = np.stack([rho.mat for rho in states])
+    reg = QubitRegister(labels)
+    exact, conc, assist = quantifiers(mats, system, register=reg)
+    assert exact == (split == "1|1")
+    assert conc.shape == assist.shape == (len(states),)
+    for rho, c, a in zip(states, conc, assist):
+        assert quantifiers(rho, system) == (exact, pytest.approx(c, abs=1e-12),
+                                            pytest.approx(a, abs=1e-12))
+        want_c, want_a = reference_pair(rho, system)
+        assert abs(c - want_c) <= 1e-12 and abs(a - want_a) <= 1e-12
+    if exact:
+        assert np.abs(concurrence_2q(mats) - conc).max() <= 1e-12
+        assert np.abs(assistance_2q(mats) - assist).max() <= 1e-12
+    else:
+        assert np.abs(concurrence_lower(mats, system, register=reg) - conc).max() <= 1e-12
+        assert np.abs(assistance_upper(mats, system, register=reg) - assist).max() <= 1e-12
+
+
+def test_stacked_trace_norm_mixes_hermitian_and_not(rng):
+    """A stack with Hermitian and non-Hermitian matrices: each takes its own
+    route, as on its own."""
+    herm = random_density(rng, 2).mat
+    other = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    stack = np.stack([herm, other, herm.T])
+    got = trace_norm(stack)
+    assert got.shape == (3,)
+    assert np.abs(got - [trace_norm(m) for m in stack]).max() <= 1e-12
+    assert abs(got[1] - np.linalg.svd(other, compute_uv=False).sum()) <= 1e-12
+
+
+def test_stacked_quantifiers_need_a_register():
+    with pytest.raises(ValueError):
+        concurrence_lower(np.stack([BELL.mat]), ["S"])

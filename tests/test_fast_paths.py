@@ -41,7 +41,7 @@ from qcollide.channel import (
     unitary_channel,
 )
 from qcollide.circuit import Circuit, Gate, unitary_of_circuit
-from qcollide.cli import _bootstrap_states, _state_for
+from qcollide.cli import _bootstrap_tables, _state_for, _states
 from qcollide.noisytomo import (
     NoiseConfig,
     ShotCounts,
@@ -115,6 +115,22 @@ def reference_bootstrap(counts, seed, reps=20):
         out.append(reference_reconstruct(ShotCounts(counts.measured, counts.shots,
                                                     resampled))[0])
     return out
+
+
+def _bootstrap_states(counts, seed, reps=20):
+    """Reconstructed states of ``reps`` multinomial resamples of the counts.
+
+    Each replica draws one multinomial per setting, in ``counts.counts``
+    order, from one generator; all replicas are reconstructed in one call:
+    the ShotCounts form of the CLI's bootstrap on count tables."""
+    k = len(counts.measured)
+    row = {s: i for i, s in enumerate(all_settings(k))}
+    settings = list(counts.counts)
+    freqs = np.reshape([counts.frequencies(s) for s in settings], (-1, 2**k))
+    table = np.zeros((reps, 3**k, 2**k))
+    table[:, [row[s] for s in settings]] = _bootstrap_tables(freqs, counts.shots, seed, reps)
+    mats, _ = noisytomo._reconstruct_frequencies(table)
+    return _states(counts.measured, mats)
 
 
 def random_counts(seed, k, shots=512, mitigated=False):
