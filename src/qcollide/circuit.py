@@ -149,13 +149,30 @@ class Circuit:
 
 
 def unitary_of_circuit(c: Circuit) -> np.ndarray:
-    if c.register.n > 8:
-        raise ValueError("unitary_of_circuit supports at most 8 qubits")
+    """The circuit's unitary, global phase included.  On one or two qubits
+    each gate is one direct matrix product; on more, one tensor contraction
+    per gate."""
     n = c.register.n
-    u = np.eye(c.register.dim, dtype=complex).reshape([2] * (2 * n))
-    for g in c.gates:
-        u = _contract_at(g.unitary(), u, c.register.indices(g.qubits))
-    return np.exp(1j * c.global_phase) * u.reshape(c.register.dim, c.register.dim)
+    if n > 8:
+        raise ValueError("unitary_of_circuit supports at most 8 qubits")
+    dim = c.register.dim
+    if n > 2:
+        u = np.eye(dim, dtype=complex).reshape([2] * (2 * n))
+        for g in c.gates:
+            u = _contract_at(g.unitary(), u, c.register.indices(g.qubits))
+    else:
+        u = np.eye(dim, dtype=complex)
+        for g in c.gates:
+            m, pos = g.unitary(), c.register.indices(g.qubits)
+            if len(pos) == n:
+                if pos == [1, 0]:
+                    m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+                u = m @ u
+            else:
+                # A 1-qubit gate on a 2-qubit register: on wire 0 it maps the
+                # row blocks, on wire 1 the rows within each block.
+                u = (m @ u.reshape((2, 8) if pos == [0] else (2, 2, 4))).reshape(4, 4)
+    return np.exp(1j * c.global_phase) * u.reshape(dim, dim)
 
 
 def equivalent_up_to_global_phase(U, V, tol: float = 1e-8):
@@ -351,6 +368,14 @@ def _su2su2_factors(u4: np.ndarray):
         a2 = -a2
     A = np.array([[a1, a2], [-np.conj(a2), np.conj(a1)]])
     B = c2 / A[0, 1] if np.isclose(A[0, 0], 0.0, atol=1e-6) else c1 / A[0, 0]
+    blocks = u4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)  # blocks[i, j] = A[i, j] B
+    if np.abs(blocks - A[:, :, None, None] * B).max() > 1e-10:
+        # An entry of A near 0 but not at it leaves a1 or a2 at round-off
+        # (seen near CNOT-class boundaries); then read B off the largest
+        # block, and A off B.
+        i, j = np.unravel_index(np.argmax(np.linalg.norm(blocks, axis=(2, 3))), (2, 2))
+        B = blocks[i, j] / np.sqrt(complex(np.linalg.det(blocks[i, j])))
+        A = np.einsum("ijab,ab->ij", blocks, B.conj()) / 2
     return A, B
 
 

@@ -217,6 +217,9 @@ def _run_simulate(args) -> int:
     _write_csv(out_dir / "nonmarkov.csv", ["quantity", "value"], nm_lines)
 
     noise_lines = [] if noise is None else noise.to_text().splitlines()
+    # Only the QSD imports SciPy. Reading its version without importing it
+    # (importlib.metadata) takes ~25 ms, most of an ideal single run.
+    scipy = sys.modules.get("scipy")
     manifest = [
         f"qcollide {__version__}",
         f"model = {args.model}",
@@ -225,6 +228,7 @@ def _run_simulate(args) -> int:
         f"noise = {args.noise}",
         *(f"noise.{line}" for line in noise_lines),
         f"numpy = {np.__version__}",
+        f"scipy = {'not loaded' if scipy is None else scipy.__version__}",
         f"shots = {args.shots}",
         f"seed = {args.seed}",
         f"mitigate = {args.mitigate}",

@@ -27,21 +27,26 @@ channel on kept qubits (``noisy_channel_of_circuit``) runs the circuit once
 on the stack of all inputs |i><j| and reads its Choi matrix off the
 traced-out images.
 
-Sampling runs the reconstruction tables below forward: the measured qubits'
-4^k Pauli expectations give the (3^k settings × 2^k outcomes) table of every
-setting at once.  With noise, each outcome bit then goes through one 2x2
-readout matrix per qubit: relaxation for the measurement duration, then the
-confusion flips (p01 = P(read 1 | true 0), p10 = P(read 0 | true 1)).  The
-setting at position idx draws its shots from ``default_rng([seed, idx])``, so
-sampling is deterministic; outcome bitstrings follow the ``measured`` order.
+Tomography is linear, and both of its maps factor into one small map per
+measured qubit (``_FORWARD`` and ``_INVERSE``), applied by ``_apply_per_qubit``
+along one axis per qubit; no 4^k-sized table is built.  With
+E[s, o] = (I + (1 - 2o) σ_s)/2 the projector on outcome o of setting
+s ∈ (X, Y, Z), sampling maps ρ's (a, b) axes to the (setting, outcome) axes by
+F[(s, o), (a, b)] = E[s, o][b, a], which gives the (3^k settings × 2^k
+outcomes) table of every setting at once.  With noise, F first takes one 2x2
+readout matrix per qubit on its outcome: relaxation for the measurement
+duration, then the confusion flips (p01 = P(read 1 | true 0),
+p10 = P(read 0 | true 1)).  The setting at position idx draws its shots from
+``default_rng([seed, idx])``, so sampling is deterministic; outcome
+bitstrings follow the ``measured`` order.
 
-Reconstruction is linear: for k measured qubits, tables built once per k map
-the (3^k settings × 2^k outcomes) frequency table to the 4^k Pauli-string
-expectations (outcome signs, weighted by 1/#compatible settings) and those to
-the estimate Σ_P <P> P / 2^k.  The estimate is projected onto the density
-matrices (Smolin–Gambetta–Smith).  Many frequency tables, such as bootstrap
-replicas, go through the same maps in one batched call.  The Pauli table is
-built by one broadcast Kronecker step per qubit over the I, X, Y, Z stack.
+Reconstruction runs the other way: D[(a, b), (s, o)] = E[s, o][a, b] - δ_ab/3
+maps a frequency table to the linear-inversion estimate Σ_P <P> P / 2^k,
+where each Pauli-string expectation <P> is the mean over the settings
+compatible with P (1/3 per identity factor, which is where the δ_ab/3 comes
+from).  The estimate is projected onto the density matrices
+(Smolin–Gambetta–Smith).  Many frequency tables, such as bootstrap replicas,
+go through the same maps in one call.
 
 The shot path runs on count tables, rows in ``all_settings`` order:
 ``_sample_table`` draws one, ``_frequencies`` normalises it,
@@ -58,7 +63,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.random import default_rng
@@ -66,7 +71,6 @@ from numpy.random import default_rng
 from . import circuit as circ
 from .channel import (
     KrausChannel,
-    _contract_at,
     _kraus_of_choi,
     _superop,
     _superop_at,
@@ -394,34 +398,71 @@ def _frequencies(table: np.ndarray) -> np.ndarray:
 
 
 def _apply_per_qubit(mats, table: np.ndarray) -> np.ndarray:
-    """Apply one 2x2 matrix per measured qubit (``mats[i]`` on outcome bit i,
-    most significant first) along the outcome axes of a (..., 2^k) table."""
-    lead = table.ndim - 1
-    out = table.reshape(table.shape[:-1] + (2,) * len(mats))
-    for axis, m in enumerate(mats, start=lead):
-        out = _contract_at(m, out, [axis])
-    return out.reshape(table.shape)
+    """Apply one matrix per qubit along the last axis of a (..., Π in_i)
+    table, whose index is one factor per qubit, most significant first:
+    ``mats[i]`` (out_i × in_i) maps factor i.  Returns (..., Π out_i).
+
+    Each step maps the leading factor and appends its image as the last
+    one, so after all of them the factors are back in order; a step is one
+    matrix product over the whole table.  A complex map on a real table
+    multiplies it by the map's real and imaginary parts in one real
+    product, read back as complex, so the table is never copied to complex."""
+    rows = int(np.prod(table.shape[:-1]))
+    out = table.reshape(rows, -1)
+    for m in mats:
+        x = out.reshape(rows, m.shape[1], -1).transpose(0, 2, 1)
+        if np.iscomplexobj(m) and not np.iscomplexobj(x):
+            parts = np.stack([m.real.T, m.imag.T], axis=-1)  # (in_i, out_i, re/im)
+            out = (x @ parts.reshape(m.shape[1], -1)).view(complex)
+        else:
+            out = x @ m.T
+        out = out.reshape(rows, -1)
+    return out.reshape(table.shape[:-1] + (-1,))
+
+
+def _pauli_maps():
+    """The per-qubit maps of Pauli tomography (module docstring):
+    ``_FORWARD`` (6, 4) from ρ's (a, b) to (setting, outcome), and
+    ``_INVERSE`` (4, 6) back to the estimate's (a, b)."""
+    sigma = np.stack([PAULIS[c] for c in "XYZ"])
+    # proj[s, o] = E[s, o] = (I + (1 - 2o) σ_s)/2
+    proj = (np.eye(2) + np.array([1.0, -1.0])[:, None, None] * sigma[:, None]) / 2
+    forward = proj.transpose(0, 1, 3, 2).reshape(6, 4)
+    inverse = (proj - np.eye(2) / 3).reshape(6, 4).T
+    for m in (forward, inverse):
+        m.setflags(write=False)
+    return forward, inverse
+
+
+_FORWARD, _INVERSE = _pauli_maps()
+
+
+def _interleave(k: int, lead: int = 0) -> list[int]:
+    """Axis order taking (lead axes, x_1..x_k, y_1..y_k) to (lead axes,
+    x_1, y_1, ..., x_k, y_k); its ``np.argsort`` undoes it."""
+    return list(range(lead)) + [lead + j for i in range(k) for j in (i, k + i)]
 
 
 def _measurement_probs(rho: DensityMatrix, measured, noise: NoiseConfig | None) -> np.ndarray:
     """Outcome table (3^k, 2^k) of every setting, rows in ``all_settings(k)``
-    order and outcome bits in ``measured`` order.  A qubit's readout matrix
-    is its confusion times the population block [0, 3] × [0, 3] of the
-    measurement relaxation's superoperator, which is exact: amplitude
+    order and outcome bits in ``measured`` order: ``_FORWARD`` on each
+    measured qubit.  With noise a qubit's map first takes its readout matrix
+    on the outcome: its confusion times the population block [0, 3] × [0, 3]
+    of the measurement relaxation's superoperator, which is exact: amplitude
     damping plus dephasing never feeds coherences into populations."""
     k = len(measured)
     marg = partial_trace(rho, list(measured))
     order = marg.register.indices(measured)
-    mat = marg.mat.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
-    signs, weights, paulis = _tomography_tables(k)
-    exps = np.einsum("pij,ji->p", paulis, mat.reshape(2**k, 2**k)).real * 2**k
-    probs = ((weights > 0) * exps) @ signs.T / 2**k
+    # ρ's axes as (a_1, b_1, ..., a_k, b_k), qubits in ``measured`` order.
+    mat = marg.mat.reshape((2,) * (2 * k)).transpose([ax for i in order for ax in (i, k + i)])
+    maps = [_FORWARD] * k
     if noise is not None:
         thermal = _thermal_superop(noise, noise.duration("MEASURE"))
         pop = np.eye(2) if thermal is None else thermal[np.ix_([0, 3], [0, 3])].real
-        mats = [np.array([[1 - p01, p10], [p01, 1 - p10]]) @ pop
+        maps = [np.kron(np.eye(3), np.array([[1 - p01, p10], [p01, 1 - p10]]) @ pop) @ _FORWARD
                 for p01, p10 in map(noise.readout_probs, measured)]
-        probs = _apply_per_qubit(mats, probs)
+    probs = _apply_per_qubit(maps, mat.reshape(-1)).real.reshape((3, 2) * k)
+    probs = probs.transpose(np.argsort(_interleave(k))).reshape(3**k, 2**k)
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum(axis=1, keepdims=True)
 
@@ -532,8 +573,8 @@ def reconstruct(counts: ShotCounts) -> ReconstructionResult:
     Each Pauli-string expectation is the mean over the settings compatible
     with it; the estimate Σ_P <P> P / 2^k is projected onto the density
     matrices by the eigenvalue simplex projection of Smolin, Gambetta and
-    Smith (PRL 108, 070502 (2012)).  The linear maps behind this are tables
-    built once per k (``_tomography_tables``)."""
+    Smith (PRL 108, 070502 (2012)).  The linear inversion is one 4x6 map per
+    qubit (``_INVERSE``, see ``_reconstruct_frequencies``)."""
     settings = all_settings(len(counts.measured))
     missing = [s for s in settings if s not in counts.counts]
     if missing:
@@ -545,55 +586,34 @@ def reconstruct(counts: ShotCounts) -> ReconstructionResult:
     )
 
 
-@lru_cache(maxsize=None)
-def _tomography_tables(k: int):
-    """Linear maps of k-qubit tomography, over the 4^k Pauli strings in
-    ``itertools.product("IXYZ", repeat=k)`` order:
-
-    * ``signs`` (2^k, 4^k): the eigenvalue ±1 of each string on each outcome;
-    * ``weights`` (3^k, 4^k): 1/#compatible for each setting that measures
-      every non-identity factor of the string, else 0;
-    * ``paulis`` (4^k, 2^k, 2^k): the strings scaled by 1/2^k."""
-    dim = 2**k
-    pstrings = np.array(list(itertools.product(range(4), repeat=k))).reshape(-1, k)
-    settings = np.array(list(itertools.product(range(1, 4), repeat=k))).reshape(-1, k)
-    bits = (np.arange(dim)[:, None] >> (k - 1 - np.arange(k))) & 1
-    identity = pstrings == 0
-    signs = np.where(identity[None], 1.0, 1.0 - 2.0 * bits[:, None, :]).prod(axis=-1)
-    compatible = (identity[None] | (pstrings[None] == settings[:, None])).all(axis=-1)
-    weights = compatible / compatible.sum(axis=0)
-    # One Kronecker step per qubit over the whole stack, left factor most
-    # significant, in the multiplication order of ``nkron``.
-    stack = np.stack([PAULIS[c] for c in "IXYZ"])[None, :, None, :, None, :]
-    paulis = np.ones((1, 1, 1), dtype=complex)
-    for _ in range(k):
-        n, d = paulis.shape[:2]
-        paulis = (paulis[:, None, :, None, :, None] * stack).reshape(4 * n, 2 * d, 2 * d)
-    paulis = paulis / dim
-    for table in (signs, weights, paulis):
-        table.setflags(write=False)
-    return signs, weights, paulis
-
-
 def _reconstruct_frequencies(freqs: np.ndarray):
     """Projected states and projection distances for a frequency table of
     shape (..., 3^k, 2^k): one matrix of shape (..., 2^k, 2^k) and one
-    distance per table."""
+    distance per table.
+
+    ``_INVERSE`` on each qubit's (setting, outcome) axes gives every
+    table's linear-inversion estimate in one call.  <I...I> is 1 exactly,
+    whatever the frequency sums round to, so the estimate's trace is put
+    back to 1 with a multiple of I; that leaves the projected state as it is
+    but not the projection distance.  The largest temporaries are the
+    table in (s_1, o_1, ..., s_k, o_k) order and the first qubit's complex
+    (..., 6^(k-1)·4) image of it."""
     freqs = np.asarray(freqs, dtype=float)
     dim = freqs.shape[-1]
-    signs, weights, paulis = _tomography_tables(dim.bit_length() - 1)
-    flat = freqs.reshape((-1,) + freqs.shape[-2:])
-    # One table at a time keeps the (3^k, 4^k) temporary small.
-    exps = np.stack([((f @ signs) * weights).sum(axis=0) for f in flat])
-    exps[:, 0] = 1.0  # <I...I> is 1 exactly, whatever the frequency sums round to
-    est = np.tensordot(exps, paulis, axes=(1, 0))
+    k = dim.bit_length() - 1
+    batch = freqs.shape[:-2]
+    lead = len(batch)
+    table = freqs.reshape(batch + (3,) * k + (2,) * k).transpose(_interleave(k, lead))
+    est = _apply_per_qubit([_INVERSE] * k, table.reshape(batch + (6**k,)))
+    est = est.reshape(batch + (2,) * (2 * k)).transpose(np.argsort(_interleave(k, lead)))
+    est = est.reshape(batch + (dim, dim))
+    trace = np.trace(est, axis1=-2, axis2=-1).real
+    est = est + ((1.0 - trace) / dim)[..., None, None] * np.eye(dim)
     est = (est + est.conj().swapaxes(-1, -2)) / 2
     ev, vecs = np.linalg.eigh(est)
     projected = _project_simplex(ev)
-    mats = (vecs * projected[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    dists = np.abs(projected - ev).sum(axis=-1)
-    batch = freqs.shape[:-2]
-    return mats.reshape(batch + (dim, dim)), dists.reshape(batch)
+    mats = (vecs * projected[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return mats, np.abs(projected - ev).sum(axis=-1)
 
 
 def _project_simplex(ev: np.ndarray) -> np.ndarray:

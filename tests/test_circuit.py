@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_unitary
 from qcollide import circuit as circ
 from qcollide import collision
+from qcollide.channel import _contract_at
 from qcollide.circuit import (
     Circuit,
     ECR_MATRIX,
@@ -151,14 +152,28 @@ def test_transpile_structured_two_qubit(rng):
     assert np.abs(unitary_of_circuit(t) - swap).max() < 1e-8
 
 
+def _dressed_exchange(seed):
+    """ε -> (a⊗b)·collision_unitary(ε)·(c⊗d), with the Haar locals a, b, c, d
+    drawn in that order from default_rng(seed)."""
+    def make_u(g_dt):
+        rng = np.random.default_rng(seed)
+        a, b, c, d = (random_unitary(rng, 2) for _ in range(4))
+        return np.kron(a, b) @ collision_unitary(g_dt) @ np.kron(c, d)
+    return make_u
+
+
 @pytest.mark.parametrize("make_u, g_dt", [
     (collision_unitary, 1e-6), (collision_unitary, -1e-6), (collision_unitary, 1e-3),
     (collision_unitary, 0.001953125), (collision_unitary, np.pi / 2 + 1e-7),
     (collision_unitary, np.pi - 1e-6), (two_qubit_unitary, 1e-9),
+    *(pytest.param(_dressed_exchange(seed), g_dt, id=f"dressed_exchange_{seed}-{g_dt!r}")
+      for seed, g_dt in ((5, 1e-9), (36, 1e-6), (59, -1e-6), (86, np.pi - 1e-6))),
 ])
 def test_transpile_near_cnot_class_boundaries(make_u, g_dt):
     """Close to the identity or to a gate of fewer CNOTs the class test of the
-    KAK misfires; the synthesis still verifies (these raised before)."""
+    KAK misfires; the synthesis still verifies (these raised before).  The
+    dressed payloads also leave a local factor of the fallback's KAK with an
+    entry near, but not at, 0."""
     u = make_u(g_dt)
     labels = ("a", "b", "c")[: int(np.log2(u.shape[0]))]
     gate = Gate("UNITARY", labels, matrix=u)
@@ -166,6 +181,44 @@ def test_transpile_near_cnot_class_boundaries(make_u, g_dt):
     t = transpile(c)
     assert all(g.kind in NATIVE_KINDS for g in t.gates)
     assert np.abs(unitary_of_circuit(t) - u).max() < 1e-8
+
+
+@st.composite
+def small_register_circuits(draw):
+    """A random circuit of RZ, SX, ECR and UNITARY gates on one or two
+    qubits, with a global phase; two-qubit gates take either wire order."""
+    labels = ("a", "b")[: draw(st.integers(1, 2))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["RZ", "SX", "U1"] + (["ECR", "U2"] if len(labels) == 2 else [])
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        q = (draw(st.sampled_from(labels)),)
+        pair = tuple(draw(st.permutations(labels)))
+        if kind == "RZ":
+            gates.append(Gate("RZ", q, theta=draw(st.floats(-4 * np.pi, 4 * np.pi))))
+        elif kind == "SX":
+            gates.append(Gate("SX", q))
+        elif kind == "U1":
+            gates.append(Gate("UNITARY", q, matrix=random_unitary(rng, 2)))
+        elif kind == "ECR":
+            gates.append(Gate("ECR", pair))
+        else:
+            gates.append(Gate("UNITARY", pair, matrix=random_unitary(rng, 4)))
+    return Circuit(labels, gates, draw(st.floats(-np.pi, np.pi)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_register_circuits())
+def test_unitary_of_circuit_small_registers_match_contraction(c):
+    """On one or two qubits each gate is one direct matrix product; one
+    tensor contraction per gate, the path of larger registers, gives the
+    same unitary."""
+    n, dim = c.register.n, c.register.dim
+    want = np.eye(dim, dtype=complex).reshape([2] * (2 * n))
+    for g in c.gates:
+        want = _contract_at(g.unitary(), want, c.register.indices(g.qubits))
+    want = np.exp(1j * c.global_phase) * want.reshape(dim, dim)
+    assert np.abs(unitary_of_circuit(c) - want).max() <= 1e-12
 
 
 def test_transpile_rejects_large_unitary_payload(rng):

@@ -217,6 +217,8 @@ def test_malformed_witness_csv_is_input_error(tmp_path, capsys, text):
 
 
 def test_manifest_records_resolved_noise_config(tmp_path):
+    import scipy  # loaded, so the manifest records its version
+
     noise_file = tmp_path / "noise.cfg"
     noise_file.write_text("t1_us = 250.0\nduration.ECR = 500.0\n")
     out = tmp_path / "run"
@@ -227,6 +229,7 @@ def test_manifest_records_resolved_noise_config(tmp_path):
     for kind, ns in dict(DEFAULT_DURATIONS_NS, ECR=500.0).items():
         assert f"noise.duration.{kind} = {ns!r}" in lines
     assert f"numpy = {np.__version__}" in lines
+    assert f"scipy = {scipy.__version__}" in lines
 
 
 # Prints the SciPy modules loaded by ``import qcollide`` and the NumPy and
@@ -262,30 +265,26 @@ def test_import_and_simulate_load_no_scipy_or_new_numpy_modules(tmp_path, argv):
     assert report == {"code": 0, "at_import": [], "during": []}
 
 
-# Prints the tomography-table cache misses after ``import qcollide`` and after
-# an ideal ``simulate --model single`` run (``argv``) from a cleared cache.
-LAZY_TABLES_PROBE = """
+# Runs ``cli.main(argv)`` and prints whether SciPy was imported by then.
+SCIPY_PROBE = """
 import json, sys
-import qcollide
-from qcollide import cli, noisytomo
-at_import = noisytomo._tomography_tables.cache_info().misses
-noisytomo._tomography_tables.cache_clear()
+from qcollide import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "at_import": at_import,
-                  "ideal_run": noisytomo._tomography_tables.cache_info().misses}))
+print(json.dumps({"code": code, "scipy": "scipy" in sys.modules}))
 """
 
 
-def test_import_and_ideal_run_build_no_tomography_tables(tmp_path):
-    """The tomography tables are built on first use only: neither importing
-    the package nor an ideal single-model run (no shots) builds one."""
+def test_ideal_run_records_scipy_not_loaded(tmp_path):
+    """A fresh interpreter: an ideal single-model run imports no SciPy, and
+    its manifest says so instead of importing it for the version."""
     env = dict(os.environ, PYTHONPATH=str(Path(qcollide.__file__).parents[1]))
+    out = tmp_path / "run"
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_TABLES_PROBE, "simulate", "--model", "single",
-         "--out", str(tmp_path / "run")],
+        [sys.executable, "-c", SCIPY_PROBE, "simulate", "--model", "single", "--out", str(out)],
         capture_output=True, text=True, env=env, check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"code": 0, "at_import": 0, "ideal_run": 0}
+    assert report == {"code": 0, "scipy": False}
+    assert "scipy = not loaded" in (out / "manifest.txt").read_text().splitlines()
 
 
 def test_shots_beyond_int64_is_input_error(tmp_path, capsys):

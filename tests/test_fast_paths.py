@@ -1,6 +1,7 @@
-"""Fast paths against slow references: the table-based tomography
-reconstruction and its forward map (the outcome table of every setting), the
-Pauli table against one ``nkron`` per string, the batched bootstrap, the
+"""Fast paths against slow references: the tomography reconstruction and
+its forward map (the outcome table of every setting), the per-qubit
+tomography maps against the dense 4^k Pauli tables and the peak memory of a
+replica-stack reconstruction, the batched bootstrap, the
 CLI's shot path on count tables against the ShotCounts pipeline, the
 superoperator contraction of ``apply_at`` and ``unitary_of_circuit``, the fused circuit application
 against one contraction per gate, the channel conversions (the
@@ -11,6 +12,7 @@ derivatives and Newton refine against Nelder-Mead, and the Bloch-image mesh), an
 evolution, with the CPTP property of every channel it yields."""
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -68,7 +70,7 @@ TOL = 1e-12
 
 def reference_reconstruct(counts):
     """Per-Pauli-string linear inversion and simplex projection, one nkron
-    product per string: the reconstruction before the tables."""
+    product per string."""
     k = len(counts.measured)
     settings_k = all_settings(k)
     dim = 2**k
@@ -163,27 +165,79 @@ def test_reconstruct_matches_reference(seed, k, mitigated):
     assert abs(got.projection_distance - want_dist) <= TOL
 
 
-def test_pauli_table_matches_nkron_per_string():
-    """The broadcast Kronecker build of the Pauli table against one ``nkron``
-    per string, and all three tables read-only."""
+def reference_tomography_tables(k):
+    """The dense linear maps of k-qubit tomography over the 4^k Pauli strings
+    in ``itertools.product("IXYZ", repeat=k)`` order, one ``nkron`` per
+    string: the tables the per-qubit maps replaced.
+
+    * ``signs`` (2^k, 4^k): the eigenvalue ±1 of each string on each outcome;
+    * ``weights`` (3^k, 4^k): 1/#compatible for each setting that measures
+      every non-identity factor of the string, else 0;
+    * ``paulis`` (4^k, 2^k, 2^k): the strings scaled by 1/2^k."""
+    dim = 2**k
+    pstrings = np.array(list(itertools.product(range(4), repeat=k))).reshape(-1, k)
+    settings_k = np.array(list(itertools.product(range(1, 4), repeat=k))).reshape(-1, k)
+    bits = (np.arange(dim)[:, None] >> (k - 1 - np.arange(k))) & 1
+    identity = pstrings == 0
+    signs = np.where(identity[None], 1.0, 1.0 - 2.0 * bits[:, None, :]).prod(axis=-1)
+    compatible = (identity[None] | (pstrings[None] == settings_k[:, None])).all(axis=-1)
+    weights = compatible / compatible.sum(axis=0)
+    paulis = np.stack([nkron(*(PAULIS[c] for c in p))
+                       for p in itertools.product("IXYZ", repeat=k)]) / dim
+    return signs, weights, paulis
+
+
+def _pairs_last(t, k, x, y):
+    """A (..., x·y)^k-indexed table, factors (x_1, y_1, ..., x_k, y_k), as
+    (..., x^k, y^k)."""
+    lead = t.shape[:-1]
+    t = t.reshape(lead + (x, y) * k)
+    n = len(lead)
+    order = [*range(n), *(n + 2 * i for i in range(k)), *(n + 2 * i + 1 for i in range(k))]
+    return t.transpose(order).reshape(lead + (x**k, y**k))
+
+
+def test_pauli_maps_match_dense_tables():
+    """One 6x4 map per qubit forward and one 4x6 map per qubit back give
+    the dense 4^k-table results, k = 1..5: the outcome table of a matrix,
+    and the linear-inversion estimate Σ_P <P> P / 2^k of frequency tables
+    (<I...I> as the frequencies give it).  Both maps are read-only."""
+    rng = np.random.default_rng(13)
     for k in range(1, 6):
-        signs, weights, paulis = noisytomo._tomography_tables(k)
-        want = np.stack([nkron(*(PAULIS[c] for c in p))
-                         for p in itertools.product("IXYZ", repeat=k)]) / 2**k
-        assert np.array_equal(paulis, want), k
-        for table in (signs, weights, paulis):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[(0,) * table.ndim] = 0
+        signs, weights, paulis = reference_tomography_tables(k)
+        dim = 2**k
+        vec = rng.normal(size=4**k) + 1j * rng.normal(size=4**k)  # (a_1, b_1, ..., a_k, b_k)
+        mat = _pairs_last(vec, k, 2, 2)
+        exps = np.einsum("pij,ji->p", paulis, mat) * dim
+        want = ((weights > 0) * exps) @ signs.T / dim
+        got = noisytomo._apply_per_qubit([noisytomo._FORWARD] * k, vec)
+        assert np.abs(_pairs_last(got, k, 3, 2) - want).max() <= TOL * dim, k
+
+        table = rng.random((2,) + (6,) * k)  # (s_1, o_1, ..., s_k, o_k)
+        freqs = _pairs_last(table.reshape(2, -1), k, 3, 2)
+        exps = ((freqs @ signs) * weights).sum(axis=-2)
+        want = np.tensordot(exps, paulis, axes=(1, 0))
+        got = noisytomo._apply_per_qubit([noisytomo._INVERSE] * k, table.reshape(2, -1))
+        assert np.abs(_pairs_last(got, k, 2, 2) - want).max() <= TOL * dim, k
+    for m in (noisytomo._FORWARD, noisytomo._INVERSE):
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0
 
 
-def test_tomography_tables_built_once_per_k():
-    noisytomo._tomography_tables.cache_clear()
-    for _ in range(3):
-        reconstruct(random_counts(1, 2))
-        reconstruct(random_counts(2, 3))
-    info = noisytomo._tomography_tables.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+def test_reconstruct_replica_stack_peak_memory():
+    """A toy run's state and its 20 bootstrap replicas, a (21, 81, 16)
+    frequency table, reconstruct in one call with a peak allocation below
+    1 MB: no 4^k Pauli table and no (21, 81, 256) product (3.5 MB)."""
+    freqs = np.random.default_rng(5).dirichlet(np.ones(16), size=(21, 81))
+    tracemalloc.start()
+    try:
+        mats, dists = noisytomo._reconstruct_frequencies(freqs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mats.shape == (21, 16, 16) and dists.shape == (21,)
+    assert peak < 2**20
 
 
 def test_bootstrap_matches_reference_loop():
