@@ -15,10 +15,14 @@ Every conversion goes through three private helpers on the row-major vec
   ``_superop_at`` applies a local superoperator on some qubits of a matrix or
   a stack of matrices.  It is the one routine that does: ``apply_at`` calls
   it, and so does the circuit path of ``noisytomo``, once per fused block.
+
+``transfer_of_channel`` sandwiches the superoperator between the normalized
+Pauli vecs, a read-only matrix built once per qubit count (``_pauli_columns``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -116,6 +120,16 @@ def pauli_basis(n: int):
     names = ["".join(s) for s in itertools.product("IXYZ", repeat=n)]
     norm = np.sqrt(2.0**n)
     return [(name, nkron(*(PAULIS[c] for c in name)) / norm) for name in names]
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_columns(n: int) -> np.ndarray:
+    """Read-only (4^n, 4^n) matrix whose column b is vec(P_b), the row-major
+    vec of the b-th normalized Pauli string of ``pauli_basis(n)``; built once
+    per qubit count."""
+    vecs = np.stack([p.reshape(-1) for _, p in pauli_basis(n)], axis=1)
+    vecs.setflags(write=False)
+    return vecs
 
 
 def identity_channel(n_qubits: int = 1) -> KrausChannel:
@@ -268,7 +282,7 @@ def transfer_of_channel(ch: KrausChannel) -> TransferMap:
     Pauli basis and S the superoperator."""
     if ch.in_dim != ch.out_dim:
         raise ValueError("square channel required")
-    vecs = np.stack([p.reshape(-1) for _, p in pauli_basis(ch.n_qubits)], axis=1)
+    vecs = _pauli_columns(ch.n_qubits)
     return TransferMap((vecs.conj().T @ _superop(ch.kraus_ops) @ vecs).real)
 
 

@@ -165,14 +165,15 @@ def _run_simulate(args) -> int:
         calibration = [noisytomo.sample_calibration(j, noise=noise) for j in jobs]
 
     conc_rows = []
-    bloch_rows = []
-    records = []
+    ideal_mats, used_mats = [], []
     ideal_series = collision.evolve_series(model, n_max)
     used_series = (ideal_series if noise is None
                    else collision.evolve_series(model, n_max, noise))
     for n, (ideal_rec, used_rec) in enumerate(zip(ideal_series, used_series)):
         state, replicas = _state_for(model, used_rec, noise, args.shots, args.seed,
                                      calibration)
+        if state.register != ideal_rec.joint_state.register:
+            raise ValueError("register mismatch")
         # The state and its bootstrap replicas go through the quantifiers as
         # one stack; row 0 is the state.
         mats = np.stack([s.mat for s in (state, *replicas)])
@@ -182,32 +183,35 @@ def _run_simulate(args) -> int:
         if replicas:
             err_c = float(conc[1:].std(ddof=1))
             err_cs = float(assist[1:].std(ddof=1))
-        fid = qmat.state_fidelity(ideal_rec.joint_state, state)
-        conc_rows.append([n, c, c_sharp, err_c, err_cs, fid])
-        records.append(collision.EvolutionRecord(n, state, used_rec.reduced_channel))
-        if len(sys_labels) == 1:
-            for pt in collision.bloch_image_samples(used_rec, mesh=60):
-                bloch_rows.append([n, pt[0], pt[1], pt[2]])
+        conc_rows.append([n, c, c_sharp, err_c, err_cs])
+        ideal_mats.append(ideal_rec.joint_state.mat)
+        used_mats.append(state.mat)
+    fids = qmat.state_fidelity_mat(np.stack(ideal_mats), np.stack(used_mats))
+    for row, fid in zip(conc_rows, fids.tolist()):
+        row.append(fid)
 
     c_col = "C" if exact else "C_lower"
     cs_col = "C_sharp" if exact else "C_sharp_upper"
     _write_csv(out_dir / "concurrence.csv",
                ["n", c_col, cs_col, f"{c_col}_err", f"{cs_col}_err", "fidelity_to_ideal"],
                conc_rows)
-    if bloch_rows:
-        _write_csv(out_dir / "bloch.csv", ["n", "x", "y", "z"], bloch_rows)
+    if len(sys_labels) == 1:
+        images = np.stack([collision.bloch_image_samples(rec, mesh=60) for rec in used_series])
+        _write_csv(out_dir / "bloch.csv", ["n", "x", "y", "z"],
+                   ([n, *p] for n, pts in enumerate(images.tolist()) for p in pts))
 
     # non-Markovianity summary (single-qubit system channels only for BLP/volume)
     nm_lines = []
-    series, lower_flag, increase = nonmarkov.rhp_series(records, sys_labels)
+    series, increase = nonmarkov.rhp_of_concurrence(range(n_max + 1),
+                                                      [row[1] for row in conc_rows])
     nm_lines.append(["rhp_series", ";".join(f"{n}:{_fmt(v)}" for n, v in series)])
-    nm_lines.append(["rhp_is_lower_bound", str(lower_flag)])
+    nm_lines.append(["rhp_is_lower_bound", str(not exact)])
     nm_lines.append(["rhp_increase", str(increase)])
     if len(sys_labels) == 1 and n_max >= 4:
         t1_idx = min(range(n_max + 1), key=lambda i: conc_rows[i][1])
         t2_idx = max(range(t1_idx, n_max + 1), key=lambda i: conc_rows[i][1])
-        ch1 = records[t1_idx].reduced_channel
-        ch2 = records[t2_idx].reduced_channel
+        ch1 = used_series[t1_idx].reduced_channel
+        ch2 = used_series[t2_idx].reduced_channel
         delta, pair = nonmarkov.blp_max_increase(ch1, ch2)
         nm_lines.append(["blp_t1_t2", f"{t1_idx};{t2_idx}"])
         nm_lines.append(["blp_delta", _fmt(delta)])
@@ -239,13 +243,11 @@ def _run_simulate(args) -> int:
 
 
 def _write_csv(path: Path, header, rows):
+    """CSV of Python scalars: csv writes floats as ``repr``, like ``_fmt``."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow([x if isinstance(x, str) else
-                    (x if isinstance(x, (int, np.integer)) else _fmt(x))
-                    for x in row])
+    w.writerows(rows)
     path.write_text(buf.getvalue())
 
 

@@ -5,16 +5,20 @@ BLP and volume read the qubit channel's Bloch block A, the 3x3 block of its
 Pauli transfer matrix.  The BLP search runs over antipodal pure pairs ±r,
 which is optimal for qubit trace-distance criteria; their images lie at
 unnormalised trace distance 2‖A r‖.  The objective 2(‖A₂r‖ − ‖A₁r‖) is
-evaluated on a 2-degree (θ, φ) grid in one array operation, with the first
-point better by more than 1e-12 winning, then refined by Newton's method on
-the unit sphere (analytic gradient and Hessian in the tangent plane,
-retraction by normalising).  Newton starts from the grid point and, where A₁
-is nearly rank-deficient, also from the maximiser of ‖A₂r‖ on A₁'s
-near-kernel, the crest of a ridge of the objective narrower than the grid.  A
-refined point is kept only if it beats the grid by more than 1e-12, so a
-plateau maximum (the ideal channel's) reports its grid point.  At a smooth
-maximum the refined argmax (``blp_argmax_a``) is fixed to round-off: a 1e-15
-change of the channel moves it by ~1e-13.
+evaluated on a 2-degree (θ, φ) grid in one array operation, and the first
+point better by more than 1e-12 wins.  That rule only ever adopts a point
+above every earlier one, so ``_first_better`` applies it to the grid's strict
+running-maximum records alone, found by one ``np.fmax.accumulate`` (1 to 4 of
+the 16,380 points on the ideal single model's channel pairs, ~50 to ~340 on
+the noisy ones).  The grid point is then refined by Newton's method on the
+unit sphere (analytic gradient and Hessian in the tangent plane, retraction
+by normalising).  Newton starts from the grid point and, where A₁ is nearly
+rank-deficient, also from the maximiser of ‖A₂r‖ on A₁'s near-kernel, the
+crest of a ridge of the objective narrower than the grid.  A refined point
+is kept only if it beats the grid by more than 1e-12, so a plateau maximum
+(the ideal channel's) reports its grid point.  At a smooth maximum the
+refined argmax (``blp_argmax_a``) is fixed to round-off: a 1e-15 change of
+the channel moves it by ~1e-13.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .entangle import quantifiers
 
 __all__ = [
     "rhp_series",
+    "rhp_of_concurrence",
     "blp_max_increase",
     "bloch_volume",
 ]
@@ -43,9 +48,17 @@ def rhp_series(records, system_labels) -> tuple[tuple[tuple[int, float], ...], b
         return (), False, False
     exact, conc, _ = quantifiers(np.stack([rec.joint_state.mat for rec in records]),
                                  system_labels, register=records[0].joint_state.register)
-    series = tuple((rec.n, float(c)) for rec, c in zip(records, conc))
-    increase = any(b[1] > a[1] + 1e-9 for a, b in zip(series, series[1:]))
+    series, increase = rhp_of_concurrence([rec.n for rec in records], conc)
     return series, not exact, increase
+
+
+def rhp_of_concurrence(ns, conc) -> tuple[tuple[tuple[int, float], ...], bool]:
+    """The RHP series ((n, C), ...) of collision counts ``ns`` and their
+    concurrences ``conc``, and whether C ever rises by more than 1e-9 from
+    one entry to the next (CP-indivisibility)."""
+    series = tuple((int(n), float(c)) for n, c in zip(ns, conc))
+    increase = any(b[1] > a[1] + 1e-9 for a, b in zip(series, series[1:]))
+    return series, increase
 
 
 def _direction(theta, phi) -> np.ndarray:
@@ -73,16 +86,30 @@ def blp_max_increase(ch1: KrausChannel, ch2: KrausChannel):
     thetas = np.arange(0.0, np.pi + 1e-12, step)
     phis = np.arange(0.0, 2 * np.pi, step)
     grid = _backflow(a1, a2, _direction(thetas[:, None], phis[None, :]))
-    best_i, best_val = 0, -np.inf
-    for i, v in enumerate(grid.ravel().tolist()):
-        if v > best_val + 1e-12:
-            best_i, best_val = i, v
+    best_i, best_val = _first_better(grid.ravel())
     r = _direction(thetas[best_i // len(phis)], phis[best_i % len(phis)])
     for start in (r, *_kernel_start(a1, a2)):
         cand, val = _newton_refine(a1, a2, start)
         if val > best_val + 1e-12:
             best_val, r = val, cand
     return max(0.0, float(best_val)), (r, -r)
+
+
+def _first_better(flat: np.ndarray) -> tuple[int, float]:
+    """The (index, value) on which this scan of ``flat`` ends: from index 0
+    and best = -inf, adopt each value v in order with v > best + 1e-12.
+
+    An adopted value exceeds every earlier one (each skipped value is at most
+    1e-12 above the best so far, and the best only grows), so the scan runs
+    over the strict running-maximum records alone.  ``np.fmax`` skips NaN
+    points, which are never adopted, as the comparison does."""
+    prior_max = np.fmax.accumulate(np.concatenate(([-np.inf], flat[:-1])))
+    records = np.flatnonzero(flat > prior_max)
+    best_i, best_val = 0, -np.inf
+    for i, v in zip(records.tolist(), flat[records].tolist()):
+        if v > best_val + 1e-12:
+            best_i, best_val = i, v
+    return best_i, best_val
 
 
 def _backflow_derivatives(a1: np.ndarray, a2: np.ndarray, r: np.ndarray):

@@ -1,15 +1,18 @@
 """Fast paths against slow references: the tomography reconstruction and
 its forward map (the outcome table of every setting), the per-qubit
 tomography maps against the dense 4^k Pauli tables and the peak memory of a
-replica-stack reconstruction, the batched bootstrap, the
-CLI's shot path on count tables against the ShotCounts pipeline, the
-superoperator contraction of ``apply_at`` and ``unitary_of_circuit``, the fused circuit application
-against one contraction per gate, the channel conversions (the
-batched circuit channel, the Choi matrix, the transfer matrix and the
-native-gate superoperators), ``channel.apply``, and the qubit
-diagnostics that read the channel's affine Bloch map (the BLP objective, its
-derivatives and Newton refine against Nelder-Mead, and the Bloch-image mesh), and the one-pass collision series against the per-n
-evolution, with the CPTP property of every channel it yields."""
+replica-stack reconstruction, the batched bootstrap,
+the CLI's shot path on count tables against the ShotCounts pipeline, the
+superoperator contraction of ``apply_at`` and ``unitary_of_circuit``, the
+fused circuit application against one contraction per gate, the channel
+conversions (the batched circuit channel, the Choi matrix, the transfer
+matrix with its cached Pauli columns, and the native-gate superoperators),
+the stacked state fidelity, ``channel.apply``, and the qubit diagnostics
+that read the channel's affine Bloch map (the BLP objective, the grid's
+record scan against the point-by-point scan, the objective's derivatives
+and Newton refine against Nelder-Mead, and the Bloch-image mesh), and the
+one-pass collision series against the per-n evolution, with the CPTP
+property of every channel it yields."""
 
 import itertools
 import tracemalloc
@@ -28,6 +31,7 @@ from qcollide.channel import (
     KrausChannel,
     _choi_matrix,
     _kraus_of_choi,
+    _pauli_columns,
     _superop_at,
     amplitude_damping_channel,
     apply,
@@ -61,6 +65,8 @@ from qcollide.qmat import (
     nkron,
     partial_trace,
     partial_trace_mat,
+    state_fidelity,
+    state_fidelity_mat,
     state_to_bloch,
     trace_distance,
 )
@@ -583,6 +589,35 @@ def test_transfer_of_channel_matches_pauli_trace_loop(n, env, seed):
     assert np.abs(transfer_of_channel(ch).M - want).max() <= TOL
 
 
+@settings(max_examples=5, deadline=None)
+@given(n=st.integers(1, 3))
+def test_pauli_columns_are_built_once_and_read_only(n):
+    cols = _pauli_columns(n)
+    assert cols is _pauli_columns(n)
+    assert not cols.flags.writeable
+    with pytest.raises(ValueError):
+        cols[0, 0] = 0.0
+    assert np.array_equal(cols, np.stack([p.reshape(-1) for _, p in pauli_basis(n)], axis=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_stacked_fidelity_matches_per_pair(n, batch, seed):
+    """``state_fidelity_mat`` on two (batch, d, d) stacks against
+    ``state_fidelity`` pair by pair, for states of any rank and pairs of
+    equal states (fidelity 1, where the clip acts)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(batch):
+        a, b = (random_density(rng, n, rank=int(rng.integers(1, 2**n + 1))) for _ in range(2))
+        pairs.append((a, a if rng.integers(3) == 0 else b))
+    got = state_fidelity_mat(np.stack([a.mat for a, _ in pairs]),
+                             np.stack([b.mat for _, b in pairs]))
+    want = [state_fidelity(a, b) for a, b in pairs]
+    assert got.shape == (batch,)
+    assert np.abs(got - want).max() <= TOL
+
+
 def reference_thermal_ops(noise, duration):
     """Every product of a phase-damping and an amplitude-damping Kraus
     operator over the duration (none for a duration <= 0): the uncompressed
@@ -694,6 +729,15 @@ def test_noisy_blp_delta_matches_per_state_search():
     assert abs(np.linalg.norm(ra) - 1.0) <= TOL
 
 
+def reference_first_better(flat):
+    """The BLP grid scan point by point: adopt v if v > best + 1e-12."""
+    best_i, best_val = 0, -np.inf
+    for i, v in enumerate(flat.tolist()):
+        if v > best_val + 1e-12:
+            best_i, best_val = i, v
+    return best_i, best_val
+
+
 def reference_blp_search(ch1, ch2):
     """(grid value, refined value) of the BLP search before the Newton refine:
     the same 2-degree grid and first-strictly-better scan, then SciPy's
@@ -705,11 +749,8 @@ def reference_blp_search(ch1, ch2):
     step = np.deg2rad(2.0)
     thetas = np.arange(0.0, np.pi + 1e-12, step)
     phis = np.arange(0.0, 2 * np.pi, step)
-    best_i, best_val = 0, -np.inf
-    for i, v in enumerate(nonmarkov._backflow(
-            a1, a2, nonmarkov._direction(thetas[:, None], phis[None, :])).ravel()):
-        if v > best_val + 1e-12:
-            best_i, best_val = i, v
+    best_i, best_val = reference_first_better(nonmarkov._backflow(
+        a1, a2, nonmarkov._direction(thetas[:, None], phis[None, :])).ravel())
     res = minimize(lambda p: -nonmarkov._backflow(a1, a2, nonmarkov._direction(*p)),
                    x0=[thetas[best_i // len(phis)], phis[best_i % len(phis)]],
                    method="Nelder-Mead",
@@ -774,6 +815,45 @@ def test_blp_newton_refine_matches_nelder_mead(ch1, ch2):
     assert delta >= nelder_mead - 1e-9
     assert abs(np.linalg.norm(ra) - 1.0) <= TOL
     assert np.array_equal(rb, -ra)
+
+
+@st.composite
+def scan_grids(draw):
+    """Flat grids that walk from a random start in steps of 0, ±0.5e-12,
+    ±1e-12 and ±2e-12 (plateaus and near-ties of the 1e-12 rule), with
+    jumps to random values and NaN points."""
+    moves = st.sampled_from(["0", "+0.5", "-0.5", "+1", "-1", "+2", "-2", "jump", "nan"])
+    value = draw(st.floats(-2.0, 2.0))
+    flat = []
+    for move in draw(st.lists(moves, min_size=1, max_size=150)):
+        if move == "nan":
+            flat.append(np.nan)
+            continue
+        value = draw(st.floats(-2.0, 2.0)) if move == "jump" else value + float(move) * 1e-12
+        flat.append(value)
+    return np.array(flat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat=scan_grids())
+@example(flat=np.array([np.nan, np.nan]))
+@example(flat=np.array([np.nan, 0.0, 0.8e-12, 1.5e-12, 1.5e-12, np.nan, 3e-12]))
+@example(flat=np.array([0.0, 1e-12, 2e-12, 3e-12, 3.5e-12, 4.5e-12]))
+def test_record_scan_matches_sequential_scan(flat):
+    assert nonmarkov._first_better(flat) == reference_first_better(flat)
+
+
+def test_record_scan_matches_sequential_scan_on_blp_grids():
+    """The same on the full 2-degree grids of the ideal and noisy single
+    model's (n = 2, n = 4) channel pairs (the ideal one has plateaus)."""
+    step = np.deg2rad(2.0)
+    r = nonmarkov._direction(np.arange(0.0, np.pi + 1e-12, step)[:, None],
+                             np.arange(0.0, 2 * np.pi, step)[None, :])
+    noisy = collision.evolve_series(collision.single_qubit_model(), 4, NoiseConfig())
+    for series in (IDEAL_SINGLE, noisy):
+        a1, a2 = (transfer_of_channel(series[n].reduced_channel).bloch_block() for n in (2, 4))
+        flat = nonmarkov._backflow(a1, a2, r).ravel()
+        assert nonmarkov._first_better(flat) == reference_first_better(flat)
 
 
 @settings(max_examples=20, deadline=None)
