@@ -257,13 +257,48 @@ def _superop(ops) -> np.ndarray:
     return np.einsum("kab,kce->acbe", ops, ops.conj()).reshape(d_out**2, d_in**2)
 
 
+# OpenBLAS 0.3.31 (the build NumPy bundles) hands a complex matrix product to
+# its worker thread once M·N·K reaches this: 16×16×255 runs on the calling
+# thread, 16×16×256 and 256×16×16 do not.  The hand-off costs more than the
+# product: after a 0.5 s idle, 100 products of 16×16×256 took 805 ms with two
+# threads and 3.0 ms with one (2-core x86-64 host).
+_BLAS_THREAD_MIN = 65_536
+
+
 def _contract_at(op: np.ndarray, tensor: np.ndarray, axes) -> np.ndarray:
     """Apply the square operator ``op`` on len(axes) qubit axes of a tensor
-    with a length-2 axis per qubit; the axes keep their places."""
+    with a length-2 axis per qubit; the axes keep their places.
+
+    The contracted axes go first and the other axes become the columns of
+    one ``matmul`` over column blocks.  Each product of a D×D operator stays
+    below ``_BLAS_THREAD_MIN``, so it runs on the calling thread: all columns
+    at once if they fit, else blocks of c columns, c the largest power of two
+    that fits (2,048 for a 1-qubit superoperator, 128 for a 2-qubit one, 8
+    for a 3-qubit one), the last block also taking the fewer than c columns
+    left over.  So no block of a split is a single column, which would run
+    as a matrix-vector product and round differently from one product over
+    all columns; the blocked result is that product's, bit for bit.  An
+    operator too large for even one column runs as one product."""
     m = len(axes)
-    t = np.tensordot(op.reshape([2] * (2 * m)), tensor,
-                     axes=(list(range(m, 2 * m)), list(axes)))
-    return np.moveaxis(t, list(range(m)), list(axes))
+    d = 2**m
+    t = np.moveaxis(tensor, list(axes), list(range(m)))
+    rest = t.shape[m:]
+    cols = t.reshape(d, -1)
+    n = cols.shape[1]
+    op = op.reshape(d, d)
+    cap = (_BLAS_THREAD_MIN - 1) // (d * d)  # columns per product
+    if n <= cap or not cap:
+        out = op @ cols
+    else:
+        # For a power-of-two D, cap = 2c - 1: the last block's c to 2c - 1
+        # columns fit too.
+        c = 1 << (cap.bit_length() - 1)
+        head = n - n % c - c
+        out = np.empty((d, n), np.result_type(op, cols))
+        np.matmul(op, cols[:, :head].reshape(d, -1, c).swapaxes(0, 1),
+                  out=out[:, :head].reshape(d, -1, c).swapaxes(0, 1))
+        np.matmul(op, cols[:, head:], out=out[:, head:])
+    return np.moveaxis(out.reshape((2,) * m + rest), list(range(m)), list(axes))
 
 
 def embed_operator(op: np.ndarray, qubit_positions, n: int) -> np.ndarray:

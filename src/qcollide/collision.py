@@ -42,7 +42,7 @@ import numpy as np
 from . import circuit as circ
 from . import noisytomo
 from .channel import KrausChannel, TransferMap, transfer_of_channel
-from .qmat import DensityMatrix, QubitRegister, ket, partial_trace
+from .qmat import DensityMatrix, QubitRegister, _projector, ket, partial_trace
 
 __all__ = [
     "CollisionModel",
@@ -129,7 +129,7 @@ class EvolutionRecord:
 def single_qubit_model(g_dt: float = np.pi / 4) -> CollisionModel:
     reg = QubitRegister(("A", "S", "E"))
     psi = np.kron((ket("00") + ket("11")) / np.sqrt(2), ket("0"))
-    rho = DensityMatrix(reg, np.outer(psi, psi.conj()))
+    rho = _projector(psi, reg)
     return CollisionModel("SingleQubit", float(g_dt), reg, rho,
                           ("S",), ("A",), ("E",))
 
@@ -140,7 +140,7 @@ def two_qubit_model(g_dt: float = np.pi / 4) -> CollisionModel:
     psi = np.zeros(16, dtype=complex)
     psi[int("0000", 2)] = 1 / np.sqrt(2)
     psi[int("1100", 2)] = 1 / np.sqrt(2)
-    rho = DensityMatrix(reg, np.outer(psi, psi.conj()))
+    rho = _projector(psi, reg)
     return CollisionModel("TwoQubitExchange", float(g_dt), reg, rho,
                           ("S1", "S2"), ("A",), ("E",))
 
@@ -152,7 +152,7 @@ def _pairwise_model(kind: str) -> CollisionModel:
         for a2 in (0, 1):
             idx = (a1 << 5) | (a2 << 4) | (a1 << 3) | (a2 << 2)
             psi[idx] = 0.5
-    rho = DensityMatrix(reg, np.outer(psi, psi.conj()))
+    rho = _projector(psi, reg)
     return CollisionModel(kind, np.pi / 4, reg, rho,
                           ("S1", "S2"), ("A1", "A2"), ("E1", "E2"))
 

@@ -101,21 +101,21 @@ class DensityMatrix:
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (register.dim, register.dim):
             raise ValueError(f"matrix shape {mat.shape} != register dim {register.dim}")
+        if validate and not np.all(np.isfinite(mat)):
+            raise ValueError("non-finite entries")
+        herm = (mat + mat.conj().T) / 2
         if validate:
-            if not np.all(np.isfinite(mat)):
-                raise ValueError("non-finite entries")
             if np.abs(mat - mat.conj().T).max() > 100 * HERM_TOL:
                 raise ValueError("not Hermitian within tolerance")
             tr = np.trace(mat).real
             if abs(tr - 1.0) > 1e-8:
                 raise ValueError(f"trace {tr} != 1")
-            evmin = np.linalg.eigvalsh((mat + mat.conj().T) / 2).min()
+            evmin = np.linalg.eigvalsh(herm).min()
             if evmin < -EIG_TOL:
                 raise ValueError(f"minimum eigenvalue {evmin} < -{EIG_TOL}")
-        mat = (mat + mat.conj().T) / 2
-        mat.setflags(write=False)
+        herm.setflags(write=False)
         object.__setattr__(self, "register", register)
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", herm)
 
     @property
     def dim(self) -> int:
@@ -135,8 +135,23 @@ def ket(bits: str) -> np.ndarray:
 
 def pure_state(vec: np.ndarray, register) -> DensityMatrix:
     vec = np.asarray(vec, dtype=complex)
-    vec = vec / np.linalg.norm(vec)
-    return DensityMatrix(register, np.outer(vec, vec.conj()))
+    return _projector(vec / np.linalg.norm(vec), register)
+
+
+def _projector(psi: np.ndarray, register) -> DensityMatrix:
+    """|ψ><ψ| of a unit vector ψ, which is not renormalised.
+
+    ψ is checked as a vector: finite entries and a norm within 1e-12 of 1.
+    The projector of such a vector passes every ``DensityMatrix`` check by
+    construction, so it is built unvalidated, without the eigenvalue check
+    (an ``eigvalsh`` of the full 2^n×2^n matrix)."""
+    psi = np.asarray(psi, dtype=complex)
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("non-finite entries")
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"state vector norm {norm} != 1")
+    return DensityMatrix(register, np.outer(psi, psi.conj()), validate=False)
 
 
 def tensor(a, b):

@@ -287,6 +287,47 @@ def test_ideal_run_records_scipy_not_loaded(tmp_path):
     assert "scipy = not loaded" in (out / "manifest.txt").read_text().splitlines()
 
 
+# Runs one ``cli.main`` call per JSON argv after OpenBLAS's worker thread
+# has gone to sleep, and prints the CPU that threads other than the caller
+# used meanwhile: process user + system time minus the caller's thread time.
+HANDOFF_PROBE = """
+import json, resource, sys, time
+from qcollide import cli
+
+def other_threads_cpu():
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return r.ru_utime + r.ru_stime - time.thread_time()
+
+time.sleep(0.5)  # the worker spins for ~0.1 s after import, then sleeps
+before = other_threads_cpu()
+codes = [cli.main(json.loads(a)) for a in sys.argv[1:]]
+print(json.dumps({"codes": codes, "other_threads_s": other_threads_cpu() - before}))
+"""
+
+
+def test_simulate_keeps_blas_products_on_the_calling_thread(tmp_path):
+    """A fresh interpreter with a two-thread OpenBLAS: the noisy mitigated
+    toy run (the 16x16 superoperators of its 6-qubit evolution) and the
+    ideal two-qubit run (64x64 ones) hand no product to the worker thread,
+    which would cost more than the product.  With one tensordot per fused
+    block the worker used 45-130 ms on a 2-core x86-64 host."""
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text("t1_us = 280.0\n")
+    runs = [
+        ["simulate", "--model", "toy", "--noise", str(noise_file), "--shots", "256",
+         "--mitigate", "--out", str(tmp_path / "toy")],
+        ["simulate", "--model", "two-qubit", "--out", str(tmp_path / "two-qubit")],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(qcollide.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run(
+        [sys.executable, "-c", HANDOFF_PROBE, *map(json.dumps, runs)],
+        capture_output=True, text=True, env=env, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    assert report["other_threads_s"] < 5e-3
+
+
 def test_shots_beyond_int64_is_input_error(tmp_path, capsys):
     noise_file = tmp_path / "noise.cfg"
     noise_file.write_text("t1_us = 280.0\n")

@@ -176,6 +176,30 @@ def test_bloch_image_samples():
     assert all(abs(p[0]) <= SQ2 + 1e-9 and abs(p[1]) <= SQ2 + 1e-9 for p in pts1)
 
 
+def _bell_pairs_vector():
+    psi = np.zeros(64)
+    for a1 in (0, 1):
+        for a2 in (0, 1):
+            psi[int(f"{a1}{a2}{a1}{a2}00", 2)] = 0.5
+    return psi
+
+
+@pytest.mark.parametrize("build, psi", [
+    (collision.single_qubit_model, (ket("000") + ket("110")) / np.sqrt(2)),
+    (collision.two_qubit_model, (ket("0000") + ket("1100")) / np.sqrt(2)),
+    (collision.toy_model, _bell_pairs_vector()),
+    (collision.swap_model, _bell_pairs_vector()),
+])
+def test_initial_state_is_the_projector_of_the_model_vector(build, psi):
+    """Each builder's state is |ψ><ψ| bit for bit (ψ is not renormalised),
+    passes every ``DensityMatrix`` check, and is built without an
+    eigendecomposition of the 2^n x 2^n matrix."""
+    with mock.patch("numpy.linalg.eigvalsh", side_effect=AssertionError("eigvalsh called")):
+        model = build()
+    np.testing.assert_array_equal(model.initial_state.mat, np.outer(psi, psi.conj()))
+    DensityMatrix(model.register, model.initial_state.mat)
+
+
 def test_toy_model_ideal_run():
     model = collision.toy_model()
     r1 = collision.evolve(model, 1)

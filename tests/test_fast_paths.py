@@ -4,9 +4,10 @@ tomography maps against the dense 4^k Pauli tables and the peak memory of a
 replica-stack reconstruction, the batched bootstrap,
 the CLI's shot path on count tables against the ShotCounts pipeline, the
 superoperator contraction of ``apply_at`` and ``unitary_of_circuit``, the
-fused circuit application against one contraction per gate, the channel
-conversions (the batched circuit channel, the Choi matrix, the transfer
-matrix with its cached Pauli columns, and the native-gate superoperators),
+column-blocked ``_contract_at`` against one ``tensordot``, the fused circuit
+application against one contraction per gate, the channel conversions
+(the batched circuit channel, the Choi matrix, the transfer matrix with its
+cached Pauli columns, and the native-gate superoperators),
 the stacked state fidelity, ``channel.apply``, and the qubit diagnostics
 that read the channel's affine Bloch map (the BLP objective, the grid's
 record scan against the point-by-point scan, the objective's derivatives
@@ -30,6 +31,7 @@ from qcollide import collision, noisytomo, nonmarkov
 from qcollide.channel import (
     KrausChannel,
     _choi_matrix,
+    _contract_at,
     _kraus_of_choi,
     _pauli_columns,
     _superop_at,
@@ -433,6 +435,49 @@ def test_unitary_of_circuit_matches_embedded_product(case):
         want = embed_operator(u, wires, n) @ want
     assert np.abs(unitary_of_circuit(Circuit(labels, gates, 0.3))
                   - np.exp(0.3j) * want).max() <= TOL
+
+
+def reference_contract_at(op, tensor, axes):
+    """One ``tensordot`` over all columns, then the axes moved back: the
+    contraction before the column blocks."""
+    m = len(axes)
+    t = np.tensordot(op.reshape([2] * (2 * m)), tensor,
+                     axes=(list(range(m, 2 * m)), list(axes)))
+    return np.moveaxis(t, list(range(m)), list(axes))
+
+
+@st.composite
+def contraction_cases(draw):
+    """A 1-3-qubit unitary (k axes) or superoperator (2k axes) on any of the
+    2n axes of an n-qubit matrix, n = 1..6, behind 0-2 batch axes."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(3, n)))
+    m = 2 * k if draw(st.booleans()) else k
+    axes = tuple(draw(st.permutations(range(2 * n)))[:m])
+    batch = tuple(draw(st.lists(st.integers(1, 6), max_size=2)))
+    return n, axes, batch, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(contraction_cases())
+@example((6, (2, 4, 8, 10), (), 1))  # toy state: 16x16 on 256 columns
+@example((4, (0, 2, 4, 6), (16,), 2))  # toy input stack: 16x16 on 256 columns
+@example((3, (0, 1, 2, 3, 4, 5), (16,), 3))  # two-qubit input stack: 64x64 on 16
+@example((3, (0, 1, 2, 3, 4, 5), (3, 3), 0))  # 64x64 on 9: one product
+@example((3, (0, 1, 2, 3, 4, 5), (17,), 5))  # 64x64 on 17: last block of 9
+@example((3, (0, 1, 2, 3, 4, 5), (3, 7), 6))  # 64x64 on 21: last block of 13
+def test_contract_at_blocks_match_one_tensordot(case):
+    """The column-blocked ``_contract_at`` gives the bits of one
+    ``tensordot`` over all columns."""
+    n, axes, batch, seed = case
+    rng = np.random.default_rng(seed)
+    d = 2 ** len(axes)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    shape = batch + (2,) * (2 * n)
+    tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    axes = [len(batch) + a for a in axes]
+    np.testing.assert_array_equal(_contract_at(op, tensor, axes),
+                                  reference_contract_at(op, tensor, axes))
 
 
 def reference_channel_choi(c, noise, keep):

@@ -5,6 +5,7 @@ from conftest import random_density, random_pure
 from qcollide.qmat import (
     DensityMatrix,
     QubitRegister,
+    _projector,
     bloch_to_state,
     ket,
     nkron,
@@ -43,6 +44,26 @@ def test_density_matrix_validation():
         DensityMatrix(("q",), np.diag([1.5, -0.5]))  # negative eigenvalue
     rho = DensityMatrix(("q",), np.diag([0.25, 0.75]))
     assert rho.purity() == pytest.approx(0.625)
+
+
+def test_projector_checks_the_vector():
+    """``_projector`` rejects a non-finite vector and one off unit norm by
+    1e-9, and returns the outer product itself, not renormalised."""
+    for bad in ([1.0, np.nan], [np.inf, 0.0], [1.0 + 1e-9, 0.0], [0.0, 1.0 - 1e-9]):
+        with pytest.raises(ValueError):
+            _projector(np.array(bad, dtype=complex), ("q",))
+    psi = np.array([0.6, 0.8j])
+    np.testing.assert_array_equal(_projector(psi, ("q",)).mat, np.outer(psi, psi.conj()))
+    with pytest.raises(ValueError):
+        _projector(BELL, ("q",))  # register too small
+
+
+def test_pure_state_normalises():
+    vec = 3.0 * ket("0") + 4.0j * ket("1")
+    psi = vec / np.linalg.norm(vec)
+    rho = pure_state(vec, ("q",))
+    np.testing.assert_array_equal(rho.mat, np.outer(psi, psi.conj()))
+    assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-15)
 
 
 def test_tensor_examples():
