@@ -6,24 +6,26 @@ concurrence can be computed directly), not to trace d.
 Every conversion goes through three private helpers on the row-major vec
 (vec(A)[i*d + j] = A[i, j]; Wood, Biamonte & Cory, arXiv:1111.6950):
 
-* ``_choi_matrix``: Σ vec(K) vec(K)†, output factor first, trace d;
-* ``_kraus_of_choi``: the one Choi→Kraus routine (trace-preservation check,
-  eigendecomposition, round-off cutoff 1e-15·d, exact renormalisation),
-  behind ``channel_of_choi``, the compression in ``compose`` and the circuit
-  channel of ``noisytomo``;
-* ``_superop``: Σ K⊗K̄, behind ``apply_at`` and ``transfer_of_channel``;
-  ``_superop_at`` applies a local superoperator on some qubits of a matrix or
-  a stack of matrices.  It is the one routine that does: ``apply_at`` calls
-  it, and so does the circuit path of ``noisytomo``, once per fused block.
+* ``_superop``: Σ K⊗K̄, behind ``apply_at`` and ``KrausChannel.superop``;
+* ``_reshuffle``: a superoperator's entries as its Choi matrix (trace d);
+* ``_kraus_of_choi``: the one Choi→Kraus routine (eigendecomposition,
+  round-off cutoff 1e-15·d, exact renormalisation), behind ``channel_of_choi``
+  and the Kraus set of a channel read off its superoperator (by ``compose``
+  or the circuit path of ``noisytomo``, after the trace-preservation check of
+  ``KrausChannel._of_superop``), which is derived only when asked for.
 
-``transfer_of_channel`` sandwiches the superoperator between the normalized
-Pauli vecs, a read-only matrix built once per qubit count (``_pauli_columns``).
+``_superop_at`` applies a local superoperator on some qubits of a matrix or a
+stack of matrices: ``apply_at``, ``apply_extended`` and the circuit path of
+``noisytomo`` call it.  ``transfer_of_channel`` sandwiches the superoperator
+between the normalized Pauli vecs, a read-only matrix built once per qubit
+count (``_pauli_columns``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +62,9 @@ KRAUS_COMPLETE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A CPT map given by Kraus operators (sum K†K = I within 1e-9)."""
+    """A CPT map given by Kraus operators (sum K†K = I within 1e-9), or read
+    off its superoperator; either one is derived from the other on first use."""
 
-    kraus_ops: tuple[np.ndarray, ...] = field(repr=False)
     in_dim: int = 0
     out_dim: int = 0
 
@@ -77,9 +79,31 @@ class KrausChannel:
                 raise ValueError("Kraus completeness violated")
         for k in ops:
             k.setflags(write=False)
-        object.__setattr__(self, "kraus_ops", ops)
-        object.__setattr__(self, "in_dim", in_dim)
-        object.__setattr__(self, "out_dim", out_dim)
+        self.__dict__.update(kraus_ops=ops, in_dim=in_dim, out_dim=out_dim)
+
+    @classmethod
+    def _of_superop(cls, superop: np.ndarray) -> "KrausChannel":
+        """The channel with the completely positive superoperator ``superop``,
+        rejected if Tr E(|i><j|) is over 1e-3 from δ_ij (in trace-1 units)."""
+        d_out, d_in = map(math.isqrt, superop.shape)
+        dev = np.abs(np.eye(d_out).ravel() @ superop - np.eye(d_in).ravel()).max() / d_in
+        if dev > 1e-3:
+            raise ValueError(f"trace-preservation violation {dev:.2e} > 1e-3")
+        superop.setflags(write=False)
+        ch = cls.__new__(cls)
+        ch.__dict__.update(superop=superop, in_dim=d_in, out_dim=d_out)
+        return ch
+
+    @functools.cached_property
+    def kraus_ops(self) -> tuple[np.ndarray, ...]:
+        return _kraus_of_choi(_reshuffle(self.superop), self.in_dim).kraus_ops
+
+    @functools.cached_property
+    def superop(self) -> np.ndarray:
+        """Σ K⊗K̄, the map vec ρ → vec E(ρ) on the row-major vec (read-only)."""
+        s = _superop(self.kraus_ops)
+        s.setflags(write=False)
+        return s
 
     @property
     def n_qubits(self) -> int:
@@ -164,11 +188,12 @@ def phase_damping_channel(lam: float) -> KrausChannel:
     return KrausChannel([k0, k1, k2])
 
 
-def _choi_matrix(ops) -> np.ndarray:
-    """Σ vec(K) vec(K)† with the row-major vec (output factor first): the
-    Choi matrix of trace d = in_dim for a trace-preserving Kraus set."""
-    vecs = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
-    return vecs.T @ vecs.conj()
+def _reshuffle(superop: np.ndarray) -> np.ndarray:
+    """The Choi matrix [(a, i), (b, j)] of the superoperator [(a, b), (i, j)]
+    = E(|i><j|)[a, b], and back when d_out = d_in (it is an involution)."""
+    d_out, d_in = map(math.isqrt, superop.shape)
+    choi = superop.reshape(d_out, d_out, d_in, d_in).transpose(0, 2, 1, 3)
+    return choi.reshape(d_out * d_in, d_out * d_in)
 
 
 def choi_of_channel(ch: KrausChannel, labels=("S_out", "S_ref")) -> ChoiState:
@@ -179,40 +204,34 @@ def choi_of_channel(ch: KrausChannel, labels=("S_out", "S_ref")) -> ChoiState:
     out_labels = [f"{labels[0]}{i}" for i in range(n_out)] if n_out > 1 else [labels[0]]
     ref_labels = [f"{labels[1]}{i}" for i in range(n_ref)] if n_ref > 1 else [labels[1]]
     return ChoiState(DensityMatrix(QubitRegister(out_labels + ref_labels),
-                                   _choi_matrix(ch.kraus_ops) / d))
+                                   _reshuffle(ch.superop) / d))
 
 
 def channel_of_choi(c: ChoiState) -> KrausChannel:
     """Kraus extraction by eigendecomposition (eigenvalues above the
-    round-off 1e-15·d, renormalised to be exactly trace preserving)."""
-    return _kraus_of_choi(c.rho.mat * c.dim, c.dim)
+    round-off 1e-15·d, renormalised to be exactly trace preserving), after
+    the trace-preservation check of ``KrausChannel._of_superop``."""
+    read_off = KrausChannel._of_superop(_reshuffle(c.rho.mat * c.dim))
+    return KrausChannel(read_off.kraus_ops, validate=False)
 
 
 def _kraus_of_choi(choi: np.ndarray, d: int) -> KrausChannel:
-    """The one Choi→Kraus routine, for a d → d map with Choi matrix ``choi``
-    of trace d (the ``_choi_matrix`` convention).
+    """The one Choi→Kraus routine, for a trace-preserving map on input
+    dimension d with Choi matrix ``choi`` of trace d (``_reshuffle``).
 
-    Rejects a trace-preservation deviation above 1e-3 (in trace-1 units),
-    keeps the eigenvectors with eigenvalue above round-off (1e-15·d, relative
+    Keeps the eigenvectors with eigenvalue above round-off (1e-15·d, relative
     to the trace) as Kraus operators and renormalises them to be exactly TP."""
-    marg = np.einsum("ajak->jk", choi.reshape(d, d, d, d))
-    dev = np.abs(marg - np.eye(d)).max() / d
-    if dev > 1e-3:
-        raise ValueError(f"trace-preservation violation {dev:.2e} > 1e-3 in Choi state")
+    d_out = len(choi) // d
     ev, vecs = np.linalg.eigh((choi + choi.conj().T) / 2)
     keep = ev > 1e-15 * d
-    ops = (np.sqrt(ev[keep]) * vecs[:, keep]).T.reshape(-1, d, d)
+    ops = (np.sqrt(ev[keep]) * vecs[:, keep]).T.reshape(-1, d_out, d)
     # Renormalize so the channel is exactly trace preserving despite projection.
     s = np.einsum("kba,kbc->ac", ops.conj(), ops)
     return KrausChannel(ops @ np.linalg.inv(herm_sqrt(s)))
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    if ch.in_dim != rho.dim:
-        raise ValueError("dimension mismatch")
-    n = rho.register.n
-    return DensityMatrix(rho.register, apply_at(ch.kraus_ops, rho.mat, range(n), n),
-                         validate=False)
+    return apply_extended(ch, rho, rho.register.labels)
 
 
 def apply_extended(ch: KrausChannel, rho_joint: DensityMatrix, target_labels) -> DensityMatrix:
@@ -221,7 +240,7 @@ def apply_extended(ch: KrausChannel, rho_joint: DensityMatrix, target_labels) ->
     targets = reg.indices(list(target_labels))
     if 2 ** len(targets) != ch.in_dim or ch.in_dim != ch.out_dim:
         raise ValueError("target label count does not match channel dimension")
-    out = apply_at(ch.kraus_ops, rho_joint.mat, targets, reg.n)
+    out = _superop_at(ch.superop, rho_joint.mat, targets, reg.n)
     return DensityMatrix(reg, out, validate=False)
 
 
@@ -314,19 +333,15 @@ def embed_operator(op: np.ndarray, qubit_positions, n: int) -> np.ndarray:
 
 def transfer_of_channel(ch: KrausChannel) -> TransferMap:
     """M_ab = tr(P_a E[P_b]) = vec(P_a)† S vec(P_b) with P the normalized
-    Pauli basis and S the superoperator."""
+    Pauli basis and S the superoperator ``ch.superop``."""
     if ch.in_dim != ch.out_dim:
         raise ValueError("square channel required")
     vecs = _pauli_columns(ch.n_qubits)
-    return TransferMap((vecs.conj().T @ _superop(ch.kraus_ops) @ vecs).real)
+    return TransferMap((vecs.conj().T @ ch.superop @ vecs).real)
 
 
 def compose(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    """The channel 'a after b': compose(a, b)(rho) = a(b(rho))."""
+    """The channel 'a after b', compose(a, b)(rho) = a(b(rho)): a.superop @ b.superop."""
     if a.in_dim != b.out_dim:
         raise ValueError("dimension mismatch")
-    ops = [ka @ kb for ka in a.kraus_ops for kb in b.kraus_ops]
-    if len(ops) > a.out_dim**2:
-        # Compress via Choi eigendecomposition to keep Kraus ranks bounded.
-        return _kraus_of_choi(_choi_matrix(ops), a.out_dim)
-    return KrausChannel(ops, validate=False)
+    return KrausChannel._of_superop(a.superop @ b.superop)

@@ -164,31 +164,26 @@ def _run_simulate(args) -> int:
                                           shots=args.shots, seed=args.seed * 1000 + 900)
         calibration = [noisytomo.sample_calibration(j, noise=noise) for j in jobs]
 
-    conc_rows = []
-    ideal_mats, used_mats = [], []
     ideal_series = collision.evolve_series(model, n_max)
     used_series = (ideal_series if noise is None
                    else collision.evolve_series(model, n_max, noise))
-    for n, (ideal_rec, used_rec) in enumerate(zip(ideal_series, used_series)):
+    mats = []
+    for ideal_rec, used_rec in zip(ideal_series, used_series):
         state, replicas = _state_for(model, used_rec, noise, args.shots, args.seed,
                                      calibration)
         if state.register != ideal_rec.joint_state.register:
             raise ValueError("register mismatch")
-        # The state and its bootstrap replicas go through the quantifiers as
-        # one stack; row 0 is the state.
-        mats = np.stack([s.mat for s in (state, *replicas)])
-        exact, conc, assist = entangle.quantifiers(mats, sys_labels, register=state.register)
-        c, c_sharp = float(conc[0]), float(assist[0])
-        err_c = err_cs = 0.0
-        if replicas:
-            err_c = float(conc[1:].std(ddof=1))
-            err_cs = float(assist[1:].std(ddof=1))
-        conc_rows.append([n, c, c_sharp, err_c, err_cs])
-        ideal_mats.append(ideal_rec.joint_state.mat)
-        used_mats.append(state.mat)
-    fids = qmat.state_fidelity_mat(np.stack(ideal_mats), np.stack(used_mats))
-    for row, fid in zip(conc_rows, fids.tolist()):
-        row.append(fid)
+        mats.append(np.stack([s.mat for s in (state, *replicas)]))
+    # All states and their bootstrap replicas go through the quantifiers as
+    # one (N+1, R+1, d, d) stack; [:, 0] are the states.
+    mats = np.stack(mats)
+    exact, conc, assist = entangle.quantifiers(mats, sys_labels, register=state.register)
+    fids = qmat.state_fidelity_mat(np.stack([r.joint_state.mat for r in ideal_series]),
+                                   mats[:, 0])
+    errs = (np.stack([conc[:, 1:], assist[:, 1:]]).std(axis=-1, ddof=1) if args.shots > 0
+            else np.zeros((2, n_max + 1)))
+    conc_rows = [[n, *row] for n, row in enumerate(zip(
+        conc[:, 0].tolist(), assist[:, 0].tolist(), *errs.tolist(), fids.tolist()))]
 
     c_col = "C" if exact else "C_lower"
     cs_col = "C_sharp" if exact else "C_sharp_upper"

@@ -123,7 +123,7 @@ class CollisionModel:
 class EvolutionRecord:
     n: int
     joint_state: DensityMatrix  # on system + ancilla, environment traced out
-    reduced_channel: KrausChannel  # map on the system for n collisions
+    reduced_channel: KrausChannel  # system map for n collisions, as its superoperator
 
 
 def single_qubit_model(g_dt: float = np.pi / 4) -> CollisionModel:
@@ -311,9 +311,6 @@ def _fibonacci_sphere(mesh: int) -> np.ndarray:
 def bloch_image_samples(record: EvolutionRecord, mesh: int = 100) -> np.ndarray:
     """Image of a uniform Bloch-sphere mesh under the reduced channel, one
     Bloch vector per row: the affine map r ↦ t + A r read off the Pauli
-    transfer matrix (t its first column, A its 3x3 block)."""
-    ch = record.reduced_channel
-    if ch.in_dim != 2:
-        raise ValueError("qubit channel required")
-    m = transfer_of_channel(ch).M
-    return m[1:, 0] + _fibonacci_sphere(mesh) @ m[1:, 1:].T
+    transfer matrix (t its first column, A its 3x3 block; qubits only)."""
+    m = transfer_of_channel(record.reduced_channel)
+    return m.M[1:, 0] + _fibonacci_sphere(mesh) @ m.bloch_block().T

@@ -24,8 +24,8 @@ that block has the same labels in the same order.  This only composes
 superoperators, so it is exact.  ``_apply_blocks`` then applies the blocks
 with ``channel._superop_at`` to a matrix or a stack of matrices.  The circuit
 channel on kept qubits (``noisy_channel_of_circuit``) runs the circuit once
-on the stack of all inputs |i><j| and reads its Choi matrix off the
-traced-out images.
+on the stack of all inputs |i><j|; the traced-out images are its
+superoperator, and its Kraus set is derived only when asked for.
 
 Tomography is linear, and both of its maps factor into one small map per
 measured qubit (``_FORWARD`` and ``_INVERSE``), applied by ``_apply_per_qubit``
@@ -71,7 +71,6 @@ from numpy.random import default_rng
 from . import circuit as circ
 from .channel import (
     KrausChannel,
-    _kraus_of_choi,
     _superop,
     _superop_at,
     amplitude_damping_channel,
@@ -192,8 +191,7 @@ def _thermal_superop(noise: NoiseConfig, duration_ns: float):
     gamma = 1.0 - np.exp(-duration_ns / t1)
     rate_phi = 1.0 / t2 - 1.0 / (2.0 * t1)
     lam = 1.0 - np.exp(-2.0 * duration_ns * max(rate_phi, 0.0))
-    return (_superop(phase_damping_channel(lam).kraus_ops)
-            @ _superop(amplitude_damping_channel(gamma).kraus_ops))
+    return phase_damping_channel(lam).superop @ amplitude_damping_channel(gamma).superop
 
 
 def _gate_superop(gate: circ.Gate, noise: NoiseConfig | None) -> np.ndarray:
@@ -294,9 +292,9 @@ def apply_noisy_circuit(c: circ.Circuit, rho: DensityMatrix | None = None,
 
 def noisy_channel_of_circuit(c: circ.Circuit, noise: NoiseConfig | None,
                              keep=None) -> KrausChannel:
-    """The circuit's CPT map on the ``keep`` qubits (default: all) as a Kraus
-    channel, built from one run of the circuit on the stack of all d² inputs
-    |i><j|.
+    """The circuit's CPT map on the ``keep`` qubits (default: all), read off
+    as its superoperator from one run of the circuit on the stack of all d²
+    inputs |i><j|.
 
     The other qubits start in |0> and are traced out at the end.  At most 3
     qubits may be kept; the channel orders them as the register does."""
@@ -323,12 +321,11 @@ def _channel_inputs(reg: QubitRegister, keep=None) -> tuple[list[int], np.ndarra
 
 def _channel_of_images(images: np.ndarray, pos, n: int) -> KrausChannel:
     """The channel read off the images of the ``_channel_inputs`` stack on an
-    n-qubit register, keeping the qubits at ``pos``."""
+    n-qubit register, keeping the qubits at ``pos``, as its superoperator."""
     d = 2 ** len(pos)
     out = partial_trace_mat(images, pos, n)
-    # out[i*d + j, a, b] is the image of |i><j|; the Choi entry is [(a, i), (b, j)].
-    choi = out.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-    return _kraus_of_choi(choi, d)
+    # out[i*d + j] is E(|i><j|), whose row-major vec is superoperator column i*d + j.
+    return KrausChannel._of_superop(out.reshape(d * d, d * d).T)
 
 
 # --------------------------------------------------------------------------

@@ -184,8 +184,7 @@ def bloch_volume(ch: KrausChannel) -> float:
     """|det| of the 3x3 Bloch block, the product of its singular values (the
     image ellipsoid's semi-axes): the image volume as a fraction of the full
     Bloch-ball volume V0 = 4*pi/3.  Singular values below 1e-12 count as 0,
-    so a rank-deficient block gives exactly 0 rather than round-off."""
-    if ch.in_dim != 2 or ch.out_dim != 2:
-        raise ValueError("qubit channel required")
+    so a rank-deficient block gives exactly 0 rather than round-off (qubit
+    channels only: ``bloch_block`` checks)."""
     sv = np.linalg.svd(transfer_of_channel(ch).bloch_block(), compute_uv=False)
     return float(np.prod(np.where(sv < 1e-12, 0.0, sv)))

@@ -167,10 +167,6 @@ def tensor(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _reshaped(mat: np.ndarray, n: int) -> np.ndarray:
-    return mat.reshape([2] * (2 * n))
-
-
 def partial_trace_mat(mat: np.ndarray, keep_positions, n: int) -> np.ndarray:
     """Partial trace of a raw (not necessarily Hermitian) 2^n x 2^n matrix,
     or of a stack of them with leading batch axes (..., 2^n, 2^n), keeping
@@ -223,7 +219,8 @@ def trace_norm(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     if m.shape[-1] != m.shape[-2]:
         raise ValueError("square matrix required")
-    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) < 1e-12
+    diff = m.conj().swapaxes(-1, -2)
+    herm = np.abs(np.subtract(m, diff, out=diff)).max(axis=(-2, -1)) < 1e-12
     out = np.empty(m.shape[:-2])
     out[herm] = np.abs(np.linalg.eigvalsh(m[herm])).sum(axis=-1)
     out[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)

@@ -101,6 +101,14 @@ def test_channel_of_choi_rejects_non_tp():
         channel_of_choi(ChoiState(DensityMatrix(("o", "r"), bad)))
 
 
+def test_read_off_channel_rejects_non_tp():
+    """A superoperator whose Tr E(|i><j|) is more than 1e-3 (trace-1 units)
+    off δ_ij is rejected when read off; one within that is kept."""
+    with pytest.raises(ValueError, match="trace-preservation"):
+        KrausChannel._of_superop(0.99 * np.eye(4))
+    assert KrausChannel._of_superop((1 - 1e-4) * np.eye(4)).in_dim == 2
+
+
 def test_transfer_examples():
     assert np.abs(transfer_of_channel(identity_channel()).M - np.eye(4)).max() < 1e-12
     # t = pi/2: Bloch ball contracted to the north pole
