@@ -603,6 +603,9 @@ def _checked_lowering(g: Gate):
     """(native gates on ``_PLACEHOLDERS``, phase, deviation) for one source
     gate: its lowering u_native with g.unitary() = e^{i phase} u_native up to
     an operator-norm deviation ``deviation``."""
+    if len(g.qubits) > len(_PLACEHOLDERS):
+        raise ValueError("UNITARY payloads on more than 2 qubits must be pre-decomposed "
+                         "with decompose_multiqubit")
     local = replace(g, qubits=_PLACEHOLDERS[:len(g.qubits)])
     if g.kind in NATIVE_KINDS:
         return [local], 0.0, 0.0
@@ -620,18 +623,10 @@ def _lower(g: Gate) -> list[Gate]:
         return _euler_native(H_MATRIX, g.qubits[0])
     if g.kind == "CNOT":
         return _cnot_native(*g.qubits)
+    if g.kind == "UNITARY" and len(g.qubits) == 1:
+        return _euler_native(g.matrix, g.qubits[0])
     if g.kind == "UNITARY":
-        if len(g.qubits) == 1:
-            return _euler_native(g.matrix, g.qubits[0])
-        if len(g.qubits) == 2:
-            out: list[Gate] = []
-            for sub in _two_qubit_gates(g.matrix, g.qubits):
-                out.extend(_lower(sub))
-            return out
-        raise ValueError(
-            "UNITARY payloads on more than 2 qubits must be pre-decomposed "
-            "with decompose_multiqubit"
-        )
+        return [n for sub in _two_qubit_gates(g.matrix, g.qubits) for n in _lower(sub)]
     raise ValueError(f"unknown gate kind {g.kind!r}")
 
 

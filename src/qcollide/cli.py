@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import __version__, channel, collision, entangle, nonmarkov, noisytomo, qmat
 from . import circuit as circ
@@ -100,43 +99,6 @@ def _fmt(x) -> str:
 # simulate
 # --------------------------------------------------------------------------
 
-def _state_for(model, rec, noise, shots, seed, calibration):
-    """(state for quantities, bootstrap replicas) at collision ``rec.n``: the
-    record's joint state, or with shots the state reconstructed from
-    tomography of it.
-
-    ``calibration`` is the pair of readout-calibration counts used to
-    mitigate the shot data, or None for raw counts.  The shot data stay
-    count and frequency tables throughout (rows in ``all_settings`` order)."""
-    if shots <= 0:
-        return rec.joint_state, []
-    measured = model.ancilla_labels + model.system_labels
-    stream = seed * 1000 + rec.n
-    table = noisytomo._sample_table(rec.joint_state, measured, shots, stream, noise)
-    if calibration is not None:
-        table = noisytomo._mitigate_table(noisytomo._frequencies(table),
-                                          noisytomo._confusion_inverses(*calibration), shots)
-    freqs = noisytomo._frequencies(table)
-    mat, _ = noisytomo._reconstruct_frequencies(freqs)
-    mats, _ = noisytomo._reconstruct_frequencies(
-        _bootstrap_tables(freqs, shots, stream, reps=20))
-    state, *replicas = _states(measured, [mat, *mats])
-    return state, replicas
-
-
-def _bootstrap_tables(freqs, shots, seed, reps=20):
-    """(reps, rows, 2^k) multinomial resamples of a (rows, 2^k) frequency
-    table, divided by ``shots``: one draw per row from one generator,
-    replica after replica, rows in table order."""
-    rng = default_rng([seed, 777])
-    return rng.multinomial(shots, freqs, size=(reps, len(freqs))) / shots
-
-
-def _states(measured, mats):
-    reg = qmat.QubitRegister(measured)
-    return [qmat.DensityMatrix(reg, m, validate=False) for m in mats]
-
-
 def _run_simulate(args) -> int:
     _require(math.isfinite(args.gdt), "--gdt must be finite")
     _require(args.seed >= 0, "--seed must be nonnegative")
@@ -157,27 +119,17 @@ def _run_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sys_labels = model.system_labels
-    calibration = None
-    if noise is not None and args.mitigate:
-        jobs = noisytomo.calibration_jobs(model.register,
-                                          model.ancilla_labels + sys_labels,
-                                          shots=args.shots, seed=args.seed * 1000 + 900)
-        calibration = [noisytomo.sample_calibration(j, noise=noise) for j in jobs]
 
     ideal_series = collision.evolve_series(model, n_max)
     used_series = (ideal_series if noise is None
                    else collision.evolve_series(model, n_max, noise))
-    mats = []
-    for ideal_rec, used_rec in zip(ideal_series, used_series):
-        state, replicas = _state_for(model, used_rec, noise, args.shots, args.seed,
-                                     calibration)
-        if state.register != ideal_rec.joint_state.register:
-            raise ValueError("register mismatch")
-        mats.append(np.stack([s.mat for s in (state, *replicas)]))
+    register = used_series[0].joint_state.register
     # All states and their bootstrap replicas go through the quantifiers as
     # one (N+1, R+1, d, d) stack; [:, 0] are the states.
-    mats = np.stack(mats)
-    exact, conc, assist = entangle.quantifiers(mats, sys_labels, register=state.register)
+    mats = noisytomo.tomography_estimates([rec.joint_state for rec in used_series],
+                                          register.labels, args.shots, args.seed, noise,
+                                          args.mitigate)
+    exact, conc, assist = entangle.quantifiers(mats, sys_labels, register=register)
     fids = qmat.state_fidelity_mat(np.stack([r.joint_state.mat for r in ideal_series]),
                                    mats[:, 0])
     errs = (np.stack([conc[:, 1:], assist[:, 1:]]).std(axis=-1, ddof=1) if args.shots > 0
@@ -339,7 +291,7 @@ def _run_transpile_check(_args) -> int:
     if not ok:
         failures.append("collision")
 
-    rng = default_rng(12345)
+    rng = np.random.default_rng(12345)
     worst = 0.0
     for _ in range(10):
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

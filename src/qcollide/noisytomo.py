@@ -55,6 +55,14 @@ The shot path runs on count tables, rows in ``all_settings`` order:
 ``ShotCounts`` (setting -> bitstring -> count) is the boundary and CSV view:
 ``_sample_state``, ``mitigate_readout`` and ``reconstruct`` are thin wrappers
 that convert to and from it, with the same numbers.
+
+``tomography_estimates`` is the estimator: state n of a stack and its 20
+bootstrap replicas (``_estimate``) draw from stream seed·1000 + n, table row
+idx from ``default_rng([stream, idx])`` and the replicas from
+``default_rng([stream, 777])``; the all-|0> and all-|1> calibration runs, on
+the measured qubits, use seed·1000 + 900 and + 901.  A known defect: the
+streams collide, so state n = 900 or 901 reuses a calibration stream, and
+state n = 1000 of seed s reuses state 0 of seed s + 1.
 """
 
 from __future__ import annotations
@@ -93,6 +101,7 @@ __all__ = [
     "sample",
     "calibration_jobs",
     "mitigate_readout",
+    "tomography_estimates",
     "reconstruct",
     "ReconstructionResult",
     "counts_to_csv",
@@ -115,8 +124,8 @@ class NoiseConfig:
     readout: dict = field(default_factory=lambda: {"default": (0.01, 0.01)})
 
     def __post_init__(self):
-        if self.t2_us > 2 * self.t1_us + 1e-12:
-            raise ValueError("t2 must not exceed 2*t1")
+        if not (self.t1_us > 0 and 0 < self.t2_us <= 2 * self.t1_us + 1e-12):
+            raise ValueError("t1 and t2 must be positive, and t2 must not exceed 2*t1")
         for p in (self.depol_1q, self.depol_2q):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("depolarizing probabilities must be in [0, 1]")
@@ -124,8 +133,8 @@ class NoiseConfig:
             if not (0.0 <= v[0] <= 1.0 and 0.0 <= v[1] <= 1.0):
                 raise ValueError("readout probabilities must be in [0, 1]")
         for d in self.gate_duration_ns.values():
-            if d < 0:
-                raise ValueError("durations must be nonnegative")
+            if not (np.isfinite(d) and d >= 0):
+                raise ValueError("durations must be finite and nonnegative")
 
     def readout_probs(self, label: str) -> tuple[float, float]:
         return tuple(self.readout.get(label, self.readout.get("default", (0.0, 0.0))))
@@ -523,19 +532,18 @@ def mitigate_readout(counts: ShotCounts, calib0: ShotCounts, calib1: ShotCounts)
     if calib0.measured != counts.measured or calib1.measured != counts.measured:
         raise ValueError("calibration runs must measure the same qubits")
     settings = tuple(counts.counts)
-    freqs = np.reshape([counts.frequencies(s) for s in settings],
-                       (-1, 2 ** len(counts.measured)))
-    table = _mitigate_table(freqs, _confusion_inverses(calib0, calib1), counts.shots)
+    k = len(counts.measured)
+    freqs = np.reshape([counts.frequencies(s) for s in settings], (-1, 2**k))
+    invs = _confusion_inverses(calib0.frequencies("Z" * k), calib1.frequencies("Z" * k))
+    table = _mitigate_table(freqs, invs, counts.shots)
     return ShotCounts.of_table(counts.measured, counts.shots, settings, table)
 
 
-def _confusion_inverses(calib0: ShotCounts, calib1: ShotCounts) -> list:
-    """Inverse 2x2 confusion matrix of each measured qubit, from its marginal
-    Z-basis frequencies in the all-|0> and all-|1> calibration runs."""
-    k = len(calib0.measured)
-    zkey = "Z" * k
-    f0 = calib0.frequencies(zkey).reshape([2] * k)
-    f1 = calib1.frequencies(zkey).reshape([2] * k)
+def _confusion_inverses(f0: np.ndarray, f1: np.ndarray) -> list:
+    """Inverse 2x2 confusion matrix of each measured qubit, from the Z-basis
+    frequency vectors (2^k,) of the all-|0> and all-|1> calibration runs."""
+    k = f0.size.bit_length() - 1
+    f0, f1 = (np.reshape(f, [2] * k) for f in (f0, f1))
     invs = []
     for axis in range(k):
         other = tuple(a for a in range(k) if a != axis)
@@ -556,6 +564,49 @@ def _mitigate_table(freqs: np.ndarray, invs, shots: int) -> np.ndarray:
     table = table / table.sum(axis=1, keepdims=True)
     # Clipped entries are exact zeros, as in the counts that leave them out.
     return np.where(table > 0, table * shots, 0.0)
+
+
+def tomography_estimates(states, measured, shots: int, seed: int,
+                         noise: NoiseConfig | None = None,
+                         mitigate: bool = False) -> np.ndarray:
+    """(N+1, 21, 2^k, 2^k) stack of each DensityMatrix in ``states`` estimated
+    on the ``measured`` qubits from ``shots`` per setting, [:, 0], and its 20
+    bootstrap replicas, [:, 1:]; ``mitigate`` runs the calibration circuits
+    and mitigates every count table.  Without shots: the exact states,
+    (N+1, 1, D, D).  Streams as in the module docstring."""
+    if shots <= 0:
+        return np.stack([rho.mat for rho in states])[:, None]
+    invs = None
+    if mitigate:
+        zkey = "Z" * len(measured)
+        jobs = calibration_jobs(QubitRegister(measured), measured, shots, seed * 1000 + 900)
+        invs = _confusion_inverses(*(sample_calibration(j, noise).frequencies(zkey)
+                                     for j in jobs))
+    # Per state: one call over all states would hold all their replica tables.
+    return np.stack([_estimate(rho, measured, shots, seed * 1000 + n, noise, invs)
+                     for n, rho in enumerate(states)])
+
+
+def _estimate(rho: DensityMatrix, measured, shots: int, stream: int,
+              noise: NoiseConfig | None, invs) -> np.ndarray:
+    """(21, 2^k, 2^k): rho reconstructed from one count table drawn from
+    ``stream`` (mitigated with ``invs`` unless None), then 20 reconstructed
+    bootstrap resamples of its frequencies; each made Hermitian, (m + m†)/2."""
+    freqs = _frequencies(_sample_table(rho, measured, shots, stream, noise))
+    if invs is not None:
+        freqs = _frequencies(_mitigate_table(freqs, invs, shots))
+    mat, _ = _reconstruct_frequencies(freqs)
+    mats, _ = _reconstruct_frequencies(_bootstrap_tables(freqs, shots, stream))
+    mats = np.concatenate([mat[None], mats])
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2
+
+
+def _bootstrap_tables(freqs, shots, seed, reps=20):
+    """(reps, rows, 2^k) multinomial resamples of a (rows, 2^k) frequency
+    table, divided by ``shots``: one draw per row from one generator,
+    replica after replica, rows in table order."""
+    rng = default_rng([seed, 777])
+    return rng.multinomial(shots, freqs, size=(reps, len(freqs))) / shots
 
 
 @dataclass(frozen=True)

@@ -96,8 +96,10 @@ def test_channel_of_choi_round_trips(rng):
 
 
 def test_channel_of_choi_rejects_non_tp():
-    bad = np.diag([0.6, 0.0, 0.4, 0.0])  # tr_out = |0><0| != I/2
-    with pytest.raises(ValueError):
+    # E(|0><0|) = 0.9|0><0| and E(|1><1|) = 1.1|1><1|: Σ K†K = diag(0.9, 1.1)
+    # is invertible, so only the trace-preservation check can reject it.
+    bad = np.diag([0.45, 0.0, 0.0, 0.55])
+    with pytest.raises(ValueError, match="trace-preservation"):
         channel_of_choi(ChoiState(DensityMatrix(("o", "r"), bad)))
 
 

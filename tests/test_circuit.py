@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary
 from qcollide import circuit as circ
-from qcollide import collision
+from qcollide import collision, noisytomo
 from qcollide.channel import _contract_at
 from qcollide.circuit import (
     Circuit,
@@ -240,6 +240,19 @@ def test_decompose_multiqubit(rng):
     assert np.abs(unitary_of_circuit(t) - u8).max() < 1e-8
     counts = gate_count(t)
     assert 100 <= sum(counts.values()) <= 2000  # naive-route cost, reported
+
+
+def test_transpile_asks_for_pre_decomposition_of_multiqubit_unitary(rng):
+    """A UNITARY on three qubits is not lowered on two placeholder wires:
+    ``transpile``, and noisy sampling that transpiles, ask for
+    ``decompose_multiqubit`` instead."""
+    c = Circuit(("a", "b", "c"), [Gate("UNITARY", ("a", "b", "c"),
+                                       matrix=random_unitary(rng, 8))])
+    with pytest.raises(ValueError, match="pre-decomposed"):
+        transpile(c)
+    job = noisytomo.TomographyJob(c, ("a", "b"), shots=16)
+    with pytest.raises(ValueError, match="pre-decomposed"):
+        noisytomo.sample(job, noise=noisytomo.NoiseConfig())
 
 
 def test_serialization_round_trip(rng):

@@ -204,6 +204,17 @@ def test_malformed_noise_config_is_input_error(tmp_path, capsys):
     assert "readout.S" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["t1_us = nan\n", "t2_us = -5\n", "duration.ECR = nan\n"])
+def test_bad_relaxation_time_or_duration_is_input_error(tmp_path, capsys, text):
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text(text)
+    out = tmp_path / "x"
+    assert main(["simulate", "--model", "single", "--collisions", "1", "--noise",
+                 str(noise_file), "--shots", "64", "--out", str(out)]) == 1
+    assert "noise config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_collisions_beyond_model_limit_is_input_error(tmp_path):
     assert main(["simulate", "--model", "toy", "--collisions", "3",
                  "--out", str(tmp_path / "toy")]) == 1

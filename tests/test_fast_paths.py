@@ -2,7 +2,7 @@
 its forward map (the outcome table of every setting), the per-qubit
 tomography maps against the dense 4^k Pauli tables and the peak memory of a
 replica-stack reconstruction, the batched bootstrap,
-the CLI's shot path on count tables against the ShotCounts pipeline, the
+the estimator's shot path on count tables against the ShotCounts pipeline, the
 superoperator contraction of ``apply_at`` and ``unitary_of_circuit``, the
 column-blocked ``_contract_at`` against one ``tensordot``, the fused circuit
 application against one contraction per gate, the channel conversions
@@ -17,7 +17,6 @@ property of every channel it yields."""
 
 import itertools
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,7 +45,6 @@ from qcollide.channel import (
     unitary_channel,
 )
 from qcollide.circuit import Circuit, Gate, unitary_of_circuit
-from qcollide.cli import _bootstrap_tables, _state_for, _states
 from qcollide.noisytomo import (
     NoiseConfig,
     ShotCounts,
@@ -125,19 +123,21 @@ def reference_bootstrap(counts, seed, reps=20):
 
 
 def _bootstrap_states(counts, seed, reps=20):
-    """Reconstructed states of ``reps`` multinomial resamples of the counts.
+    """(reps, 2^k, 2^k) reconstructed states of ``reps`` multinomial
+    resamples of the counts, each made exactly Hermitian.
 
     Each replica draws one multinomial per setting, in ``counts.counts``
     order, from one generator; all replicas are reconstructed in one call:
-    the ShotCounts form of the CLI's bootstrap on count tables."""
+    the ShotCounts form of the estimator's bootstrap on count tables."""
     k = len(counts.measured)
     row = {s: i for i, s in enumerate(all_settings(k))}
     settings = list(counts.counts)
     freqs = np.reshape([counts.frequencies(s) for s in settings], (-1, 2**k))
     table = np.zeros((reps, 3**k, 2**k))
-    table[:, [row[s] for s in settings]] = _bootstrap_tables(freqs, counts.shots, seed, reps)
+    table[:, [row[s] for s in settings]] = noisytomo._bootstrap_tables(
+        freqs, counts.shots, seed, reps)
     mats, _ = noisytomo._reconstruct_frequencies(table)
-    return _states(counts.measured, mats)
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2
 
 
 def random_counts(seed, k, shots=512, mitigated=False):
@@ -254,8 +254,8 @@ def test_bootstrap_matches_reference_loop():
         got = _bootstrap_states(counts, 3007, reps=5)
         want = reference_bootstrap(counts, 3007, reps=5)
         assert len(got) == len(want)
-        for state, mat in zip(got, want):
-            assert np.abs(state.mat - mat).max() <= TOL
+        for got_mat, mat in zip(got, want):
+            assert np.abs(got_mat - mat).max() <= TOL
 
 
 @st.composite
@@ -291,26 +291,26 @@ def shot_path_cases(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(shot_path_cases())
-def test_cli_shot_path_matches_shot_counts_pipeline(case):
-    """``cli._state_for`` on count tables gives the state and every bootstrap
-    replica of the ShotCounts pipeline, bit for bit."""
+def test_estimate_matches_shot_counts_pipeline(case):
+    """``noisytomo._estimate`` on count tables gives the state and every
+    bootstrap replica of the ShotCounts pipeline, bit for bit."""
     measured, rho, noise, shots, seed, n, calibration = case
-    model = SimpleNamespace(ancilla_labels=measured[:1], system_labels=measured[1:])
-    rec = SimpleNamespace(joint_state=rho, n=n)
-    state, replicas = _state_for(model, rec, noise, shots, seed, calibration)
+    stream = seed * 1000 + n
+    invs = None
+    if calibration is not None:
+        zkey = "Z" * len(measured)
+        invs = noisytomo._confusion_inverses(*(c.frequencies(zkey) for c in calibration))
+    got = noisytomo._estimate(rho, measured, shots, stream, noise, invs)
 
-    counts = noisytomo._sample_state(rho, measured, shots, seed * 1000 + n, noise,
+    counts = noisytomo._sample_state(rho, measured, shots, stream, noise,
                                      all_settings(len(measured)))
     if calibration is not None:
         counts = noisytomo.mitigate_readout(counts, *calibration)
     want = reconstruct(counts).state
-    want_replicas = _bootstrap_states(counts, seed * 1000 + n, reps=20)
-    assert state.register.labels == want.register.labels
-    assert np.array_equal(state.mat, want.mat)
-    assert len(replicas) == len(want_replicas) == 20
-    for got, ref in zip(replicas, want_replicas):
-        assert got.register.labels == ref.register.labels
-        assert np.array_equal(got.mat, ref.mat)
+    assert want.register.labels == measured
+    assert got.shape == (21,) + want.mat.shape
+    assert np.array_equal(got[0], want.mat)
+    assert np.array_equal(got[1:], _bootstrap_states(counts, stream, reps=20))
 
 
 _SDG = np.diag([1.0, -1.0j]).astype(complex)

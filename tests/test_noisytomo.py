@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density
+from qcollide import collision, noisytomo
 from qcollide.channel import choi_of_channel
 from qcollide.circuit import Circuit, Gate, bell_prep_circuit
 from qcollide.noisytomo import (
@@ -319,3 +320,30 @@ def test_readout_noise_follows_measured_order():
         sa = _measurement_probs(rho, ("S", "A"), noise)[all_settings(2).index(setting)]
         as_ = _measurement_probs(rho, ("A", "S"), noise)[all_settings(2).index(setting[::-1])]
         assert np.abs(sa.reshape(2, 2).T - as_.reshape(2, 2)).max() < 1e-14
+
+
+@pytest.mark.parametrize("make_model", [collision.toy_model, collision.single_qubit_model])
+def test_tomography_estimates_calibrate_on_the_measured_qubits(make_model):
+    """Mitigated ``tomography_estimates`` runs the calibration circuits on
+    the measured qubits alone, and its estimates equal ``_estimate``'s with
+    the confusion inverses of calibration runs on the whole model register,
+    bit for bit.  Without shots it returns the exact states."""
+    model = make_model()
+    noise = NoiseConfig()
+    states = [rec.joint_state for rec in collision.evolve_series(model, 2, noise)]
+    measured = states[0].register.labels
+    assert measured == model.ancilla_labels + model.system_labels
+    shots, seed = 256, 3
+    got = noisytomo.tomography_estimates(states, measured, shots, seed, noise, mitigate=True)
+
+    zkey = "Z" * len(measured)
+    jobs = calibration_jobs(model.register, measured, shots, seed * 1000 + 900)
+    invs = noisytomo._confusion_inverses(*(sample_calibration(j, noise).frequencies(zkey)
+                                           for j in jobs))
+    want = np.stack([noisytomo._estimate(rho, measured, shots, seed * 1000 + n, noise, invs)
+                     for n, rho in enumerate(states)])
+    assert got.shape == (3, 21) + states[0].mat.shape
+    assert np.array_equal(got, want)
+
+    exact = noisytomo.tomography_estimates(states, measured, 0, seed)
+    assert np.array_equal(exact, np.stack([rho.mat for rho in states])[:, None])
