@@ -17,14 +17,13 @@ Phys. Rep. 954 (2022)), and ``evolve(model, n)`` is its record n.  Each
 distinct step (one for SingleQubit and TwoQubitExchange, the step and its
 adjoint for Toy/Swap) becomes one ``UNITARY`` gate per step operation, and
 runs through the circuit channel of ``noisytomo``, with ``noise=None`` for the
-ideal case, on two running objects: the register state and the stack of all
-inputs |i><j| on the system, the environment in |0...0>.  Record n traces the
-environment out of the state and reads the reduced system channel off the
-stack.  Only two things depend on the noise model.  Ideal runs start from
-``model.initial_state``; noisy runs start from |0...0> and run the
-preparation gates.  Noisy runs transpile the preparation once and each
-distinct step once, on its system + environment qubits, decomposing payloads
-on three or more qubits first.
+ideal case, on one running object: the stack of all inputs |i><j| on the
+system, the environment in |0...0>.  Record n reads the reduced system
+channel Λ_n off the stack and applies it to the prepared system + ancilla
+state, ρ_SA(n) = (Λ_n ⊗ id_A)(ρ_SA(0)).  Noisy runs prepare that state with
+the transpiled preparation gates and transpile each distinct step once, on
+its system + environment qubits, decomposing payloads on three or more
+qubits first.
 
 Tensor-order convention for the toy pair unitary: the matrix acts on (E, S)
 with the ENVIRONMENT as the first (most significant) factor.  This is the
@@ -41,7 +40,7 @@ import numpy as np
 
 from . import circuit as circ
 from . import noisytomo
-from .channel import KrausChannel, TransferMap, transfer_of_channel
+from .channel import KrausChannel, TransferMap, apply_extended, transfer_of_channel
 from .qmat import DensityMatrix, QubitRegister, _projector, ket, partial_trace
 
 __all__ = [
@@ -122,7 +121,7 @@ class CollisionModel:
 @dataclass(frozen=True, eq=False)
 class EvolutionRecord:
     n: int
-    joint_state: DensityMatrix  # on system + ancilla, environment traced out
+    joint_state: DensityMatrix  # on system + ancilla: reduced_channel ⊗ id_A of the prep
     reduced_channel: KrausChannel  # system map for n collisions, as its superoperator
 
 
@@ -231,37 +230,33 @@ def evolve_series(model: CollisionModel, n_max: int,
                   noise: noisytomo.NoiseConfig | None = None) -> list[EvolutionRecord]:
     """Records for n = 0..n_max collisions from one pass over the collisions.
 
-    Each step acts on two running objects: the register state, and the stack
-    of all inputs |i><j| on the system with the environment in |0...0>.
-    Record n traces the environment out of the state and reads the reduced
-    system channel off the stack's images.  Ideal runs (``noise=None``) start
-    from ``model.initial_state``; noisy runs start from |0...0>, run the
-    transpiled prep gates, and transpile each distinct step once, on the
-    system + environment qubits it acts on.  Each distinct step is fused
-    once into superoperator blocks keyed by label, which act on the state
-    and on the stack alike."""
+    The one running object is the stack of all inputs |i><j| on the system
+    with the environment in |0...0>, to which each distinct step's fused
+    superoperator blocks are applied.  Record n reads the reduced channel Λ_n
+    off the stack and applies it to the prepared system + ancilla state: the
+    reduced ``model.initial_state`` for ``noise=None``, else the transpiled
+    prep gates run from |0...0>.  Noisy runs transpile each distinct step once.
+
+    This equals evolving the whole register and tracing out the environment
+    because no step acts on an ancilla and the prep on no environment qubit
+    (their circuits' registers hold no such label), and the noise model has
+    no idle or crosstalk noise, so an untouched qubit is left as it is."""
     _check_steps(model, n_max)
     se = QubitRegister(model.system_labels + model.env_labels)
     steps = [circ.Circuit(se, gates) for gates in _steps(model)[:n_max]]
-    if noise is None:
-        mat = model.initial_state.mat
-    else:
-        prep = _native(circ.Circuit(model.register, _prep_gates(model)))
-        mat = np.zeros((model.register.dim,) * 2, dtype=complex)
-        mat[0, 0] = 1.0
-        mat = noisytomo._apply_circuit_to_matrix(prep, mat, noise)
+    prepared = partial_trace(model.initial_state, model.ancilla_labels + model.system_labels)
+    if noise is not None:
+        prep = _native(circ.Circuit(prepared.register, _prep_gates(model)))
+        prepared = noisytomo.apply_noisy_circuit(prep, None, noise)
         steps = [_native(c) for c in steps]
     blocks = [noisytomo._fused_superops(c, noise) for c in steps]
     pos, stack = noisytomo._channel_inputs(se, model.system_labels)
     records = []
     for n in range(n_max + 1):
         if n:
-            i = min(n, len(steps)) - 1
-            mat = noisytomo._apply_blocks(blocks[i], model.register, mat)
-            stack = noisytomo._apply_blocks(blocks[i], se, stack)
-        rho = DensityMatrix(model.register, mat, validate=False)
-        joint = partial_trace(rho, model.ancilla_labels + model.system_labels)
+            stack = noisytomo._apply_blocks(blocks[min(n, len(steps)) - 1], se, stack)
         channel = noisytomo._channel_of_images(stack, pos, se.n)
+        joint = apply_extended(channel, prepared, model.system_labels)
         records.append(EvolutionRecord(n, joint, channel))
     return records
 

@@ -132,7 +132,9 @@ class NoiseConfig:
         for v in self.readout.values():
             if not (0.0 <= v[0] <= 1.0 and 0.0 <= v[1] <= 1.0):
                 raise ValueError("readout probabilities must be in [0, 1]")
-        for d in self.gate_duration_ns.values():
+        for kind, d in self.gate_duration_ns.items():
+            if kind not in DEFAULT_DURATIONS_NS:
+                raise ValueError(f"unknown gate duration kind {kind!r}")
             if not (np.isfinite(d) and d >= 0):
                 raise ValueError("durations must be finite and nonnegative")
 

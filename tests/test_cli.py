@@ -204,7 +204,8 @@ def test_malformed_noise_config_is_input_error(tmp_path, capsys):
     assert "readout.S" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["t1_us = nan\n", "t2_us = -5\n", "duration.ECR = nan\n"])
+@pytest.mark.parametrize("text", ["t1_us = nan\n", "t2_us = -5\n", "duration.ECR = nan\n",
+                                  "duration.ecr = 0.0\n"])
 def test_bad_relaxation_time_or_duration_is_input_error(tmp_path, capsys, text):
     noise_file = tmp_path / "noise.cfg"
     noise_file.write_text(text)

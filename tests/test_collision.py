@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollide import circuit as circ
-from qcollide import collision
+from qcollide import collision, noisytomo
 from qcollide.channel import (
     KrausChannel,
     apply_extended,
@@ -259,6 +259,24 @@ def test_noisy_series_transpiles_each_distinct_step_once(model, n_max, transpile
     with mock.patch.object(circ, "transpile", wraps=circ.transpile) as spy:
         collision.evolve_series(model, n_max)
     assert spy.call_count == 0
+
+
+@pytest.mark.parametrize("noise", [None, NoiseConfig()], ids=["ideal", "noisy"])
+@pytest.mark.parametrize("model, n_max", [
+    (collision.single_qubit_model(), 3),
+    (collision.toy_model(), 2),
+    (collision.two_qubit_model(), 3),
+])
+def test_evolve_series_keeps_ancilla_and_environment_apart(model, n_max, noise):
+    """Only the system + environment stack and the system + ancilla prep are
+    evolved: no fused block runs on a register holding both an ancilla and
+    an environment qubit."""
+    with mock.patch.object(noisytomo, "_apply_blocks", wraps=noisytomo._apply_blocks) as spy:
+        collision.evolve_series(model, n_max, noise)
+    assert spy.call_count >= n_max
+    for call in spy.call_args_list:
+        labels = set(call.args[1].labels)
+        assert not (labels & set(model.ancilla_labels) and labels & set(model.env_labels))
 
 
 def test_negative_collision_count_rejected():

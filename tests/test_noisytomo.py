@@ -56,6 +56,8 @@ def test_noise_config_validation():
         NoiseConfig(readout={"default": (-0.1, 0.0)})
     with pytest.raises(ValueError):
         NoiseConfig(gate_duration_ns={"SX": -1.0})
+    with pytest.raises(ValueError, match="unknown gate duration"):
+        NoiseConfig(gate_duration_ns={"ecr": 0.0})  # kinds are upper case
 
 
 def test_noise_config_text_round_trip():
