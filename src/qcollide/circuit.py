@@ -35,6 +35,7 @@ __all__ = [
     "Gate",
     "Circuit",
     "NATIVE_KINDS",
+    "GATE_MATRICES",
     "ECR_MATRIX",
     "SX_MATRIX",
     "H_MATRIX",
@@ -51,7 +52,6 @@ __all__ = [
 ]
 
 NATIVE_KINDS = frozenset({"RZ", "SX", "ECR", "X"})
-_ARITY = {"H": 1, "X": 1, "SX": 1, "RZ": 1, "CNOT": 2, "ECR": 2}
 
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -62,6 +62,12 @@ CNOT_MATRIX = np.array(
 ECR_MATRIX = np.array(
     [[0, 1, 0, 1j], [1, 0, -1j, 0], [0, 1j, 0, 1], [-1j, 0, 1, 0]], dtype=complex
 ) / np.sqrt(2)
+
+# The matrix of each fixed gate kind; RZ(θ) has the closed form ``rz_matrix``
+# and a UNITARY gate carries its own.
+GATE_MATRICES = {"H": H_MATRIX, "X": X_MATRIX, "SX": SX_MATRIX,
+                 "CNOT": CNOT_MATRIX, "ECR": ECR_MATRIX}
+_ARITY = {kind: len(m).bit_length() - 1 for kind, m in GATE_MATRICES.items()} | {"RZ": 1}
 
 
 def rz_matrix(theta: float) -> np.ndarray:
@@ -108,19 +114,9 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
 
     def unitary(self) -> np.ndarray:
-        if self.kind == "H":
-            return H_MATRIX
-        if self.kind == "X":
-            return X_MATRIX
-        if self.kind == "SX":
-            return SX_MATRIX
         if self.kind == "RZ":
             return rz_matrix(self.theta)
-        if self.kind == "CNOT":
-            return CNOT_MATRIX
-        if self.kind == "ECR":
-            return ECR_MATRIX
-        return self.matrix
+        return GATE_MATRICES.get(self.kind, self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -617,17 +613,13 @@ def _checked_lowering(g: Gate):
 
 
 def _lower(g: Gate) -> list[Gate]:
-    if g.kind in ("RZ", "SX", "ECR", "X"):
+    if g.kind in NATIVE_KINDS:
         return [g]
-    if g.kind == "H":
-        return _euler_native(H_MATRIX, g.qubits[0])
     if g.kind == "CNOT":
         return _cnot_native(*g.qubits)
-    if g.kind == "UNITARY" and len(g.qubits) == 1:
-        return _euler_native(g.matrix, g.qubits[0])
-    if g.kind == "UNITARY":
-        return [n for sub in _two_qubit_gates(g.matrix, g.qubits) for n in _lower(sub)]
-    raise ValueError(f"unknown gate kind {g.kind!r}")
+    if len(g.qubits) == 1:  # H or a one-qubit UNITARY
+        return _euler_native(g.unitary(), g.qubits[0])
+    return [n for sub in _two_qubit_gates(g.matrix, g.qubits) for n in _lower(sub)]
 
 
 def _merge_rz(gates: list[Gate]):

@@ -22,8 +22,8 @@ from . import circuit as circ
 MODELS = {
     "single": collision.single_qubit_model,
     "two-qubit": collision.two_qubit_model,
-    "swap": lambda g_dt=None: collision.swap_model(),
-    "toy": lambda g_dt=None: collision.toy_model(),
+    "swap": collision.swap_model,
+    "toy": collision.toy_model,
 }
 
 
@@ -40,8 +40,9 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="run a collision-model experiment")
     sim.add_argument("--model", choices=sorted(MODELS), default="single")
-    sim.add_argument("--gdt", type=float, default=np.pi / 4,
-                     help="collision strength g*dt in radians")
+    sim.add_argument("--gdt", type=float, default=None,
+                     help="collision strength g*dt in radians, single and two-qubit "
+                          "only (default: pi/4)")
     sim.add_argument("--collisions", type=int, default=None,
                      help="maximum collision count N (default: model-specific)")
     sim.add_argument("--noise", default="ideal",
@@ -100,7 +101,9 @@ def _fmt(x) -> str:
 # --------------------------------------------------------------------------
 
 def _run_simulate(args) -> int:
-    _require(math.isfinite(args.gdt), "--gdt must be finite")
+    _require(args.gdt is None or math.isfinite(args.gdt), "--gdt must be finite")
+    _require(args.gdt is None or args.model in ("single", "two-qubit"),
+             f"--gdt does not apply to --model {args.model}")
     _require(args.seed >= 0, "--seed must be nonnegative")
     _require(args.shots < 2**63, "--shots must be below 2^63 (a 64-bit count)")
     noise = _load_noise(args.noise)
@@ -108,12 +111,13 @@ def _run_simulate(args) -> int:
              "--shots must be positive when noise is enabled")
     _require(noise is not None or (args.shots == 0 and not args.mitigate),
              "--shots and --mitigate need --noise")
-    model = MODELS[args.model](args.gdt)
+    build = MODELS[args.model]
+    model = build() if args.gdt is None else build(args.gdt)
     n_max = args.collisions
     if n_max is None:
-        n_max = collision._max_steps(model) or 10
+        n_max = model.max_steps or 10
     try:
-        collision._check_steps(model, n_max)
+        model.check_collisions(n_max)
     except ValueError as exc:
         raise _InputError(f"--collisions {n_max}: {exc}") from exc
     out_dir = Path(args.out)
@@ -174,7 +178,7 @@ def _run_simulate(args) -> int:
     manifest = [
         f"qcollide {__version__}",
         f"model = {args.model}",
-        f"gdt = {args.gdt!r}",
+        f"gdt = {model.g_dt!r}",
         f"collisions = {n_max}",
         f"noise = {args.noise}",
         *(f"noise.{line}" for line in noise_lines),
@@ -204,7 +208,8 @@ def _write_csv(path: Path, header, rows):
 
 def _witness_rows(path: str):
     """Header and {n: [C, C♯, C_err, C♯_err]} of a concurrence.csv; a file
-    without data rows, a short row or a non-numeric cell is an input error."""
+    without data rows, a short row or a non-numeric or non-finite cell is an
+    input error."""
     rows = list(csv.reader(Path(path).read_text().splitlines()))
     _require(len(rows) > 1, f"{path}: no data rows")
     _require(len(rows[0]) >= 5, f"{path}: header has fewer than 5 columns")
@@ -212,10 +217,12 @@ def _witness_rows(path: str):
     for line, row in enumerate(rows[1:], start=2):
         _require(len(row) >= 5, f"{path} line {line}: fewer than 5 cells")
         try:
-            by_n[int(row[0])] = [float(x) for x in row[1:5]]
+            n, cells = int(row[0]), [float(x) for x in row[1:5]]
         except ValueError:
             raise _InputError(f"{path} line {line}: n must be an integer and "
                               "the next four cells numbers") from None
+        _require(all(map(math.isfinite, cells)), f"{path} line {line}: non-finite cell")
+        by_n[n] = cells
     return rows[0], by_n
 
 

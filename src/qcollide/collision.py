@@ -11,14 +11,16 @@ Models (registers use the global MSB-first label order):
   Bell(A2,S2) ⊗ |00>_E; step 1 applies the pair unitary on (E1,S1) and
   (E2,S2), step 2 applies its adjoint (at most two steps).
 
-One evolution path serves ideal and noisy runs: ``evolve_series`` makes one
-pass over the collisions (the collision-model picture of Ciccarello et al.,
-Phys. Rep. 954 (2022)), and ``evolve(model, n)`` is its record n.  Each
-distinct step (one for SingleQubit and TwoQubitExchange, the step and its
-adjoint for Toy/Swap) becomes one ``UNITARY`` gate per step operation, and
-runs through the circuit channel of ``noisytomo``, with ``noise=None`` for the
-ideal case, on one running object: the stack of all inputs |i><j| on the
-system, the environment in |0...0>.  Record n reads the reduced system
+Each model carries its dynamics: ``CollisionModel.steps`` holds the distinct
+steps (one for SingleQubit and TwoQubitExchange, the step and its adjoint for
+Toy/Swap) as one ``UNITARY`` gate per step operation, and ``max_steps`` the
+step limit (2 for Toy/Swap, else none).  One evolution path serves ideal and
+noisy runs: ``evolve_series`` makes one pass over the collisions (the
+collision-model picture of Ciccarello et al., Phys. Rep. 954 (2022)), and
+``evolve(model, n)`` is its record n.  Each distinct step runs through the
+circuit channel of ``noisytomo``, with ``noise=None`` for the ideal case, on
+one running object: the stack of all inputs |i><j| on the system, the
+environment in |0...0>.  Record n reads the reduced system
 channel Λ_n off the stack and applies it to the prepared system + ancilla
 state, ρ_SA(n) = (Λ_n ⊗ id_A)(ρ_SA(0)).  Noisy runs prepare that state with
 the transpiled preparation gates and transpile each distinct step once, on
@@ -109,6 +111,10 @@ def swap_unitary() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CollisionModel:
+    """A model and its dynamics: collision n applies the step
+    ``steps[min(n, len(steps)) - 1]``, one ``UNITARY`` gate per step
+    operation, and at most ``max_steps`` collisions exist (None: no limit)."""
+
     kind: str  # SingleQubit | TwoQubitExchange | Swap | Toy
     g_dt: float
     register: QubitRegister
@@ -116,6 +122,15 @@ class CollisionModel:
     system_labels: tuple[str, ...]
     ancilla_labels: tuple[str, ...]
     env_labels: tuple[str, ...]
+    steps: tuple[tuple[circ.Gate, ...], ...] = field(repr=False)
+    max_steps: int | None = None
+
+    def check_collisions(self, n: int) -> None:
+        """Reject a collision count outside 0..max_steps."""
+        if n < 0:
+            raise ValueError("collision count must be nonnegative")
+        if self.max_steps is not None and n > self.max_steps:
+            raise ValueError(f"{self.kind} model supports at most {self.max_steps} steps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +144,9 @@ def single_qubit_model(g_dt: float = np.pi / 4) -> CollisionModel:
     reg = QubitRegister(("A", "S", "E"))
     psi = np.kron((ket("00") + ket("11")) / np.sqrt(2), ket("0"))
     rho = _projector(psi, reg)
+    step = (circ.Gate("UNITARY", ("S", "E"), matrix=collision_unitary(g_dt)),)
     return CollisionModel("SingleQubit", float(g_dt), reg, rho,
-                          ("S",), ("A",), ("E",))
+                          ("S",), ("A",), ("E",), (step,))
 
 
 def two_qubit_model(g_dt: float = np.pi / 4) -> CollisionModel:
@@ -140,11 +156,12 @@ def two_qubit_model(g_dt: float = np.pi / 4) -> CollisionModel:
     psi[int("0000", 2)] = 1 / np.sqrt(2)
     psi[int("1100", 2)] = 1 / np.sqrt(2)
     rho = _projector(psi, reg)
+    step = (circ.Gate("UNITARY", ("S1", "S2", "E"), matrix=two_qubit_unitary(g_dt)),)
     return CollisionModel("TwoQubitExchange", float(g_dt), reg, rho,
-                          ("S1", "S2"), ("A",), ("E",))
+                          ("S1", "S2"), ("A",), ("E",), (step,))
 
 
-def _pairwise_model(kind: str) -> CollisionModel:
+def _pairwise_model(kind: str, u: np.ndarray) -> CollisionModel:
     reg = QubitRegister(("A1", "A2", "S1", "S2", "E1", "E2"))
     psi = np.zeros(64, dtype=complex)
     for a1 in (0, 1):
@@ -152,37 +169,18 @@ def _pairwise_model(kind: str) -> CollisionModel:
             idx = (a1 << 5) | (a2 << 4) | (a1 << 3) | (a2 << 2)
             psi[idx] = 0.5
     rho = _projector(psi, reg)
+    steps = tuple((circ.Gate("UNITARY", ("E1", "S1"), matrix=v),
+                   circ.Gate("UNITARY", ("E2", "S2"), matrix=v)) for v in (u, u.conj().T))
     return CollisionModel(kind, np.pi / 4, reg, rho,
-                          ("S1", "S2"), ("A1", "A2"), ("E1", "E2"))
+                          ("S1", "S2"), ("A1", "A2"), ("E1", "E2"), steps, max_steps=2)
 
 
 def toy_model() -> CollisionModel:
-    return _pairwise_model("Toy")
+    return _pairwise_model("Toy", toy_unitary())
 
 
 def swap_model() -> CollisionModel:
-    return _pairwise_model("Swap")
-
-
-def _steps(model: CollisionModel) -> list[list[circ.Gate]]:
-    """The distinct collision steps, one ``UNITARY`` gate per step operation:
-    collision n applies ``steps[min(n, len(steps)) - 1]``.  SingleQubit and
-    TwoQubitExchange repeat one step; Toy/Swap apply the pair unitary on
-    (E1,S1) and (E2,S2), then its adjoint."""
-    if model.kind == "SingleQubit":
-        ops = [[(collision_unitary(model.g_dt), ("S", "E"))]]
-    elif model.kind == "TwoQubitExchange":
-        ops = [[(two_qubit_unitary(model.g_dt), ("S1", "S2", "E"))]]
-    elif model.kind in ("Toy", "Swap"):
-        u = toy_unitary() if model.kind == "Toy" else swap_unitary()
-        ops = [[(v, ("E1", "S1")), (v, ("E2", "S2"))] for v in (u, u.conj().T)]
-    else:
-        raise ValueError(f"unknown model kind {model.kind!r}")
-    return [[circ.Gate("UNITARY", labels, matrix=m) for m, labels in step] for step in ops]
-
-
-def _max_steps(model: CollisionModel) -> int | None:
-    return 2 if model.kind in ("Toy", "Swap") else None
+    return _pairwise_model("Swap", swap_unitary())
 
 
 def _prep_gates(model: CollisionModel) -> list[circ.Gate]:
@@ -194,7 +192,7 @@ def _prep_gates(model: CollisionModel) -> list[circ.Gate]:
 
 def _collision_gates(model: CollisionModel, n: int) -> list[circ.Gate]:
     """The gates of collisions 1..n."""
-    steps = _steps(model)
+    steps = model.steps
     return [g for m in range(1, n + 1) for g in steps[min(m, len(steps)) - 1]]
 
 
@@ -212,18 +210,10 @@ def _native(c: circ.Circuit) -> circ.Circuit:
 def build_circuit(model: CollisionModel, n: int, *, include_prep: bool = True,
                   native: bool = False) -> circ.Circuit:
     """The preparation + n-collision circuit for a model."""
-    _check_steps(model, n)
+    model.check_collisions(n)
     gates = _prep_gates(model) if include_prep else []
     c = circ.Circuit(model.register, gates + _collision_gates(model, n))
     return _native(c) if native else c
-
-
-def _check_steps(model: CollisionModel, n: int):
-    if n < 0:
-        raise ValueError("collision count must be nonnegative")
-    mx = _max_steps(model)
-    if mx is not None and n > mx:
-        raise ValueError(f"{model.kind} model supports at most {mx} steps")
 
 
 def evolve_series(model: CollisionModel, n_max: int,
@@ -241,9 +231,9 @@ def evolve_series(model: CollisionModel, n_max: int,
     because no step acts on an ancilla and the prep on no environment qubit
     (their circuits' registers hold no such label), and the noise model has
     no idle or crosstalk noise, so an untouched qubit is left as it is."""
-    _check_steps(model, n_max)
+    model.check_collisions(n_max)
     se = QubitRegister(model.system_labels + model.env_labels)
-    steps = [circ.Circuit(se, gates) for gates in _steps(model)[:n_max]]
+    steps = [circ.Circuit(se, gates) for gates in model.steps[:n_max]]
     prepared = partial_trace(model.initial_state, model.ancilla_labels + model.system_labels)
     if noise is not None:
         prep = _native(circ.Circuit(prepared.register, _prep_gates(model)))

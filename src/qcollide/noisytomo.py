@@ -110,20 +110,26 @@ __all__ = [
 ]
 
 DEFAULT_DURATIONS_NS = {"SX": 57.0, "X": 57.0, "ECR": 533.0, "RZ": 0.0, "MEASURE": 1216.0}
+DEFAULT_READOUT = {"default": (0.01, 0.01)}
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Per-gate error parameters, relaxation times, and readout flips."""
+    """Per-gate error parameters, relaxation times, and readout flips.  The
+    given durations and readout flips are merged over ``DEFAULT_DURATIONS_NS``
+    and ``DEFAULT_READOUT``: a key not given keeps its default."""
 
     t1_us: float = 280.0
     t2_us: float = 180.0
-    gate_duration_ns: dict = field(default_factory=lambda: dict(DEFAULT_DURATIONS_NS))
+    gate_duration_ns: dict = field(default_factory=dict)
     depol_1q: float = 2e-4
     depol_2q: float = 7e-3
-    readout: dict = field(default_factory=lambda: {"default": (0.01, 0.01)})
+    readout: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "gate_duration_ns",
+                           DEFAULT_DURATIONS_NS | self.gate_duration_ns)
+        object.__setattr__(self, "readout", DEFAULT_READOUT | self.readout)
         if not (self.t1_us > 0 and 0 < self.t2_us <= 2 * self.t1_us + 1e-12):
             raise ValueError("t1 and t2 must be positive, and t2 must not exceed 2*t1")
         for p in (self.depol_1q, self.depol_2q):
@@ -139,20 +145,17 @@ class NoiseConfig:
                 raise ValueError("durations must be finite and nonnegative")
 
     def readout_probs(self, label: str) -> tuple[float, float]:
-        return tuple(self.readout.get(label, self.readout.get("default", (0.0, 0.0))))
+        return tuple(self.readout.get(label, self.readout["default"]))
 
     def duration(self, kind: str) -> float:
-        return float(self.gate_duration_ns.get(kind, 0.0))
+        return float(self.gate_duration_ns[kind])
 
     @cached_property
     def native_superop(self) -> dict:
         """Superoperator of each noisy native kind on the gate's own qubits
         (RZ is virtual and noiseless), built once per config."""
-        return {
-            kind: _noisy_gate_superop(self, kind, u)
-            for kind, u in (("SX", circ.SX_MATRIX), ("X", circ.X_MATRIX),
-                            ("ECR", circ.ECR_MATRIX))
-        }
+        return {kind: _noisy_gate_superop(self, kind, circ.GATE_MATRICES[kind])
+                for kind in circ.NATIVE_KINDS - {"RZ"}}
 
     def to_text(self) -> str:
         lines = [
@@ -169,7 +172,7 @@ class NoiseConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "NoiseConfig":
-        kwargs: dict = {"gate_duration_ns": dict(DEFAULT_DURATIONS_NS), "readout": {}}
+        kwargs: dict = {"gate_duration_ns": {}, "readout": {}}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -187,8 +190,6 @@ class NoiseConfig:
                 kwargs["readout"][key.split(".", 1)[1]] = (float(probs[0]), float(probs[1]))
             else:
                 raise ValueError(f"unknown noise config key {key!r}")
-        if not kwargs["readout"]:
-            kwargs["readout"] = {"default": (0.01, 0.01)}
         return cls(**kwargs)
 
 
@@ -597,9 +598,8 @@ def _estimate(rho: DensityMatrix, measured, shots: int, stream: int,
     freqs = _frequencies(_sample_table(rho, measured, shots, stream, noise))
     if invs is not None:
         freqs = _frequencies(_mitigate_table(freqs, invs, shots))
-    mat, _ = _reconstruct_frequencies(freqs)
-    mats, _ = _reconstruct_frequencies(_bootstrap_tables(freqs, shots, stream))
-    mats = np.concatenate([mat[None], mats])
+    tables = np.concatenate([freqs[None], _bootstrap_tables(freqs, shots, stream)])
+    mats, _ = _reconstruct_frequencies(tables)
     return (mats + mats.conj().swapaxes(-1, -2)) / 2
 
 

@@ -396,7 +396,7 @@ def test_transpile_matches_reference_on_toy_circuits():
     model = collision.toy_model()
     se = QubitRegister(model.system_labels + model.env_labels)
     circuits = [Circuit(model.register, collision._prep_gates(model))]
-    circuits += [Circuit(se, gates) for gates in collision._steps(model)]
+    circuits += [Circuit(se, gates) for gates in model.steps]
     for c in circuits:
         got, want = transpile(c), reference_transpile(c)
         assert _gate_list(got) == _gate_list(want)
@@ -446,7 +446,7 @@ def test_toy_transpile_is_local_and_lowers_each_payload_once():
             mock.patch.object(circ, "_kak", wraps=circ._kak) as kak:
         collision._native(Circuit(model.register, collision._prep_gates(model)))
         assert kak.call_count == 0
-        for gates in collision._steps(model):
+        for gates in model.steps:
             collision._native(Circuit(se, gates))
     assert widths and max(widths) <= 2
     assert kak.call_count == 2

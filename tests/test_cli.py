@@ -228,6 +228,19 @@ def test_non_finite_gdt_is_input_error(tmp_path):
     assert main(["nonmarkov", "--t1", "-1"]) == 1
 
 
+def test_gdt_for_a_model_without_one_is_input_error(tmp_path, capsys):
+    """toy and swap have no collision strength, so --gdt is refused, not
+    ignored; a model that has one records the given value."""
+    for model in ("toy", "swap"):
+        assert main(["simulate", "--model", model, "--gdt", "0.3",
+                     "--out", str(tmp_path / model)]) == 1
+        assert "--gdt" in capsys.readouterr().err
+    out = tmp_path / "single"
+    assert main(["simulate", "--model", "single", "--gdt", "0.3", "--collisions", "1",
+                 "--out", str(out)]) == 0
+    assert "gdt = 0.3" in (out / "manifest.txt").read_text().splitlines()
+
+
 def test_continuum_check_negative_points_is_input_error(capsys):
     assert main(["continuum-check", "--points", "-1"]) == 1
     assert "--points" in capsys.readouterr().err
@@ -254,7 +267,9 @@ WITNESS_HEADER = "n,C,C_sharp,C_err,C_sharp_err,fidelity_to_ideal\n"
     WITNESS_HEADER + "0,1.0,1.0,0.0,0.0,1.0\n1,0.5,0.5\n",
     WITNESS_HEADER + "0,1.0,1.0,0.0,0.0,1.0\n1,0.5,abc,0.0,0.0,1.0\n",
     WITNESS_HEADER + "0,1.0,1.0,0.0,0.0,1.0\n1.5,0.5,0.5,0.0,0.0,1.0\n",
-], ids=["empty", "header-only", "short-row", "non-numeric-cell", "non-integer-n"])
+    WITNESS_HEADER + "0,1.0,inf,0.0,0.0,1.0\n1,nan,0.5,0.0,0.0,1.0\n",
+], ids=["empty", "header-only", "short-row", "non-numeric-cell", "non-integer-n",
+        "non-finite-cell"])
 def test_malformed_witness_csv_is_input_error(tmp_path, capsys, text):
     csv_path = tmp_path / "c.csv"
     csv_path.write_text(text)

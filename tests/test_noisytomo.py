@@ -73,6 +73,18 @@ def test_noise_config_text_round_trip():
         NoiseConfig.from_text("seed = 7\n")  # no longer a config key
 
 
+def test_noise_config_keeps_defaults_for_keys_not_given():
+    """Durations and readout flips that are not given keep their defaults,
+    whether the config is built directly or read from text."""
+    per_label = NoiseConfig.from_text("readout.S = 0.02,0.015\n")
+    assert per_label.readout_probs("S") == (0.02, 0.015)
+    assert per_label.readout_probs("A") == (0.01, 0.01)
+    built = NoiseConfig(gate_duration_ns={"ECR": 600.0})
+    assert built.duration("SX") == noisytomo.DEFAULT_DURATIONS_NS["SX"] == 57.0
+    assert built.duration("ECR") == 600.0
+    assert NoiseConfig.from_text(built.to_text()) == built
+
+
 def test_zero_noise_channel_equals_ideal():
     c = Circuit(("q",), [Gate("SX", ("q",))])
     ch = noisy_channel_of_circuit(c, quiet_noise())
