@@ -113,10 +113,12 @@ def swap_unitary() -> np.ndarray:
 class CollisionModel:
     """A model and its dynamics: collision n applies the step
     ``steps[min(n, len(steps)) - 1]``, one ``UNITARY`` gate per step
-    operation, and at most ``max_steps`` collisions exist (None: no limit)."""
+    operation, and at most ``max_steps`` collisions exist (None: no limit).
+    ``g_dt`` is the collision strength of the models built from one (None
+    for the toy and swap models, whose pair unitaries are fixed)."""
 
     kind: str  # SingleQubit | TwoQubitExchange | Swap | Toy
-    g_dt: float
+    g_dt: float | None
     register: QubitRegister
     initial_state: DensityMatrix = field(repr=False)
     system_labels: tuple[str, ...]
@@ -171,7 +173,7 @@ def _pairwise_model(kind: str, u: np.ndarray) -> CollisionModel:
     rho = _projector(psi, reg)
     steps = tuple((circ.Gate("UNITARY", ("E1", "S1"), matrix=v),
                    circ.Gate("UNITARY", ("E2", "S2"), matrix=v)) for v in (u, u.conj().T))
-    return CollisionModel(kind, np.pi / 4, reg, rho,
+    return CollisionModel(kind, None, reg, rho,
                           ("S1", "S2"), ("A1", "A2"), ("E1", "E2"), steps, max_steps=2)
 
 

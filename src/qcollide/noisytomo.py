@@ -36,8 +36,8 @@ F[(s, o), (a, b)] = E[s, o][b, a], which gives the (3^k settings × 2^k
 outcomes) table of every setting at once.  With noise, F first takes one 2x2
 readout matrix per qubit on its outcome: relaxation for the measurement
 duration, then the confusion flips (p01 = P(read 1 | true 0),
-p10 = P(read 0 | true 1)).  The setting at position idx draws its shots from
-``default_rng([seed, idx])``, so sampling is deterministic; outcome
+p10 = P(read 0 | true 1)).  A count table is drawn in one multinomial call
+from one generator, so sampling is deterministic given the generator; outcome
 bitstrings follow the ``measured`` order.
 
 Reconstruction runs the other way: D[(a, b), (s, o)] = E[s, o][a, b] - δ_ab/3
@@ -56,13 +56,17 @@ The shot path runs on count tables, rows in ``all_settings`` order:
 ``_sample_state``, ``mitigate_readout`` and ``reconstruct`` are thin wrappers
 that convert to and from it, with the same numbers.
 
-``tomography_estimates`` is the estimator: state n of a stack and its 20
-bootstrap replicas (``_estimate``) draw from stream seed·1000 + n, table row
-idx from ``default_rng([stream, idx])`` and the replicas from
-``default_rng([stream, 777])``; the all-|0> and all-|1> calibration runs, on
-the measured qubits, use seed·1000 + 900 and + 901.  A known defect: the
-streams collide, so state n = 900 or 901 reuses a calibration stream, and
-state n = 1000 of seed s reuses state 0 of seed s + 1.
+``tomography_estimates`` is the estimator.  Its draws come from named streams,
+``_stream(seed, purpose, n)`` = ``default_rng(SeedSequence(seed,
+spawn_key=(purpose, n)))``: state n of a stack draws its count table from
+(``_TOMOGRAPHY``, n) and its 20 bootstrap replicas (``_estimate``) from
+(``_BOOTSTRAP``, n); the all-|0> and all-|1> calibration runs, on the measured
+qubits, draw from (``_CALIBRATION``, 0) and (``_CALIBRATION``, 1).  Distinct
+(seed, purpose, n) give distinct streams for any seed: ``SeedSequence`` pads
+the seed's 32-bit words with zeros to at least four and appends the spawn key,
+so no other seed and key give the same words.  (A longer entropy list such as
+``[seed, purpose, n]`` is padded too, so it collides once the seed reaches
+2^32.)  The public ``sample(job)`` draws from ``default_rng(job.seed)``.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.random import default_rng
+from numpy.random import SeedSequence, default_rng
 
 from . import circuit as circ
 from .channel import (
@@ -476,41 +480,54 @@ def _measurement_probs(rho: DensityMatrix, measured, noise: NoiseConfig | None) 
     return probs / probs.sum(axis=1, keepdims=True)
 
 
+_TOMOGRAPHY, _CALIBRATION, _BOOTSTRAP = range(3)
+
+
+def _stream(seed: int, purpose: int, n: int) -> np.random.Generator:
+    """The generator of draw n of a purpose (``_TOMOGRAPHY``,
+    ``_CALIBRATION`` or ``_BOOTSTRAP``) under a nonnegative seed."""
+    return default_rng(SeedSequence(seed, spawn_key=(purpose, n)))
+
+
 def sample(job: TomographyJob, noise: NoiseConfig | None = None,
-           settings=None) -> ShotCounts:
-    """Simulate the tomography job; deterministic given (job, seed)."""
+           settings=None, rng: np.random.Generator | None = None) -> ShotCounts:
+    """Simulate the tomography job (default: every setting); the count table
+    draws from ``rng``, by default ``default_rng(job.seed)``."""
     c = job.circuit
     if noise is not None and any(g.kind not in circ.NATIVE_KINDS for g in c.gates):
         c = circ.transpile(c)
-    settings = job.settings if settings is None else tuple(settings)
+    rng = default_rng(job.seed) if rng is None else rng
     return _sample_state(apply_noisy_circuit(c, noise=noise), job.measured, job.shots,
-                         job.seed, noise, settings)
+                         rng, noise, settings)
 
 
-def _sample_state(rho: DensityMatrix, measured, shots: int, seed: int,
-                  noise: NoiseConfig | None, settings) -> ShotCounts:
-    """Shot counts of the given settings on rho: the setting at position idx
-    of ``settings`` draws from ``default_rng([seed, idx])``."""
+def _sample_state(rho: DensityMatrix, measured, shots: int, rng: np.random.Generator,
+                  noise: NoiseConfig | None, settings=None) -> ShotCounts:
+    """Shot counts of the given settings (default: all of them) on rho, the
+    whole count table drawn from ``rng`` (``_sample_table``)."""
     k = len(measured)
-    row = {s: i for i, s in enumerate(all_settings(k))}
-    if not set(settings) <= row.keys():
-        raise ValueError(f"{sorted(set(settings) - row.keys())} are not {k}-qubit settings")
-    table = _sample_table(rho, measured, shots, seed, noise, [row[s] for s in settings])
+    rows = None
+    if settings is None:
+        settings = all_settings(k)
+    else:
+        settings = tuple(settings)
+        row = {s: i for i, s in enumerate(all_settings(k))}
+        if not set(settings) <= row.keys():
+            raise ValueError(f"{sorted(set(settings) - row.keys())} are not {k}-qubit settings")
+        rows = [row[s] for s in settings]
+    table = _sample_table(rho, measured, shots, rng, noise, rows)
     return ShotCounts.of_table(measured, shots, settings, table)
 
 
-def _sample_table(rho: DensityMatrix, measured, shots: int, seed: int,
+def _sample_table(rho: DensityMatrix, measured, shots: int, rng: np.random.Generator,
                   noise: NoiseConfig | None, rows=None) -> np.ndarray:
     """Count table (len(rows), 2^k) of the settings at ``rows`` of
-    ``all_settings(k)`` (default: all of them, in order); table row idx
-    draws from ``default_rng([seed, idx])``."""
+    ``all_settings(k)`` (default: all of them, in order), drawn in one
+    ``multinomial`` call from ``rng``."""
     probs = _measurement_probs(rho, measured, noise)
     if rows is not None:
         probs = probs[rows]
-    table = np.zeros(probs.shape, dtype=np.int64)
-    for idx, p in enumerate(probs):
-        table[idx] = default_rng([seed, idx]).multinomial(shots, p)
-    return table
+    return rng.multinomial(shots, probs)
 
 
 def calibration_jobs(register, measured, shots: int = 4096, seed: int = 0):
@@ -524,9 +541,11 @@ def calibration_jobs(register, measured, shots: int = 4096, seed: int = 0):
     )
 
 
-def sample_calibration(job: TomographyJob, noise: NoiseConfig | None = None) -> ShotCounts:
-    """Sample a calibration circuit in the Z basis only."""
-    return sample(job, noise=noise, settings=("Z" * len(job.measured),))
+def sample_calibration(job: TomographyJob, noise: NoiseConfig | None = None,
+                       rng: np.random.Generator | None = None) -> ShotCounts:
+    """Sample a calibration circuit in the Z basis only, drawing from ``rng``
+    (default: ``default_rng(job.seed)``)."""
+    return sample(job, noise=noise, settings=("Z" * len(job.measured),), rng=rng)
 
 
 def mitigate_readout(counts: ShotCounts, calib0: ShotCounts, calib1: ShotCounts) -> ShotCounts:
@@ -582,32 +601,35 @@ def tomography_estimates(states, measured, shots: int, seed: int,
     invs = None
     if mitigate:
         zkey = "Z" * len(measured)
-        jobs = calibration_jobs(QubitRegister(measured), measured, shots, seed * 1000 + 900)
-        invs = _confusion_inverses(*(sample_calibration(j, noise).frequencies(zkey)
-                                     for j in jobs))
+        jobs = calibration_jobs(QubitRegister(measured), measured, shots)
+        invs = _confusion_inverses(*(
+            sample_calibration(job, noise, _stream(seed, _CALIBRATION, n)).frequencies(zkey)
+            for n, job in enumerate(jobs)))
     # Per state: one call over all states would hold all their replica tables.
-    return np.stack([_estimate(rho, measured, shots, seed * 1000 + n, noise, invs)
+    return np.stack([_estimate(rho, measured, shots, seed, n, noise, invs)
                      for n, rho in enumerate(states)])
 
 
-def _estimate(rho: DensityMatrix, measured, shots: int, stream: int,
+def _estimate(rho: DensityMatrix, measured, shots: int, seed: int, n: int,
               noise: NoiseConfig | None, invs) -> np.ndarray:
-    """(21, 2^k, 2^k): rho reconstructed from one count table drawn from
-    ``stream`` (mitigated with ``invs`` unless None), then 20 reconstructed
-    bootstrap resamples of its frequencies; each made Hermitian, (m + m†)/2."""
-    freqs = _frequencies(_sample_table(rho, measured, shots, stream, noise))
+    """(21, 2^k, 2^k): rho reconstructed from one count table drawn from the
+    tomography stream n (mitigated with ``invs`` unless None), then 20
+    reconstructed bootstrap resamples of its frequencies, drawn from the
+    bootstrap stream n; each made Hermitian, (m + m†)/2."""
+    freqs = _frequencies(_sample_table(rho, measured, shots, _stream(seed, _TOMOGRAPHY, n),
+                                       noise))
     if invs is not None:
         freqs = _frequencies(_mitigate_table(freqs, invs, shots))
-    tables = np.concatenate([freqs[None], _bootstrap_tables(freqs, shots, stream)])
+    tables = np.concatenate([freqs[None],
+                             _bootstrap_tables(freqs, shots, _stream(seed, _BOOTSTRAP, n))])
     mats, _ = _reconstruct_frequencies(tables)
     return (mats + mats.conj().swapaxes(-1, -2)) / 2
 
 
-def _bootstrap_tables(freqs, shots, seed, reps=20):
+def _bootstrap_tables(freqs, shots, rng: np.random.Generator, reps=20):
     """(reps, rows, 2^k) multinomial resamples of a (rows, 2^k) frequency
-    table, divided by ``shots``: one draw per row from one generator,
-    replica after replica, rows in table order."""
-    rng = default_rng([seed, 777])
+    table, divided by ``shots``: one draw per row from ``rng``, replica
+    after replica, rows in table order."""
     return rng.multinomial(shots, freqs, size=(reps, len(freqs))) / shots
 
 

@@ -241,6 +241,14 @@ def test_gdt_for_a_model_without_one_is_input_error(tmp_path, capsys):
     assert "gdt = 0.3" in (out / "manifest.txt").read_text().splitlines()
 
 
+def test_toy_manifest_records_no_gdt(tmp_path):
+    """The toy model has no collision strength, so its manifest says so
+    instead of a value its dynamics never read."""
+    assert main(["simulate", "--model", "toy", "--collisions", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert "gdt = None" in (tmp_path / "manifest.txt").read_text().splitlines()
+
+
 def test_continuum_check_negative_points_is_input_error(capsys):
     assert main(["continuum-check", "--points", "-1"]) == 1
     assert "--points" in capsys.readouterr().err

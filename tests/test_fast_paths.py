@@ -105,9 +105,9 @@ def reference_reconstruct(counts):
     return (mat + mat.conj().T) / 2, float(np.abs(projected - ev).sum())
 
 
-def reference_bootstrap(counts, seed, reps=20):
-    """One ShotCounts per replica, reconstructed one at a time."""
-    rng = np.random.default_rng([seed, 777])
+def reference_bootstrap(counts, rng, reps=20):
+    """One ShotCounts per replica, reconstructed one at a time, every draw
+    from ``rng``."""
     k = len(counts.measured)
     out = []
     for _ in range(reps):
@@ -122,12 +122,16 @@ def reference_bootstrap(counts, seed, reps=20):
     return out
 
 
-def _bootstrap_states(counts, seed, reps=20):
+def bootstrap_stream(seed, n):
+    return noisytomo._stream(seed, noisytomo._BOOTSTRAP, n)
+
+
+def _bootstrap_states(counts, rng, reps=20):
     """(reps, 2^k, 2^k) reconstructed states of ``reps`` multinomial
     resamples of the counts, each made exactly Hermitian.
 
     Each replica draws one multinomial per setting, in ``counts.counts``
-    order, from one generator; all replicas are reconstructed in one call:
+    order, from ``rng``; all replicas are reconstructed in one call:
     the ShotCounts form of the estimator's bootstrap on count tables."""
     k = len(counts.measured)
     row = {s: i for i, s in enumerate(all_settings(k))}
@@ -135,7 +139,7 @@ def _bootstrap_states(counts, seed, reps=20):
     freqs = np.reshape([counts.frequencies(s) for s in settings], (-1, 2**k))
     table = np.zeros((reps, 3**k, 2**k))
     table[:, [row[s] for s in settings]] = noisytomo._bootstrap_tables(
-        freqs, counts.shots, seed, reps)
+        freqs, counts.shots, rng, reps)
     mats, _ = noisytomo._reconstruct_frequencies(table)
     return (mats + mats.conj().swapaxes(-1, -2)) / 2
 
@@ -251,8 +255,8 @@ def test_bootstrap_matches_reference_loop():
         # Draws follow counts.counts order, which need not be all_settings order.
         counts = ShotCounts(counts.measured, counts.shots,
                             dict(reversed(list(counts.counts.items()))))
-        got = _bootstrap_states(counts, 3007, reps=5)
-        want = reference_bootstrap(counts, 3007, reps=5)
+        got = _bootstrap_states(counts, bootstrap_stream(3007, 0), reps=5)
+        want = reference_bootstrap(counts, bootstrap_stream(3007, 0), reps=5)
         assert len(got) == len(want)
         for got_mat, mat in zip(got, want):
             assert np.abs(got_mat - mat).max() <= TOL
@@ -283,26 +287,28 @@ def shot_path_cases(draw):
         zero[0, 0] = one[-1, -1] = 1.0
         cal_shots = draw(st.integers(64, 4096))
         calibration = [noisytomo._sample_state(DensityMatrix(reg, m), measured, cal_shots,
-                                               seed, cal_noise, ("Z" * len(measured),))
-                       for seed, m in ((900, zero), (901, one))]
+                                               noisytomo._stream(0, noisytomo._CALIBRATION, i),
+                                               cal_noise, ("Z" * len(measured),))
+                       for i, m in enumerate((zero, one))]
     return (measured, rho, noise, draw(st.integers(1, 2048)),
-            draw(st.integers(0, 10**6)), draw(st.integers(0, 10)), calibration)
+            draw(st.integers(0, 2**65)), draw(st.integers(0, 1000)), calibration)
 
 
 @settings(max_examples=30, deadline=None)
 @given(shot_path_cases())
 def test_estimate_matches_shot_counts_pipeline(case):
     """``noisytomo._estimate`` on count tables gives the state and every
-    bootstrap replica of the ShotCounts pipeline, bit for bit."""
+    bootstrap replica of the ShotCounts pipeline, bit for bit, on the
+    tomography and bootstrap streams n of the seed."""
     measured, rho, noise, shots, seed, n, calibration = case
-    stream = seed * 1000 + n
     invs = None
     if calibration is not None:
         zkey = "Z" * len(measured)
         invs = noisytomo._confusion_inverses(*(c.frequencies(zkey) for c in calibration))
-    got = noisytomo._estimate(rho, measured, shots, stream, noise, invs)
+    got = noisytomo._estimate(rho, measured, shots, seed, n, noise, invs)
 
-    counts = noisytomo._sample_state(rho, measured, shots, stream, noise,
+    counts = noisytomo._sample_state(rho, measured, shots,
+                                     noisytomo._stream(seed, noisytomo._TOMOGRAPHY, n), noise,
                                      all_settings(len(measured)))
     if calibration is not None:
         counts = noisytomo.mitigate_readout(counts, *calibration)
@@ -310,7 +316,7 @@ def test_estimate_matches_shot_counts_pipeline(case):
     assert want.register.labels == measured
     assert got.shape == (21,) + want.mat.shape
     assert np.array_equal(got[0], want.mat)
-    assert np.array_equal(got[1:], _bootstrap_states(counts, stream, reps=20))
+    assert np.array_equal(got[1:], _bootstrap_states(counts, bootstrap_stream(seed, n)))
 
 
 _SDG = np.diag([1.0, -1.0j]).astype(complex)
@@ -389,7 +395,7 @@ def test_sampling_the_evolved_state_matches_sampling_the_circuit():
         job = TomographyJob(collision.build_circuit(model, n, native=True), measured,
                             shots=256, seed=5)
         state = collision.evolve(model, n, noise).joint_state
-        got = noisytomo._sample_state(state, measured, 256, 5, noise, job.settings)
+        got = noisytomo._sample_state(state, measured, 256, np.random.default_rng(5), noise)
         assert got.counts == sample(job, noise=noise).counts
 
 

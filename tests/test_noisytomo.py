@@ -351,13 +351,32 @@ def test_tomography_estimates_calibrate_on_the_measured_qubits(make_model):
     got = noisytomo.tomography_estimates(states, measured, shots, seed, noise, mitigate=True)
 
     zkey = "Z" * len(measured)
-    jobs = calibration_jobs(model.register, measured, shots, seed * 1000 + 900)
-    invs = noisytomo._confusion_inverses(*(sample_calibration(j, noise).frequencies(zkey)
-                                           for j in jobs))
-    want = np.stack([noisytomo._estimate(rho, measured, shots, seed * 1000 + n, noise, invs)
+    jobs = calibration_jobs(model.register, measured, shots)
+    invs = noisytomo._confusion_inverses(*(
+        sample_calibration(j, noise, noisytomo._stream(seed, noisytomo._CALIBRATION, i))
+        .frequencies(zkey) for i, j in enumerate(jobs)))
+    want = np.stack([noisytomo._estimate(rho, measured, shots, seed, n, noise, invs)
                      for n, rho in enumerate(states)])
     assert got.shape == (3, 21) + states[0].mat.shape
     assert np.array_equal(got, want)
+    # State n's estimate depends on the seed and n alone.
+    assert np.array_equal(noisytomo.tomography_estimates(states[:2], measured, shots, seed,
+                                                         noise, mitigate=True), want[:2])
 
     exact = noisytomo.tomography_estimates(states, measured, 0, seed)
     assert np.array_equal(exact, np.stack([rho.mat for rho in states])[:, None])
+
+
+def test_streams_are_distinct_for_every_seed_purpose_and_n():
+    """Every (seed, purpose, n) on a grid has its own stream.  The grid holds
+    the keys that a seed·1000 + n numbering confuses (n = 900 and 901 with
+    calibration draws, n = 1000 of seed s with n = 0 of seed s + 1) and the
+    seeds at which a zero-padded entropy list collides (2^32, 2^64)."""
+    seeds = [0, 1, 2, 2**32, 2**32 + 1, 2**64, 2**64 + 1]
+    purposes = (noisytomo._TOMOGRAPHY, noisytomo._CALIBRATION, noisytomo._BOOTSTRAP)
+    keys = [(s, p, n) for s in seeds for p in purposes for n in (0, 1, 2, 900, 901, 1000)]
+    draws = {tuple(noisytomo._stream(*key).integers(2**63, size=4)) for key in keys}
+    assert len(draws) == len(keys)
+    # The same key is the same stream.
+    assert np.array_equal(noisytomo._stream(2**64, 1, 900).integers(2**63, size=4),
+                          noisytomo._stream(2**64, 1, 900).integers(2**63, size=4))
