@@ -3,22 +3,24 @@
 Choi states are normalized to trace 1 (a physical system–ancilla state whose
 concurrence can be computed directly), not to trace d.
 
-Every conversion goes through three private helpers on the row-major vec
-(vec(A)[i*d + j] = A[i, j]; Wood, Biamonte & Cory, arXiv:1111.6950):
+A channel is its superoperator on the row-major vec (vec(A)[i*d + j] =
+A[i, j]; Wood, Biamonte & Cory, arXiv:1111.6950).  Conversions run one way,
+from Kraus operators to the superoperator, through two private helpers:
 
-* ``_superop``: Σ K⊗K̄, behind ``apply_at`` and ``KrausChannel.superop``;
-* ``_reshuffle``: a superoperator's entries as its Choi matrix (trace d);
-* ``_kraus_of_choi``: the one Choi→Kraus routine (eigendecomposition,
-  round-off cutoff 1e-15·d, exact renormalisation), behind ``channel_of_choi``
-  and the Kraus set of a channel read off its superoperator (by ``compose``
-  or the circuit path of ``noisytomo``, after the trace-preservation check of
-  ``KrausChannel._of_superop``), which is derived only when asked for.
+* ``_superop``: Σ K⊗K̄, behind ``KrausChannel.superop``;
+* ``_reshuffle``: a superoperator's entries as its Choi matrix (trace d),
+  behind ``choi_of_channel``.
 
-``_superop_at`` applies a local superoperator on some qubits of a matrix or a
-stack of matrices: ``apply_at``, ``apply_extended`` and the circuit path of
-``noisytomo`` call it.  ``transfer_of_channel`` sandwiches the superoperator
-between the normalized Pauli vecs, a read-only matrix built once per qubit
-count (``_pauli_columns``).
+A channel read off its superoperator (by ``compose`` or the circuit path of
+``noisytomo``, after the trace-preservation check of
+``KrausChannel._of_superop``) holds no Kraus set.
+
+``_superop_at`` is the one channel application: it applies a local
+superoperator on some qubits of a matrix or a stack of matrices, for
+``apply``, ``apply_extended`` and the circuit path of ``noisytomo``.
+``transfer_of_channel`` sandwiches the superoperator between the normalized
+Pauli vecs, a read-only matrix built once per qubit count
+(``_pauli_columns``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .qmat import (
     DensityMatrix,
     PAULIS,
     QubitRegister,
-    herm_sqrt,
     nkron,
 )
 
@@ -43,12 +44,10 @@ __all__ = [
     "ChoiState",
     "TransferMap",
     "choi_of_channel",
-    "channel_of_choi",
     "transfer_of_channel",
     "compose",
     "apply",
     "apply_extended",
-    "apply_at",
     "pauli_basis",
     "identity_channel",
     "unitary_channel",
@@ -62,8 +61,10 @@ KRAUS_COMPLETE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A CPT map given by Kraus operators (sum K†K = I within 1e-9), or read
-    off its superoperator; either one is derived from the other on first use."""
+    """A CPT map given by Kraus operators (sum K†K = I within 1e-9), whose
+    superoperator is derived on first use, or read off its superoperator
+    (``_of_superop``), which holds no Kraus set: its ``kraus_ops`` raises
+    AttributeError."""
 
     in_dim: int = 0
     out_dim: int = 0
@@ -83,8 +84,10 @@ class KrausChannel:
 
     @classmethod
     def _of_superop(cls, superop: np.ndarray) -> "KrausChannel":
-        """The channel with the completely positive superoperator ``superop``,
-        rejected if Tr E(|i><j|) is over 1e-3 from δ_ij (in trace-1 units)."""
+        """The channel with superoperator ``superop``, rejected if
+        Tr E(|i><j|) is over 1e-3 from δ_ij (in trace-1 units).  Only trace
+        preservation is checked; complete positivity is the caller's
+        precondition."""
         d_out, d_in = map(math.isqrt, superop.shape)
         dev = np.abs(np.eye(d_out).ravel() @ superop - np.eye(d_in).ravel()).max() / d_in
         if dev > 1e-3:
@@ -93,10 +96,6 @@ class KrausChannel:
         ch = cls.__new__(cls)
         ch.__dict__.update(superop=superop, in_dim=d_in, out_dim=d_out)
         return ch
-
-    @functools.cached_property
-    def kraus_ops(self) -> tuple[np.ndarray, ...]:
-        return _kraus_of_choi(_reshuffle(self.superop), self.in_dim).kraus_ops
 
     @functools.cached_property
     def superop(self) -> np.ndarray:
@@ -115,10 +114,6 @@ class ChoiState:
     """(E ⊗ 1)|Φ+⟩⟨Φ+| normalized to trace 1, on register (S_out, S_ref)."""
 
     rho: DensityMatrix
-
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.rho.dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,29 +202,6 @@ def choi_of_channel(ch: KrausChannel, labels=("S_out", "S_ref")) -> ChoiState:
                                    _reshuffle(ch.superop) / d))
 
 
-def channel_of_choi(c: ChoiState) -> KrausChannel:
-    """Kraus extraction by eigendecomposition (eigenvalues above the
-    round-off 1e-15·d, renormalised to be exactly trace preserving), after
-    the trace-preservation check of ``KrausChannel._of_superop``."""
-    read_off = KrausChannel._of_superop(_reshuffle(c.rho.mat * c.dim))
-    return KrausChannel(read_off.kraus_ops, validate=False)
-
-
-def _kraus_of_choi(choi: np.ndarray, d: int) -> KrausChannel:
-    """The one Choi→Kraus routine, for a trace-preserving map on input
-    dimension d with Choi matrix ``choi`` of trace d (``_reshuffle``).
-
-    Keeps the eigenvectors with eigenvalue above round-off (1e-15·d, relative
-    to the trace) as Kraus operators and renormalises them to be exactly TP."""
-    d_out = len(choi) // d
-    ev, vecs = np.linalg.eigh((choi + choi.conj().T) / 2)
-    keep = ev > 1e-15 * d
-    ops = (np.sqrt(ev[keep]) * vecs[:, keep]).T.reshape(-1, d_out, d)
-    # Renormalize so the channel is exactly trace preserving despite projection.
-    s = np.einsum("kba,kbc->ac", ops.conj(), ops)
-    return KrausChannel(ops @ np.linalg.inv(herm_sqrt(s)))
-
-
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return apply_extended(ch, rho, rho.register.labels)
 
@@ -244,22 +216,15 @@ def apply_extended(ch: KrausChannel, rho_joint: DensityMatrix, target_labels) ->
     return DensityMatrix(reg, out, validate=False)
 
 
-def apply_at(ops, mat: np.ndarray, positions, n: int) -> np.ndarray:
-    """Sum of K mat K† over the operators K, each acting on the given qubit
-    positions (MSB-first) of an n-qubit matrix.  ``mat`` may be any square
-    matrix, not only a state (the circuit's Choi construction feeds it
-    |i><j|), or a stack of them with leading batch axes (..., 2^n, 2^n).
-
-    The Kraus set is folded into its local superoperator ``_superop`` (4^k ×
-    4^k for k qubits), which ``_superop_at`` contracts once with the k row and
-    k column axes of each matrix; the identity on the other qubits is never
-    formed."""
-    return _superop_at(_superop(ops), mat, positions, n)
-
-
 def _superop_at(superop: np.ndarray, mat: np.ndarray, positions, n: int) -> np.ndarray:
     """Apply a local superoperator (``_superop`` of a Kraus set on the given
-    qubit positions) to an n-qubit matrix or stack of matrices."""
+    qubit positions, MSB-first) to an n-qubit matrix.  ``mat`` may be any
+    square matrix, not only a state (the circuit's channel read-off feeds it
+    |i><j|), or a stack of them with leading batch axes (..., 2^n, 2^n).
+
+    The 4^k × 4^k superoperator of k qubits is contracted once with the k
+    row and k column axes of each matrix (``_contract_at``); the identity on
+    the other qubits is never formed."""
     mat = np.asarray(mat)
     batch = mat.shape[:-2]
     b = len(batch)

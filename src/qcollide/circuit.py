@@ -43,8 +43,6 @@ __all__ = [
     "transpile",
     "equivalent_up_to_global_phase",
     "gate_count",
-    "circuit_to_text",
-    "circuit_from_text",
     "decompose_multiqubit",
     "reference_bell_circuit",
     "reference_collision_circuit",
@@ -191,59 +189,6 @@ def gate_count(c: Circuit) -> dict:
     for g in c.gates:
         out[g.kind] = out.get(g.kind, 0) + 1
     return out
-
-
-# --------------------------------------------------------------------------
-# Serialization: header lines "qubits a,b,c" and "phase <radians>", then one
-# line per gate "KIND q0[,q1] [theta]".  UNITARY payloads are stored as
-# whitespace-separated re,im pairs after the qubit list.
-# --------------------------------------------------------------------------
-
-def circuit_to_text(c: Circuit) -> str:
-    lines = [
-        "qubits " + ",".join(c.register.labels),
-        f"phase {c.global_phase!r}",
-    ]
-    for g in c.gates:
-        parts = [g.kind, ",".join(g.qubits)]
-        if g.theta is not None:
-            parts.append(repr(float(g.theta)))
-        if g.kind == "UNITARY":
-            parts.extend(
-                f"{float(z.real)!r},{float(z.imag)!r}" for z in g.matrix.ravel()
-            )
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> Circuit:
-    register = None
-    phase = 0.0
-    gates = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "qubits":
-            register = QubitRegister(parts[1].split(","))
-        elif parts[0] == "phase":
-            phase = float(parts[1])
-        else:
-            kind = parts[0]
-            qubits = tuple(parts[1].split(","))
-            if kind == "UNITARY":
-                d = 2 ** len(qubits)
-                vals = [complex(float(a), float(b))
-                        for a, b in (p.split(",") for p in parts[2:])]
-                gates.append(Gate(kind, qubits, matrix=np.array(vals).reshape(d, d)))
-            elif len(parts) > 2:
-                gates.append(Gate(kind, qubits, theta=float(parts[2])))
-            else:
-                gates.append(Gate(kind, qubits))
-    if register is None:
-        raise ValueError("missing 'qubits' header line")
-    return Circuit(register, gates, phase)
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ superoperators, so it is exact.  ``_apply_blocks`` then applies the blocks
 with ``channel._superop_at`` to a matrix or a stack of matrices.  The circuit
 channel on kept qubits (``noisy_channel_of_circuit``) runs the circuit once
 on the stack of all inputs |i><j|; the traced-out images are its
-superoperator, and its Kraus set is derived only when asked for.
+superoperator, and the channel holds no Kraus set.
 
 Tomography is linear, and both of its maps factor into one small map per
 measured qubit (``_FORWARD`` and ``_INVERSE``), applied by ``_apply_per_qubit``
@@ -52,7 +52,7 @@ The shot path runs on count tables, rows in ``all_settings`` order:
 ``_sample_table`` draws one, ``_frequencies`` normalises it,
 ``_mitigate_table`` mitigates a frequency table with the per-qubit inverses of
 ``_confusion_inverses``, and ``_reconstruct_frequencies`` reconstructs it.
-``ShotCounts`` (setting -> bitstring -> count) is the boundary and CSV view:
+``ShotCounts`` (setting -> bitstring -> count) is the boundary view:
 ``_sample_state``, ``mitigate_readout`` and ``reconstruct`` are thin wrappers
 that convert to and from it, with the same numbers.
 
@@ -71,8 +71,6 @@ so no other seed and key give the same words.  (A longer entropy list such as
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -108,8 +106,6 @@ __all__ = [
     "tomography_estimates",
     "reconstruct",
     "ReconstructionResult",
-    "counts_to_csv",
-    "counts_from_csv",
     "all_settings",
 ]
 
@@ -699,21 +695,3 @@ def _project_simplex(ev: np.ndarray) -> np.ndarray:
     rho_idx = size - 1 - np.argmax(feasible[..., ::-1], axis=-1)[..., None]
     theta = (1.0 - np.take_along_axis(css, rho_idx, axis=-1)) / (rho_idx + 1)
     return np.clip(ev + theta, 0.0, None)
-
-
-def counts_to_csv(counts: ShotCounts) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["setting", "bitstring", "count"])
-    for setting in sorted(counts.counts):
-        for bits in sorted(counts.counts[setting]):
-            w.writerow([setting, bits, repr(counts.counts[setting][bits])])
-    return buf.getvalue()
-
-
-def counts_from_csv(text: str, measured, shots: int) -> ShotCounts:
-    rows = list(csv.reader(io.StringIO(text)))
-    out: dict = {}
-    for setting, bits, cnt in rows[1:]:
-        out.setdefault(setting, {})[bits] = float(cnt)
-    return ShotCounts(tuple(measured), shots, out)

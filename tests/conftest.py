@@ -32,6 +32,21 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def assert_cptp(ch, tol):
+    """Assert that a channel is CPTP within tol: the Choi reshuffle of its
+    superoperator is Hermitian and positive semidefinite (minimum eigenvalue
+    >= -tol), and Tr E(|i><j|) = δ_ij."""
+    d_out, d_in = ch.out_dim, ch.in_dim
+    # superop[(a, b), (i, j)] = E(|i><j|)[a, b]; the Choi entry is [(a, i), (b, j)].
+    choi = ch.superop.reshape(d_out, d_out, d_in, d_in).transpose(0, 2, 1, 3)
+    choi = choi.reshape(d_out * d_in, d_out * d_in)
+    assert np.abs(choi - choi.conj().T).max() <= tol
+    assert np.linalg.eigvalsh((choi + choi.conj().T) / 2).min() >= -tol
+    # Tracing the output a leaves Tr E(|i><j|) = δ_ij.
+    traced = np.einsum("aiaj->ij", choi.reshape(d_out, d_in, d_out, d_in))
+    assert np.abs(traced - np.eye(d_in)).max() <= tol
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

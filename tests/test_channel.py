@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_unitary
+from conftest import assert_cptp, random_density, random_unitary
 from qcollide import collision
 from qcollide.channel import (
     KRAUS_COMPLETE_TOL,
-    ChoiState,
     KrausChannel,
+    _superop,
+    _superop_at,
     amplitude_damping_channel,
     apply,
-    apply_at,
     apply_extended,
-    channel_of_choi,
     choi_of_channel,
     compose,
     depolarizing_channel,
@@ -22,7 +21,7 @@ from qcollide.channel import (
     unitary_channel,
 )
 from qcollide.entangle import concurrence_2q
-from qcollide.qmat import DensityMatrix, ket, partial_trace, pure_state
+from qcollide.qmat import ket, partial_trace, pure_state
 
 BELL = (ket("00") + ket("11")) / np.sqrt(2)
 
@@ -59,7 +58,7 @@ def test_apply_at_matches_explicit_embedding(rng):
         @ np.kron(np.kron(np.eye(2), k), np.eye(2)).conj().T
         for k in ops
     )
-    assert np.abs(apply_at(ops, m, [1], 3) - want).max() < 1e-12
+    assert np.abs(_superop_at(_superop(ops), m, [1], 3) - want).max() < 1e-12
 
 
 def test_choi_examples():
@@ -82,33 +81,35 @@ def test_choi_invariants_hold(rng):
         assert np.linalg.eigvalsh(c.rho.mat).min() > -1e-10
 
 
-def test_channel_of_choi_round_trips(rng):
-    for ch in [
-        identity_channel(),
-        amplitude_damping_channel(0.3),
-        random_channel(rng),
-        random_channel(rng, 2, 1),
-    ]:
-        back = channel_of_choi(choi_of_channel(ch))
-        d1 = choi_of_channel(ch).rho.mat
-        d2 = choi_of_channel(back).rho.mat
-        assert np.abs(d1 - d2).max() < 1e-8
-
-
-def test_channel_of_choi_rejects_non_tp():
-    # E(|0><0|) = 0.9|0><0| and E(|1><1|) = 1.1|1><1|: Σ K†K = diag(0.9, 1.1)
-    # is invertible, so only the trace-preservation check can reject it.
-    bad = np.diag([0.45, 0.0, 0.0, 0.55])
-    with pytest.raises(ValueError, match="trace-preservation"):
-        channel_of_choi(ChoiState(DensityMatrix(("o", "r"), bad)))
-
-
 def test_read_off_channel_rejects_non_tp():
     """A superoperator whose Tr E(|i><j|) is more than 1e-3 (trace-1 units)
     off δ_ij is rejected when read off; one within that is kept."""
     with pytest.raises(ValueError, match="trace-preservation"):
         KrausChannel._of_superop(0.99 * np.eye(4))
     assert KrausChannel._of_superop((1 - 1e-4) * np.eye(4)).in_dim == 2
+
+
+def test_read_off_channel_holds_only_its_superoperator():
+    """A Kraus-built channel keeps its Kraus operators; a channel read off
+    its superoperator, or made by ``compose``, has no Kraus set to give."""
+    ops = amplitude_damping_channel(0.3).kraus_ops
+    assert KrausChannel(ops).kraus_ops == ops
+    for ch in (KrausChannel._of_superop(np.eye(4)),
+               compose(identity_channel(), amplitude_damping_channel(0.3))):
+        with pytest.raises(AttributeError):
+            ch.kraus_ops
+
+
+def test_assert_cptp_rejects_maps_the_read_off_accepts():
+    """The read-off checks trace preservation to 1e-3 only.  ``assert_cptp``
+    rejects the transpose map, which is trace preserving but not completely
+    positive (its Choi matrix, the swap, has eigenvalue -1), and a map 5e-4
+    off trace preserving; it accepts the identity."""
+    swap = np.eye(4)[[0, 2, 1, 3]]  # vec(ρ) -> vec(ρ^T)
+    for superop in (swap, (1 - 5e-4) * np.eye(4)):
+        with pytest.raises(AssertionError):
+            assert_cptp(KrausChannel._of_superop(superop), 1e-9)
+    assert_cptp(KrausChannel._of_superop(np.eye(4)), 1e-9)
 
 
 def test_transfer_examples():
@@ -166,18 +167,6 @@ def test_compose_of_collision_channels():
          [1 - c**4, 0, 0, c**4]]
     )
     assert np.abs(twice - expected).max() < 1e-10
-
-
-def test_representation_conversion_cycle(rng):
-    for _ in range(5):
-        ch = random_channel(rng)
-        cycled = channel_of_choi(choi_of_channel(ch))
-        tm = transfer_of_channel(ch).M
-        tm2 = transfer_of_channel(cycled).M
-        assert np.abs(tm - tm2).max() < 1e-8
-        for _ in range(20):
-            rho = random_density(rng, 1, ["q"])
-            assert np.abs(apply(ch, rho).mat - apply(cycled, rho).mat).max() < 1e-8
 
 
 def test_apply_preserves_trace_and_hermiticity(rng):

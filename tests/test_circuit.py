@@ -14,8 +14,6 @@ from qcollide.circuit import (
     Gate,
     NATIVE_KINDS,
     bell_prep_circuit,
-    circuit_from_text,
-    circuit_to_text,
     decompose_multiqubit,
     equivalent_up_to_global_phase,
     gate_count,
@@ -253,24 +251,6 @@ def test_transpile_asks_for_pre_decomposition_of_multiqubit_unitary(rng):
     job = noisytomo.TomographyJob(c, ("a", "b"), shots=16)
     with pytest.raises(ValueError, match="pre-decomposed"):
         noisytomo.sample(job, noise=noisytomo.NoiseConfig())
-
-
-def test_serialization_round_trip(rng):
-    u = random_unitary(rng, 4)
-    c = Circuit(
-        ("a", "b"),
-        [
-            Gate("H", ("a",)),
-            Gate("RZ", ("b",), theta=0.37),
-            Gate("CNOT", ("a", "b")),
-            Gate("UNITARY", ("a", "b"), matrix=u),
-        ],
-        global_phase=1.25,
-    )
-    back = circuit_from_text(circuit_to_text(c))
-    assert back.register.labels == c.register.labels
-    assert back.global_phase == pytest.approx(1.25, abs=1e-12)
-    assert np.abs(unitary_of_circuit(back) - unitary_of_circuit(c)).max() < 1e-10
 
 
 def reference_merge_rz(gates):

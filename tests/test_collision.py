@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_cptp
 from qcollide import circuit as circ
 from qcollide import collision, noisytomo
 from qcollide.channel import (
@@ -117,9 +118,7 @@ def test_ideal_reduced_channel_matches_circuit_unitary(make_model, g_dt, n):
 def test_reduced_channel_is_cpt():
     model = collision.single_qubit_model()
     for n in range(6):
-        ch = collision.evolve(model, n).reduced_channel
-        s = sum(k.conj().T @ k for k in ch.kraus_ops)
-        assert np.abs(s - np.eye(2)).max() < 1e-9
+        assert_cptp(collision.evolve(model, n).reduced_channel, 1e-9)
 
 
 def test_excitation_conservation_single():

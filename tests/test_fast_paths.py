@@ -3,7 +3,7 @@ its forward map (the outcome table of every setting), the per-qubit
 tomography maps against the dense 4^k Pauli tables and the peak memory of a
 replica-stack reconstruction, the batched bootstrap,
 the estimator's shot path on count tables against the ShotCounts pipeline, the
-superoperator contraction of ``apply_at`` and ``unitary_of_circuit``, the
+superoperator contraction of ``_superop_at`` and ``unitary_of_circuit``, the
 column-blocked ``_contract_at`` against one ``tensordot``, the fused circuit
 application against one contraction per gate, the channel conversions
 (the batched circuit channel, the Choi matrix, the transfer matrix with its
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_density, random_unitary
+from conftest import assert_cptp, random_density, random_unitary
 from test_channel import random_channel
 from qcollide import circuit as circ
 from qcollide import collision, noisytomo, nonmarkov
@@ -30,10 +30,10 @@ from qcollide.channel import (
     KrausChannel,
     _contract_at,
     _pauli_columns,
+    _superop,
     _superop_at,
     amplitude_damping_channel,
     apply,
-    apply_at,
     choi_of_channel,
     compose,
     depolarizing_channel,
@@ -331,13 +331,13 @@ def reference_measurement_probs(rho, measured, setting, noise):
     reg = rho.register
     mat = rho.mat
     for q, pauli in zip(measured, setting):
-        mat = apply_at([_BASIS_ROTATION[pauli]], mat, [reg.index(q)], reg.n)
+        mat = _superop_at(_superop([_BASIS_ROTATION[pauli]]), mat, [reg.index(q)], reg.n)
     rho_rot = DensityMatrix(reg, mat, validate=False)
     if noise is not None:
         thermal = reference_thermal_ops(noise, noise.duration("MEASURE"))
         if thermal:
             for q in measured:
-                acc = apply_at(thermal, rho_rot.mat, [reg.index(q)], reg.n)
+                acc = _superop_at(_superop(thermal), rho_rot.mat, [reg.index(q)], reg.n)
                 rho_rot = DensityMatrix(reg, acc, validate=False)
     marg = partial_trace(rho_rot, list(measured))
     k = len(measured)
@@ -421,7 +421,7 @@ def test_apply_at_matches_embedded_sandwich(case, batch):
     mats = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / dim
     embedded = [embed_operator(k, positions, n) for k in ops]
     want = sum(e @ mats @ e.conj().T for e in embedded)
-    assert np.abs(apply_at(ops, mats, positions, n) - want).max() <= TOL
+    assert np.abs(_superop_at(_superop(ops), mats, positions, n) - want).max() <= TOL
 
 
 @settings(max_examples=20, deadline=None)
@@ -654,10 +654,10 @@ def dilated_channel_pair(rng, n, env):
 @given(n=st.integers(1, 2), env=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
 def test_compose_and_read_off_channels_match_kraus_references(n, env, seed):
     """``compose`` is the product of superoperators: on Kraus-built and
-    read-off channels alike its Choi matrix (from the derived Kraus set and
-    from the superoperator) matches the Kraus-product reference, and the
-    derived Kraus set has at most d² operators.  A channel read off images
-    has the transfer matrix of the same channel built from Kraus operators."""
+    read-off channels alike its Choi matrix (the reshuffled superoperator,
+    and ``choi_of_channel``) matches the Kraus-product reference.  A channel
+    read off images has the transfer matrix of the same channel built from
+    Kraus operators."""
     rng = np.random.default_rng(seed)
     a, a_read = dilated_channel_pair(rng, n, env)
     b, b_read = dilated_channel_pair(rng, n, env)
@@ -669,7 +669,6 @@ def test_compose_and_read_off_channels_match_kraus_references(n, env, seed):
         ab = compose(x, y)
         s = ab.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
         assert np.abs(s / d - want).max() <= TOL
-        assert len(ab.kraus_ops) <= d * d
         assert np.abs(choi_of_channel(ab).rho.mat - want).max() <= TOL
 
 
@@ -747,7 +746,7 @@ def test_native_superop_matches_uncompressed_product(t1, t2_ratio, depol_1q, dep
 
 def reference_apply(ch, rho):
     """Σ K ρ K†, one Kraus operator at a time: ``channel.apply`` before it
-    became ``apply_at`` on every qubit."""
+    became one superoperator contraction on every qubit."""
     out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
     for k in ch.kraus_ops:
         out += k @ rho.mat @ k.conj().T
@@ -960,17 +959,17 @@ def test_backflow_derivatives_match_finite_differences(seed):
 
 
 def test_blp_argmax_is_stable_under_channel_round_off():
-    """A relative change of 1e-15 in every Kraus entry of the noisy single
-    (2, 4) pair moves the refined argmax by at most 1e-12 (a Nelder-Mead
-    refine stopping at xatol 1e-8 moved it by ~1e-8)."""
+    """A relative change of 1e-15 in every superoperator entry of the noisy
+    single (2, 4) pair moves the refined argmax by at most 1e-12 (a
+    Nelder-Mead refine stopping at xatol 1e-8 moved it by ~1e-8)."""
     model = collision.single_qubit_model()
     records = collision.evolve_series(model, 4, NoiseConfig())
     pair = (records[2].reduced_channel, records[4].reduced_channel)
     delta, (ra, _) = nonmarkov.blp_max_increase(*pair)
     rng = np.random.default_rng(7)
     for _ in range(20):
-        perturbed = [KrausChannel([k * (1 + 1e-15 * rng.normal(size=k.shape))
-                                   for k in ch.kraus_ops]) for ch in pair]
+        perturbed = [KrausChannel._of_superop(
+            ch.superop * (1 + 1e-15 * rng.normal(size=ch.superop.shape))) for ch in pair]
         d, (r, _) = nonmarkov.blp_max_increase(*perturbed)
         assert abs(d - delta) <= TOL
         assert np.abs(r - ra).max() <= 1e-12
@@ -1049,24 +1048,11 @@ def test_evolve_series_matches_per_n_evolution(case, noise):
 @settings(max_examples=12, deadline=None)
 @given(case=model_series(max_collisions=5), noise=st.one_of(st.none(), device_noise()))
 def test_evolve_series_channels_are_cptp(case, noise):
-    """Every reduced channel is CPTP within 1e-9 as read off the input stack:
-    its superoperator's Choi reshuffle is Hermitian and PSD, and it is trace
-    preserving.  The record holds that superoperator and no Kraus set; the
-    Kraus set derived from it on demand is complete within 1e-9 and gives
-    the superoperator back within 1e-12."""
+    """Every reduced channel is CPTP within 1e-9 as read off the input stack
+    (``assert_cptp``).  The record holds that superoperator and no Kraus
+    set."""
     model, n_max = case
     for rec in collision.evolve_series(model, n_max, noise):
         ch = rec.reduced_channel
-        assert "kraus_ops" not in vars(ch)
-        d = ch.in_dim
-        s = ch.superop
-        # superop[(a, b), (i, j)] = E(|i><j|)[a, b]; the Choi entry is [(a, i), (b, j)].
-        choi = s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        assert np.abs(choi - choi.conj().T).max() <= 1e-9
-        assert np.linalg.eigvalsh((choi + choi.conj().T) / 2).min() >= -1e-9
-        # Tracing the output a leaves Tr E(|i><j|) = δ_ij.
-        assert np.abs(np.einsum("aiaj->ij", choi.reshape(d, d, d, d)) - np.eye(d)).max() <= 1e-9
-        ops = np.asarray(ch.kraus_ops)
-        assert np.abs(np.einsum("kba,kbc->ac", ops.conj(), ops) - np.eye(d)).max() <= 1e-9
-        assert np.abs(np.einsum("kab,kce->acbe", ops, ops.conj()).reshape(d * d, d * d)
-                      - s).max() <= 1e-12
+        assert not hasattr(ch, "kraus_ops")
+        assert_cptp(ch, 1e-9)
