@@ -82,12 +82,16 @@ def _require(ok: bool, message: str) -> None:
         raise _InputError(message)
 
 
-def _load_noise(arg: str):
+def _load_noise(arg: str, labels):
+    """The noise config in file ``arg`` (None for 'ideal'); its readout
+    labels must name qubits of ``labels``."""
     if arg == "ideal":
         return None
     text = Path(arg).read_text()
     try:
-        return noisytomo.NoiseConfig.from_text(text)
+        noise = noisytomo.NoiseConfig.from_text(text)
+        noise.check_readout_labels(labels)
+        return noise
     except ValueError as exc:
         raise _InputError(f"noise config {arg}: {exc}") from exc
 
@@ -106,13 +110,13 @@ def _run_simulate(args) -> int:
              f"--gdt does not apply to --model {args.model}")
     _require(args.seed >= 0, "--seed must be nonnegative")
     _require(args.shots < 2**63, "--shots must be below 2^63 (a 64-bit count)")
-    noise = _load_noise(args.noise)
+    build = MODELS[args.model]
+    model = build() if args.gdt is None else build(args.gdt)
+    noise = _load_noise(args.noise, model.register.labels)
     _require(noise is None or args.shots > 0,
              "--shots must be positive when noise is enabled")
     _require(noise is not None or (args.shots == 0 and not args.mitigate),
              "--shots and --mitigate need --noise")
-    build = MODELS[args.model]
-    model = build() if args.gdt is None else build(args.gdt)
     n_max = args.collisions
     if n_max is None:
         n_max = model.max_steps or 10
@@ -227,6 +231,7 @@ def _witness_rows(path: str):
 
 
 def _run_witness(args) -> int:
+    _require(args.t1 < args.t2, "--t1 must be earlier than --t2")
     header, by_n = _witness_rows(args.csv)
     _require(args.t1 in by_n and args.t2 in by_n,
              f"rows for n={args.t1} and n={args.t2} required")

@@ -178,7 +178,10 @@ def quantifiers(rho, system_labels, *, register=None):
 
 def witness(rho_t1: DensityMatrix, rho_t2: DensityMatrix, system_labels,
             t1_id: int = 0, t2_id: int = 1) -> WitnessReport:
-    """Two-time quantum-memory test on a fixed system/ancilla split."""
+    """Two-time quantum-memory test on a fixed system/ancilla split; t1 must
+    come before t2 (``t1_id < t2_id``)."""
+    if t1_id >= t2_id:
+        raise ValueError(f"t1 ({t1_id}) must come before t2 ({t2_id})")
     if rho_t1.register.labels != rho_t2.register.labels:
         raise ValueError("the two states must share a register")
     exact, conc, assist = quantifiers(np.stack([rho_t1.mat, rho_t2.mat]),

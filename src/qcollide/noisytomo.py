@@ -18,7 +18,8 @@ A circuit runs as a few fused local superoperators, not one contraction per
 gate (gate clustering, Häner & Steiger, SC'17, arXiv:1704.01127).
 ``_fused_superops`` multiplies each qubit's run of 1-qubit gates into one 4x4
 superoperator (a virtual RZ is the diagonal (1, e^{-iθ}, e^{iθ}, 1)), folds
-it into the input side of the next multi-qubit gate on that qubit, and merges
+it into the input side of the next multi-qubit gate on that qubit (through
+its exact Kronecker lift, ``_lift``), and merges
 a multi-qubit gate into the block that last touched all of its qubits when
 that block has the same labels in the same order.  This only composes
 superoperators, so it is exact.  ``_apply_blocks`` then applies the blocks
@@ -61,7 +62,8 @@ that convert to and from it, with the same numbers.
 spawn_key=(purpose, n)))``: state n of a stack draws its count table from
 (``_TOMOGRAPHY``, n) and its 20 bootstrap replicas (``_estimate``) from
 (``_BOOTSTRAP``, n); the all-|0> and all-|1> calibration runs, on the measured
-qubits, draw from (``_CALIBRATION``, 0) and (``_CALIBRATION``, 1).  Distinct
+qubits, draw from (``_CALIBRATION``, 0) and (``_CALIBRATION``, 1), each from
+the all-Z row of the outcome table alone.  Distinct
 (seed, purpose, n) give distinct streams for any seed: ``SeedSequence`` pads
 the seed's 32-bit words with zeros to at least four and appends the spawn key,
 so no other seed and key give the same words.  (A longer entropy list such as
@@ -146,6 +148,14 @@ class NoiseConfig:
 
     def readout_probs(self, label: str) -> tuple[float, float]:
         return tuple(self.readout.get(label, self.readout["default"]))
+
+    def check_readout_labels(self, labels) -> None:
+        """Reject a per-label readout entry that names none of ``labels``;
+        ``readout.default`` applies to every qubit."""
+        stray = sorted(set(self.readout) - {"default", *labels})
+        if stray:
+            raise ValueError(", ".join(f"readout.{q}" for q in stray)
+                             + f" names no qubit of the register ({', '.join(labels)})")
 
     def duration(self, kind: str) -> float:
         return float(self.gate_duration_ns[kind])
@@ -257,13 +267,16 @@ def _fused_superops(c: circ.Circuit, noise: NoiseConfig | None) -> list:
                 pending[q] = s @ pending[q] if q in pending else s
             continue
         s = _gate_superop(g, noise)
-        folded = [(j, pending.pop(q)) for j, q in enumerate(g.qubits) if q in pending]
-        if folded:
-            k = len(g.qubits)
-            stack = np.eye(4**k, dtype=complex).reshape(4**k, 2**k, 2**k)  # all |b><e|
-            for j, p in folded:
-                stack = _superop_at(p, stack, [j], k)
-            s = s @ stack.reshape(4**k, 4**k).T
+        # One lift per pending qubit, multiplied in qubit order: the product
+        # rounds as folding each into the identity stack did, bit for bit; a
+        # single Kronecker product of two pending maps rounds differently.
+        lift = None
+        for j, q in enumerate(g.qubits):
+            if q in pending:
+                step = _lift(pending.pop(q), j, len(g.qubits))
+                lift = step if lift is None else step @ lift
+        if lift is not None:
+            s = s @ lift
         i = last.get(g.qubits[0])
         if (i is not None and blocks[i][1] == g.qubits
                 and all(last.get(q) == i for q in g.qubits)):
@@ -272,6 +285,16 @@ def _fused_superops(c: circ.Circuit, noise: NoiseConfig | None) -> list:
             last.update(dict.fromkeys(g.qubits, len(blocks)))
             blocks.append([s, g.qubits])
     return blocks + [[p, (q,)] for q, p in pending.items()]
+
+
+def _lift(p: np.ndarray, j: int, k: int) -> np.ndarray:
+    """The 1-qubit superoperator p on qubit j of k, as a 4^k x 4^k
+    superoperator in the row-major vec order, whose axes are (a', b', a, b)
+    with k qubit axes each: p on qubit j's four axes, the identity on the
+    others.  Its entries are p's entries or 0."""
+    on_j = [ax % k == j for ax in range(4 * k)]
+    rest = np.eye(4 ** (k - 1)).reshape([1 if x else 2 for x in on_j])
+    return (p.reshape([2 if x else 1 for x in on_j]) * rest).reshape(4**k, 4**k)
 
 
 def _apply_blocks(blocks, reg: QubitRegister, mat: np.ndarray) -> np.ndarray:
@@ -452,26 +475,32 @@ def _interleave(k: int, lead: int = 0) -> list[int]:
     return list(range(lead)) + [lead + j for i in range(k) for j in (i, k + i)]
 
 
-def _measurement_probs(rho: DensityMatrix, measured, noise: NoiseConfig | None) -> np.ndarray:
-    """Outcome table (3^k, 2^k) of every setting, rows in ``all_settings(k)``
-    order and outcome bits in ``measured`` order: ``_FORWARD`` on each
-    measured qubit.  With noise a qubit's map first takes its readout matrix
-    on the outcome: its confusion times the population block [0, 3] × [0, 3]
-    of the measurement relaxation's superoperator, which is exact: amplitude
-    damping plus dephasing never feeds coherences into populations."""
+def _measurement_probs(rho: DensityMatrix, measured, noise: NoiseConfig | None,
+                       bases: str = "XYZ") -> np.ndarray:
+    """Outcome table (b^k, 2^k) of the settings over b = len(bases) per-qubit
+    ``bases`` in XYZ order ("XYZ": every setting, rows in ``all_settings(k)``
+    order; "Z": the all-Z row alone), outcome bits in ``measured`` order:
+    the bases' rows of ``_FORWARD`` on each measured qubit.  With noise a
+    qubit's map first takes its readout matrix on the outcome: its confusion
+    times the population block [0, 3] × [0, 3] of the measurement
+    relaxation's superoperator, which is exact: amplitude damping plus
+    dephasing never feeds coherences into populations.  Each map is rows of
+    the full map, so a setting's row equals its row of the full table."""
     k = len(measured)
     marg = partial_trace(rho, list(measured))
     order = marg.register.indices(measured)
     # ρ's axes as (a_1, b_1, ..., a_k, b_k), qubits in ``measured`` order.
     mat = marg.mat.reshape((2,) * (2 * k)).transpose([ax for i in order for ax in (i, k + i)])
-    maps = [_FORWARD] * k
+    rows = [2 * "XYZ".index(b) + o for b in bases for o in (0, 1)]
+    maps = [_FORWARD[rows]] * k
     if noise is not None:
         thermal = _thermal_superop(noise, noise.duration("MEASURE"))
         pop = np.eye(2) if thermal is None else thermal[np.ix_([0, 3], [0, 3])].real
-        maps = [np.kron(np.eye(3), np.array([[1 - p01, p10], [p01, 1 - p10]]) @ pop) @ _FORWARD
-                for p01, p10 in map(noise.readout_probs, measured)]
-    probs = _apply_per_qubit(maps, mat.reshape(-1)).real.reshape((3, 2) * k)
-    probs = probs.transpose(np.argsort(_interleave(k))).reshape(3**k, 2**k)
+        maps = [(np.kron(np.eye(3), np.array([[1 - p01, p10], [p01, 1 - p10]]) @ pop)
+                 @ _FORWARD)[rows] for p01, p10 in map(noise.readout_probs, measured)]
+    b = len(bases)
+    probs = _apply_per_qubit(maps, mat.reshape(-1)).real.reshape((b, 2) * k)
+    probs = probs.transpose(np.argsort(_interleave(k))).reshape(b**k, 2**k)
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum(axis=1, keepdims=True)
 
@@ -489,12 +518,17 @@ def sample(job: TomographyJob, noise: NoiseConfig | None = None,
            settings=None, rng: np.random.Generator | None = None) -> ShotCounts:
     """Simulate the tomography job (default: every setting); the count table
     draws from ``rng``, by default ``default_rng(job.seed)``."""
+    rng = default_rng(job.seed) if rng is None else rng
+    return _sample_state(_run_job(job, noise), job.measured, job.shots, rng, noise, settings)
+
+
+def _run_job(job: TomographyJob, noise: NoiseConfig | None) -> DensityMatrix:
+    """The state the job's circuit prepares from |0...0>, transpiled first
+    when noisy and not native."""
     c = job.circuit
     if noise is not None and any(g.kind not in circ.NATIVE_KINDS for g in c.gates):
         c = circ.transpile(c)
-    rng = default_rng(job.seed) if rng is None else rng
-    return _sample_state(apply_noisy_circuit(c, noise=noise), job.measured, job.shots,
-                         rng, noise, settings)
+    return apply_noisy_circuit(c, noise=noise)
 
 
 def _sample_state(rho: DensityMatrix, measured, shots: int, rng: np.random.Generator,
@@ -540,8 +574,13 @@ def calibration_jobs(register, measured, shots: int = 4096, seed: int = 0):
 def sample_calibration(job: TomographyJob, noise: NoiseConfig | None = None,
                        rng: np.random.Generator | None = None) -> ShotCounts:
     """Sample a calibration circuit in the Z basis only, drawing from ``rng``
-    (default: ``default_rng(job.seed)``)."""
-    return sample(job, noise=noise, settings=("Z" * len(job.measured),), rng=rng)
+    (default: ``default_rng(job.seed)``).  Only the all-Z row of the outcome
+    table is computed; it equals that row of the full table bit for bit, so
+    the counts are ``sample``'s for that one setting."""
+    rng = default_rng(job.seed) if rng is None else rng
+    probs = _measurement_probs(_run_job(job, noise), job.measured, noise, bases="Z")
+    return ShotCounts.of_table(job.measured, job.shots, ("Z" * len(job.measured),),
+                               rng.multinomial(job.shots, probs))
 
 
 def mitigate_readout(counts: ShotCounts, calib0: ShotCounts, calib1: ShotCounts) -> ShotCounts:

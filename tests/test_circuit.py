@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_unitary
 from qcollide import circuit as circ
 from qcollide import collision, noisytomo
-from qcollide.channel import _contract_at
+from qcollide.channel import _contract_at, embed_operator
 from qcollide.circuit import (
     Circuit,
     ECR_MATRIX,
@@ -208,15 +209,49 @@ def small_register_circuits(draw):
 @settings(max_examples=80, deadline=None)
 @given(small_register_circuits())
 def test_unitary_of_circuit_small_registers_match_contraction(c):
-    """On one or two qubits each gate is one direct matrix product; one
-    tensor contraction per gate, the path of larger registers, gives the
-    same unitary."""
+    """On one or two qubits the 1-qubit runs are multiplied into 2x2
+    products and each 2-qubit gate is one direct matrix product; one tensor
+    contraction per gate, the path of larger registers, gives the same
+    unitary."""
     n, dim = c.register.n, c.register.dim
     want = np.eye(dim, dtype=complex).reshape([2] * (2 * n))
     for g in c.gates:
         want = _contract_at(g.unitary(), want, c.register.indices(g.qubits))
     want = np.exp(1j * c.global_phase) * want.reshape(dim, dim)
     assert np.abs(unitary_of_circuit(c) - want).max() <= 1e-12
+
+
+@st.composite
+def two_qubit_runs(draw):
+    """Runs of RZ, SX, X and 1-qubit UNITARY gates on both wires of a
+    two-qubit register, between ECRs of either orientation, with a global
+    phase."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = st.lists(st.tuples(st.sampled_from(["RZ", "SX", "X", "U1"]),
+                              st.sampled_from("ab")), max_size=8)
+    gates = []
+    for n_ecr in range(draw(st.integers(0, 4)) + 1):
+        if n_ecr:
+            gates.append(Gate("ECR", tuple(draw(st.permutations("ab")))))
+        for kind, q in draw(runs):
+            if kind == "RZ":
+                gates.append(Gate("RZ", q, theta=draw(st.floats(-4 * np.pi, 4 * np.pi))))
+            elif kind == "U1":
+                gates.append(Gate("UNITARY", q, matrix=random_unitary(rng, 2)))
+            else:
+                gates.append(Gate(kind, q))
+    return Circuit(("a", "b"), gates, draw(st.floats(-np.pi, np.pi)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_qubit_runs())
+def test_unitary_of_circuit_folds_two_qubit_runs(c):
+    """Each wire's run of 1-qubit gates, multiplied into one 2x2 product and
+    applied at the next ECR, gives the product of the embedded gates."""
+    want = np.eye(4, dtype=complex)
+    for g in c.gates:
+        want = embed_operator(g.unitary(), c.register.indices(g.qubits), 2) @ want
+    assert np.abs(unitary_of_circuit(c) - np.exp(1j * c.global_phase) * want).max() <= 1e-12
 
 
 def test_transpile_rejects_large_unitary_payload(rng):
@@ -430,3 +465,29 @@ def test_toy_transpile_is_local_and_lowers_each_payload_once():
             collision._native(Circuit(se, gates))
     assert widths and max(widths) <= 2
     assert kak.call_count == 2
+
+
+# SHA-256 of every (kind, qubits, θ.hex()) of the transpiled prep and steps of
+# the four models, frozen from the transpiler before its per-gate fast paths
+# (NumPy 2.4.6, SciPy 1.17.1, OpenBLAS 0.3.31 on x86-64; the KAK and the QSD
+# read LAPACK's eigenvectors, so another LAPACK build may give other bits).
+NATIVE_GATES_SHA256 = "ce2b69bfab94a8ae3d0a4b642fa3ea498a35219fba2b9ea7536ae7935c9ee6b0"
+
+
+def test_transpiled_models_keep_their_native_gates_bit_for_bit():
+    """The prep and every step of the four models, the two-qubit steps
+    through ``decompose_multiqubit``, lower to the same native gates, angle
+    for angle; only the global phase may move, by round-off."""
+    digest = hashlib.sha256()
+    for make in (collision.single_qubit_model, collision.two_qubit_model,
+                 collision.swap_model, collision.toy_model):
+        model = make()
+        se = QubitRegister(model.system_labels + model.env_labels)
+        prep = Circuit(QubitRegister(model.ancilla_labels + model.system_labels),
+                       collision._prep_gates(model))
+        for c in [prep] + [Circuit(se, gates) for gates in model.steps]:
+            for g in collision._native(c).gates:
+                theta = None if g.theta is None else float(g.theta).hex()
+                digest.update(repr((g.kind, g.qubits, theta)).encode())
+            digest.update(b"|")
+    assert digest.hexdigest() == NATIVE_GATES_SHA256

@@ -194,6 +194,36 @@ def test_malformed_noise_config_is_input_error(tmp_path, capsys):
     assert "readout.S" in capsys.readouterr().err
 
 
+def test_unknown_readout_label_is_input_error(tmp_path, capsys):
+    """A readout.<label> that names no qubit of the model's register is an
+    input error, not silently unused; readout.default and a label of the
+    register are accepted."""
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text("readout.Q = 0.1,0.1\n")
+    out = tmp_path / "q"
+    assert main(["simulate", "--model", "single", "--collisions", "1", "--noise",
+                 str(noise_file), "--shots", "16", "--out", str(out)]) == 1
+    assert "readout.Q" in capsys.readouterr().err
+    assert not out.exists()
+    noise_file.write_text("readout.default = 0.02,0.02\nreadout.S = 0.1,0.1\n")
+    assert main(["simulate", "--model", "single", "--collisions", "1", "--noise",
+                 str(noise_file), "--shots", "16", "--out", str(tmp_path / "s")]) == 0
+    assert main(["simulate", "--model", "toy", "--collisions", "1", "--noise",
+                 str(noise_file), "--shots", "16", "--out", str(tmp_path / "toy")]) == 1
+    assert "readout.S" in capsys.readouterr().err
+
+
+def test_witness_pair_out_of_time_order_is_input_error(tmp_path, capsys):
+    """``witness`` needs t1 before t2: a reversed or equal pair exits 1."""
+    csv_path = tmp_path / "c.csv"
+    csv_path.write_text(WITNESS_HEADER + "".join(
+        f"{n},0.5,0.5,0.0,0.0,1.0\n" for n in range(5)))
+    for t1, t2 in (("2", "0"), ("4", "2"), ("2", "2")):
+        assert main(["witness", "--csv", str(csv_path), "--t1", t1, "--t2", t2]) == 1
+        assert "--t1" in capsys.readouterr().err
+    assert main(["witness", "--csv", str(csv_path), "--t1", "0", "--t2", "2"]) == 0
+
+
 @pytest.mark.parametrize("text", ["t1_us = nan\n", "t2_us = -5\n", "duration.ECR = nan\n",
                                   "duration.ecr = 0.0\n"])
 def test_bad_relaxation_time_or_duration_is_input_error(tmp_path, capsys, text):

@@ -88,6 +88,14 @@ def test_witness_strictness_boundary():
     assert abs(rep.margin) < 1e-9
 
 
+def test_witness_rejects_a_pair_that_is_not_in_time_order():
+    """The witness compares C♯ at t1 with C at a later t2; a reversed or
+    equal pair would read entanglement loss as memory."""
+    for t1_id, t2_id in ((2, 0), (2, 2)):
+        with pytest.raises(ValueError, match="before"):
+            witness(BELL, BELL, ["S"], t1_id=t1_id, t2_id=t2_id)
+
+
 def test_witness_bound_case():
     big = max_entangled_d4()
     rep = witness(big, big, ["S1", "S2"])

@@ -388,6 +388,21 @@ def test_measurement_probs_match_per_setting_loop(n, data, seed):
         assert np.abs(row - want).max() <= TOL
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_measurement_probs_z_row_equals_full_table_row(n, data, seed):
+    """The all-Z table that calibration draws from is the last row of the
+    full table, bit for bit."""
+    labels = [f"q{i}" for i in range(n)]
+    k = data.draw(st.integers(1, min(4, n)))
+    measured = tuple(data.draw(st.permutations(labels))[:k])
+    noise = data.draw(st.one_of(st.none(), readout_noise(labels)))
+    rho = random_density(np.random.default_rng(seed), n, labels)
+    z = noisytomo._measurement_probs(rho, measured, noise, bases="Z")
+    assert z.shape == (1, 2**k)
+    assert np.array_equal(z[0], noisytomo._measurement_probs(rho, measured, noise)[-1])
+
+
 def test_sampling_the_evolved_state_matches_sampling_the_circuit():
     noise = NoiseConfig()
     for model, n in ((collision.single_qubit_model(), 2), (collision.toy_model(), 1)):
@@ -577,6 +592,55 @@ def test_fused_circuit_matches_per_gate_application(n, n_gates, native, noisy, b
     rng = np.random.default_rng(seed)
     c = fusion_circuit(rng, n, n_gates, native)
     assert_fused_matches_per_gate(c, NoiseConfig() if native and noisy else None, batch, rng)
+
+
+def reference_fused_superops(c, noise):
+    """``noisytomo._fused_superops`` with each pending 1-qubit superoperator
+    folded into the next multi-qubit gate by ``_superop_at`` on the stack of
+    all inputs |b><e| of that gate's qubits, in qubit order."""
+    pending, blocks, last = {}, [], {}
+    for g in c.gates:
+        if len(g.qubits) == 1:
+            q = g.qubits[0]
+            if g.kind == "RZ":
+                phase = np.exp(-1j * g.theta)
+                diag = np.array([1.0, phase, phase.conjugate(), 1.0])
+                pending[q] = diag[:, None] * pending[q] if q in pending else np.diag(diag)
+            else:
+                s = noisytomo._gate_superop(g, noise)
+                pending[q] = s @ pending[q] if q in pending else s
+            continue
+        s = noisytomo._gate_superop(g, noise)
+        folded = [(j, pending.pop(q)) for j, q in enumerate(g.qubits) if q in pending]
+        if folded:
+            k = len(g.qubits)
+            stack = np.eye(4**k, dtype=complex).reshape(4**k, 2**k, 2**k)
+            for j, p in folded:
+                stack = _superop_at(p, stack, [j], k)
+            s = s @ stack.reshape(4**k, 4**k).T
+        i = last.get(g.qubits[0])
+        if (i is not None and blocks[i][1] == g.qubits
+                and all(last.get(q) == i for q in g.qubits)):
+            blocks[i][0] = s @ blocks[i][0]
+        else:
+            last.update(dict.fromkeys(g.qubits, len(blocks)))
+            blocks.append([s, g.qubits])
+    return blocks + [[p, (q,)] for q, p in pending.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), n_gates=st.integers(0, 16), native=st.booleans(),
+       noisy=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fused_superops_match_identity_stack_fold(n, n_gates, native, noisy, seed):
+    """The Kronecker lift of the pending 1-qubit superoperators gives the
+    blocks of the fold on the identity stack bit for bit: native circuits
+    with and without noise, and UNITARY circuits on 1 to 3 qubits without."""
+    c = fusion_circuit(np.random.default_rng(seed), n, n_gates, native)
+    noise = NoiseConfig() if native and noisy else None
+    got, want = noisytomo._fused_superops(c, noise), reference_fused_superops(c, noise)
+    assert [labels for _, labels in got] == [labels for _, labels in want]
+    for (a, _), (b, _) in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def _rz(q, theta):

@@ -348,6 +348,17 @@ def test_tomography_estimates_calibrate_on_the_measured_qubits(make_model):
     assert np.array_equal(exact, np.stack([rho.mat for rho in states])[:, None])
 
 
+def test_sample_calibration_matches_sampling_the_z_setting():
+    """A calibration run computes only the all-Z row of the outcome table
+    and draws the same counts as ``sample`` of that one setting."""
+    noise = NoiseConfig(readout={"default": (0.03, 0.05), "S": (0.1, 0.02)})
+    for labels, measured in ((("S",), ("S",)), (("A", "S", "E"), ("S", "A"))):
+        for job in calibration_jobs(labels, measured, shots=512, seed=4):
+            got = sample_calibration(job, noise)
+            want = sample(job, noise, settings=("Z" * len(measured),))
+            assert got == want
+
+
 def test_streams_are_distinct_for_every_seed_purpose_and_n():
     """Every (seed, purpose, n) on a grid has its own stream.  The grid holds
     the keys that a seed·1000 + n numbering confuses (n = 900 and 901 with
