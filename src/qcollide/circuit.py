@@ -10,26 +10,29 @@ Conventions:
   to 1e-12; see ``reference_bell_circuit`` / ``reference_collision_circuit``.
 * ``transpile`` fixes the output ``global_phase`` so the transpiled circuit's
   unitary equals the input's exactly, not merely up to phase.
+* ``_fused_blocks`` is the one gate-clustering fold (Häner & Steiger, SC'17,
+  arXiv:1704.01127), for unitaries (``unitary_of_circuit``) and for the
+  superoperators of the noisy circuit channel (``noisytomo``) alike.
 
 The two-qubit synthesis follows the standard KAK/magic-basis route of
 Shende-Markov-Bullock (0/1/2/3-CNOT cases decided by the invariants of
 gamma(U) = (E†UE)(E†UE)^T, compared by ``_close``, the scalar form of
 ``np.isclose``), with each CNOT realized by one ECR plus local corrections:
 a constant native sequence, derived once per process on the placeholder
-wires and relabelled per CNOT.  The checks multiply each wire's run of
-1-qubit gates into one 2x2 product (``unitary_of_circuit``); that product
-feeds only the checks and the output phase, so a change to its rounding can
-move ``global_phase`` by round-off but never a native gate.  Where that class test misfires (near a class boundary, such as
-close to the identity) and the gates miss the unitary, it is split as
-(U G†) G with a fixed generic G and each factor is synthesised.  Unitaries on
-three or more qubits are pre-decomposed with ``decompose_multiqubit``
-(cosine-sine decomposition plus multiplexor demultiplexing), which emits
-CNOTs, single-qubit gates and two-qubit unitary payloads for ``transpile``.
+wires and relabelled per CNOT.  The checks read the lowered gates'
+unitary off ``unitary_of_circuit``; it feeds only the checks and the output
+phase, so a change to its rounding can move ``global_phase`` by round-off
+but never a native gate.  Where the class test misfires (near a class
+boundary, such as close to the identity) and the gates miss the unitary, it
+is split as (U G†) G with a fixed generic G and each factor is synthesised.
+Unitaries on three or more qubits are pre-decomposed with
+``decompose_multiqubit`` (cosine-sine decomposition plus multiplexor
+demultiplexing), which emits CNOTs, single-qubit gates and two-qubit unitary
+payloads for ``transpile``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -151,52 +154,77 @@ class Circuit:
 
 
 def unitary_of_circuit(c: Circuit) -> np.ndarray:
-    """The circuit's unitary, global phase included.  On more than two
-    qubits, one tensor contraction per gate.  On one or two, each wire's run
-    of 1-qubit gates is multiplied into one 2x2 product (an RZ scales its
-    rows by (e^{-iθ/2}, e^{iθ/2})), applied at the next 2-qubit gate or at
-    the end, and each 2-qubit gate is one 4x4 product."""
-    n = c.register.n
+    """The circuit's unitary, global phase included: the ``_fused_blocks`` of
+    its gates (an RZ enters as its diagonal (e^{-iθ/2}, e^{iθ/2})), each
+    applied to the identity by one tensor contraction."""
+    n, dim = c.register.n, c.register.dim
     if n > 8:
         raise ValueError("unitary_of_circuit supports at most 8 qubits")
-    dim = c.register.dim
-    if n > 2:
-        u = np.eye(dim, dtype=complex).reshape([2] * (2 * n))
-        for g in c.gates:
-            u = _contract_at(g.unitary(), u, c.register.indices(g.qubits))
-        return np.exp(1j * c.global_phase) * u.reshape(dim, dim)
-    u = np.eye(dim, dtype=complex)
-    runs: dict[int, np.ndarray] = {}  # wire -> product of its pending 1-qubit gates
-    for g in c.gates:
-        pos = c.register.indices(g.qubits)
-        if len(pos) == 1:
-            run = runs.get(pos[0], _I2)
-            if g.kind == "RZ":
-                half = complex(math.cos(g.theta / 2), math.sin(g.theta / 2))
-                runs[pos[0]] = np.array([[half.conjugate()], [half]]) * run
+    u = np.eye(dim, dtype=complex).reshape([2] * (2 * n))
+    for m, labels in _fused_blocks(c.gates, _unitary_or_rz_diagonal):
+        u = _contract_at(m, u, c.register.indices(labels))
+    return np.exp(1j * c.global_phase) * u.reshape(dim, dim)
+
+
+def _unitary_or_rz_diagonal(g: Gate) -> np.ndarray:
+    if g.kind == "RZ":
+        return np.exp([-0.5j * g.theta, 0.5j * g.theta])
+    return g.unitary()
+
+
+def _fused_blocks(gates, matrix_of) -> list:
+    """The gates as a short list of [matrix, labels] blocks to be applied in
+    order, for unitaries or superoperators alike.  ``matrix_of(g)`` is a
+    gate's matrix on its own qubits, or the diagonal vector of an RZ.
+
+    Each qubit's run of 1-qubit gates is multiplied into one pending matrix
+    (a diagonal scales its rows).  The next multi-qubit gate on the qubit
+    takes it on its input side, and what is still pending at the end becomes
+    a 1-qubit block.  A multi-qubit gate joins the block that last touched
+    all of its qubits if that block acts on the same labels in the same
+    order.  This only multiplies matrices, so it is exact."""
+    pending: dict[str, np.ndarray] = {}
+    blocks: list[list] = []
+    last: dict[str, int] = {}  # label -> index of the last block on it
+    for g in gates:
+        m = matrix_of(g)
+        if len(g.qubits) == 1:
+            q = g.qubits[0]
+            if m.ndim == 1:
+                pending[q] = m[:, None] * pending[q] if q in pending else np.diag(m)
             else:
-                runs[pos[0]] = g.unitary() @ run
+                pending[q] = m @ pending[q] if q in pending else m
             continue
-        u = _apply_runs(runs, u)
-        m = g.unitary()
-        if pos == [1, 0]:
-            m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-        u = m @ u
-    return np.exp(1j * c.global_phase) * _apply_runs(runs, u)
+        # One lift per pending qubit, multiplied in qubit order: the product
+        # rounds as folding each into the identity stack did, bit for bit; a
+        # single Kronecker product of two pending maps rounds differently.
+        lift = None
+        for j, q in enumerate(g.qubits):
+            if q in pending:
+                step = _lift(pending.pop(q), j, len(g.qubits))
+                lift = step if lift is None else step @ lift
+        if lift is not None:
+            m = m @ lift
+        i = last.get(g.qubits[0])
+        if (i is not None and blocks[i][1] == g.qubits
+                and all(last.get(q) == i for q in g.qubits)):
+            blocks[i][0] = m @ blocks[i][0]
+        else:
+            last.update(dict.fromkeys(g.qubits, len(blocks)))
+            blocks.append([m, g.qubits])
+    return blocks + [[p, (q,)] for q, p in pending.items()]
 
 
-_I2 = np.eye(2, dtype=complex)
-
-
-def _apply_runs(runs: dict, u: np.ndarray) -> np.ndarray:
-    """Apply, then clear, the pending 2x2 products of ``unitary_of_circuit``
-    to a one- or two-qubit unitary: the product of wire w maps the row index
-    bit w (MSB first)."""
-    dim = len(u)
-    for w, run in runs.items():
-        u = (run @ u.reshape(2**w, 2, -1)).reshape(dim, dim)
-    runs.clear()
-    return u
+def _lift(p: np.ndarray, j: int, k: int) -> np.ndarray:
+    """The d x d 1-qubit matrix p (a 2x2 unitary or a 4x4 superoperator) on
+    qubit j of k, as a d^k x d^k matrix in the row-major order, whose 2 or 4
+    axis groups (rows and columns; for a superoperator (a', b', a, b)) have k
+    qubit axes each: p on qubit j's axes, the identity on the others.  Its
+    entries are p's entries or 0."""
+    d = len(p)
+    on_j = [ax % k == j for ax in range(2 * (d.bit_length() - 1) * k)]
+    rest = np.eye(d ** (k - 1)).reshape([1 if x else 2 for x in on_j])
+    return (p.reshape([2 if x else 1 for x in on_j]) * rest).reshape(d**k, d**k)
 
 
 def equivalent_up_to_global_phase(U, V, tol: float = 1e-8):

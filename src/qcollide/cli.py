@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import sys
 from pathlib import Path
@@ -117,6 +118,14 @@ def _run_simulate(args) -> int:
              "--shots must be positive when noise is enabled")
     _require(noise is not None or (args.shots == 0 and not args.mitigate),
              "--shots and --mitigate need --noise")
+    # Mitigation inverts each measured qubit's confusion matrix, whose
+    # determinant is 1 - p01 - p10: below 0.2 it amplifies shot noise more
+    # than 5x.
+    for q in (*model.ancilla_labels, *model.system_labels) if args.mitigate else ():
+        p01, p10 = noise.readout_probs(q)
+        _require(abs(1 - p01 - p10) >= 0.2,
+                 f"--mitigate: qubit {q} reads out with p01 = {p01!r}, p10 = {p10!r}, "
+                 "and |1 - p01 - p10| below 0.2 cannot be mitigated")
     n_max = args.collisions
     if n_max is None:
         n_max = model.max_steps or 10
@@ -240,19 +249,16 @@ def _run_witness(args) -> int:
     right = by_n[args.t2][0]  # concurrence (or its lower bound) at t2
     err = float(np.hypot(by_n[args.t1][3], by_n[args.t2][2]))
     report = entangle.WitnessReport.of_sides(args.t1, args.t2, exact, left, right)
-    lines = [
-        "{",
-        f'  "t1": {args.t1},',
-        f'  "t2": {args.t2},',
-        f'  "exact": {str(exact).lower()},',
-        f'  "left_{header[2]}": {_fmt(left)},',
-        f'  "right_{header[1]}": {_fmt(right)},',
-        f'  "margin": {_fmt(report.margin)},',
-        f'  "bootstrap_err": {_fmt(err)},',
-        f'  "quantum_memory": {str(report.quantum_memory).lower()}',
-        "}",
-    ]
-    text = "\n".join(lines)
+    text = json.dumps({
+        "t1": args.t1,
+        "t2": args.t2,
+        "exact": exact,
+        f"left_{header[2]}": left,
+        f"right_{header[1]}": right,
+        "margin": report.margin,
+        "bootstrap_err": err,
+        "quantum_memory": report.quantum_memory,
+    }, indent=2)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -15,13 +15,11 @@ Each noisy native kind has one exact superoperator
 output qubit, with no Kraus set or eigenvalue cutoff in between.
 
 A circuit runs as a few fused local superoperators, not one contraction per
-gate (gate clustering, Häner & Steiger, SC'17, arXiv:1704.01127).
-``_fused_superops`` multiplies each qubit's run of 1-qubit gates into one 4x4
-superoperator (a virtual RZ is the diagonal (1, e^{-iθ}, e^{iθ}, 1)), folds
-it into the input side of the next multi-qubit gate on that qubit (through
-its exact Kronecker lift, ``_lift``), and merges
-a multi-qubit gate into the block that last touched all of its qubits when
-that block has the same labels in the same order.  This only composes
+gate: ``_fused_superops`` hands the gates' superoperators (a virtual RZ as
+the diagonal (1, e^{-iθ}, e^{iθ}, 1)) to ``circuit._fused_blocks``, the
+gate-clustering fold that ``circuit.unitary_of_circuit`` uses for unitaries:
+each qubit's run of 1-qubit gates becomes one 4x4 superoperator, folded into
+the next multi-qubit gate on that qubit.  This only composes
 superoperators, so it is exact.  ``_apply_blocks`` then applies the blocks
 with ``channel._superop_at`` to a matrix or a stack of matrices.  The circuit
 channel on kept qubits (``noisy_channel_of_circuit``) runs the circuit once
@@ -243,58 +241,15 @@ def _noisy_gate_superop(noise: NoiseConfig, kind: str, u: np.ndarray) -> np.ndar
 
 
 def _fused_superops(c: circ.Circuit, noise: NoiseConfig | None) -> list:
-    """The (noisy) circuit channel as a short list of (superoperator, labels)
-    blocks, to be applied in order.
-
-    Each qubit's run of 1-qubit gates is multiplied into one pending 4x4
-    superoperator (an RZ scales its rows by the diagonal (1, e^{-iθ},
-    e^{iθ}, 1)).  The next multi-qubit gate on the qubit takes it on its
-    input side, and what is still pending at the end becomes a 1-qubit
-    block.  A multi-qubit gate joins the block that last touched all of its
-    qubits if that block acts on the same labels in the same order."""
-    pending: dict[str, np.ndarray] = {}
-    blocks: list[list] = []
-    last: dict[str, int] = {}  # label -> index of the last block on it
-    for g in c.gates:
-        if len(g.qubits) == 1:
-            q = g.qubits[0]
-            if g.kind == "RZ":
-                phase = np.exp(-1j * g.theta)
-                diag = np.array([1.0, phase, phase.conjugate(), 1.0])
-                pending[q] = diag[:, None] * pending[q] if q in pending else np.diag(diag)
-            else:
-                s = _gate_superop(g, noise)
-                pending[q] = s @ pending[q] if q in pending else s
-            continue
-        s = _gate_superop(g, noise)
-        # One lift per pending qubit, multiplied in qubit order: the product
-        # rounds as folding each into the identity stack did, bit for bit; a
-        # single Kronecker product of two pending maps rounds differently.
-        lift = None
-        for j, q in enumerate(g.qubits):
-            if q in pending:
-                step = _lift(pending.pop(q), j, len(g.qubits))
-                lift = step if lift is None else step @ lift
-        if lift is not None:
-            s = s @ lift
-        i = last.get(g.qubits[0])
-        if (i is not None and blocks[i][1] == g.qubits
-                and all(last.get(q) == i for q in g.qubits)):
-            blocks[i][0] = s @ blocks[i][0]
-        else:
-            last.update(dict.fromkeys(g.qubits, len(blocks)))
-            blocks.append([s, g.qubits])
-    return blocks + [[p, (q,)] for q, p in pending.items()]
-
-
-def _lift(p: np.ndarray, j: int, k: int) -> np.ndarray:
-    """The 1-qubit superoperator p on qubit j of k, as a 4^k x 4^k
-    superoperator in the row-major vec order, whose axes are (a', b', a, b)
-    with k qubit axes each: p on qubit j's four axes, the identity on the
-    others.  Its entries are p's entries or 0."""
-    on_j = [ax % k == j for ax in range(4 * k)]
-    rest = np.eye(4 ** (k - 1)).reshape([1 if x else 2 for x in on_j])
-    return (p.reshape([2 if x else 1 for x in on_j]) * rest).reshape(4**k, 4**k)
+    """The (noisy) circuit channel as the ``circuit._fused_blocks`` of its
+    gates' superoperators, [superoperator, labels] blocks to be applied in
+    order; a virtual RZ enters as the diagonal (1, e^{-iθ}, e^{iθ}, 1)."""
+    def superop_of(g):
+        if g.kind != "RZ":
+            return _gate_superop(g, noise)
+        phase = np.exp(-1j * g.theta)
+        return np.array([1.0, phase, phase.conjugate(), 1.0])
+    return circ._fused_blocks(c.gates, superop_of)
 
 
 def _apply_blocks(blocks, reg: QubitRegister, mat: np.ndarray) -> np.ndarray:
@@ -496,8 +451,9 @@ def _measurement_probs(rho: DensityMatrix, measured, noise: NoiseConfig | None,
     if noise is not None:
         thermal = _thermal_superop(noise, noise.duration("MEASURE"))
         pop = np.eye(2) if thermal is None else thermal[np.ix_([0, 3], [0, 3])].real
-        maps = [(np.kron(np.eye(3), np.array([[1 - p01, p10], [p01, 1 - p10]]) @ pop)
-                 @ _FORWARD)[rows] for p01, p10 in map(noise.readout_probs, measured)]
+        maps = [(np.array([[1 - p01, p10], [p01, 1 - p10]]) @ pop
+                 @ _FORWARD.reshape(3, 2, 4)).reshape(6, 4)[rows]
+                for p01, p10 in map(noise.readout_probs, measured)]
     b = len(bases)
     probs = _apply_per_qubit(maps, mat.reshape(-1)).real.reshape((b, 2) * k)
     probs = probs.transpose(np.argsort(_interleave(k))).reshape(b**k, 2**k)

@@ -184,15 +184,17 @@ def test_transpile_near_cnot_class_boundaries(make_u, g_dt):
 
 @st.composite
 def small_register_circuits(draw):
-    """A random circuit of RZ, SX, ECR and UNITARY gates on one or two
-    qubits, with a global phase; two-qubit gates take either wire order."""
-    labels = ("a", "b")[: draw(st.integers(1, 2))]
+    """A random circuit of RZ, SX, ECR and UNITARY gates on one to four
+    qubits, with a global phase; multi-qubit gates take their wires in any
+    order."""
+    labels = "abcd"[: draw(st.integers(1, 4))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = ["RZ", "SX", "U1"] + (["ECR", "U2"] if len(labels) == 2 else [])
+    kinds = ["RZ", "SX", "U1"] + (["ECR", "U2"] if len(labels) >= 2 else [])
+    kinds += ["U3"] if len(labels) >= 3 else []
     gates = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
         q = (draw(st.sampled_from(labels)),)
-        pair = tuple(draw(st.permutations(labels)))
+        wires = tuple(draw(st.permutations(labels)))
         if kind == "RZ":
             gates.append(Gate("RZ", q, theta=draw(st.floats(-4 * np.pi, 4 * np.pi))))
         elif kind == "SX":
@@ -200,19 +202,20 @@ def small_register_circuits(draw):
         elif kind == "U1":
             gates.append(Gate("UNITARY", q, matrix=random_unitary(rng, 2)))
         elif kind == "ECR":
-            gates.append(Gate("ECR", pair))
+            gates.append(Gate("ECR", wires[:2]))
+        elif kind == "U2":
+            gates.append(Gate("UNITARY", wires[:2], matrix=random_unitary(rng, 4)))
         else:
-            gates.append(Gate("UNITARY", pair, matrix=random_unitary(rng, 4)))
+            gates.append(Gate("UNITARY", wires[:3], matrix=random_unitary(rng, 8)))
     return Circuit(labels, gates, draw(st.floats(-np.pi, np.pi)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_register_circuits())
 def test_unitary_of_circuit_small_registers_match_contraction(c):
-    """On one or two qubits the 1-qubit runs are multiplied into 2x2
-    products and each 2-qubit gate is one direct matrix product; one tensor
-    contraction per gate, the path of larger registers, gives the same
-    unitary."""
+    """The fused blocks of ``unitary_of_circuit`` (each wire's run of 1-qubit
+    gates folded into the next multi-qubit gate on it) give the unitary of
+    one tensor contraction per gate."""
     n, dim = c.register.n, c.register.dim
     want = np.eye(dim, dtype=complex).reshape([2] * (2 * n))
     for g in c.gates:

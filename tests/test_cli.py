@@ -213,6 +213,37 @@ def test_unknown_readout_label_is_input_error(tmp_path, capsys):
     assert "readout.S" in capsys.readouterr().err
 
 
+def test_mitigating_a_qubit_with_unreadable_readout_is_input_error(tmp_path, capsys):
+    """Under --mitigate every measured qubit's configured readout needs
+    |1 - p01 - p10| >= 0.2; without --mitigate, and on the environment
+    qubit, which is never measured, a worse readout runs."""
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text("readout.default = 0.5,0.5\n")
+    args = ["simulate", "--model", "single", "--collisions", "2", "--noise",
+            str(noise_file), "--shots", "64"]
+    out = tmp_path / "m"
+    assert main(args + ["--mitigate", "--out", str(out)]) == 1
+    assert "qubit A" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["--out", str(tmp_path / "raw")]) == 0
+    noise_file.write_text("readout.S = 0.6,0.45\n")
+    assert main(args + ["--mitigate", "--out", str(tmp_path / "s")]) == 1
+    assert "qubit S" in capsys.readouterr().err
+    noise_file.write_text("readout.E = 0.5,0.5\n")
+    assert main(args + ["--mitigate", "--out", str(tmp_path / "e")]) == 0
+
+
+def test_witness_report_is_json_for_any_header_cell(tmp_path, capsys):
+    """A quote in a concurrence.csv header cell is escaped in the report."""
+    csv_path = tmp_path / "c.csv"
+    csv_path.write_text('n,C,"C""sharp",C_err,C_sharp_err,fidelity_to_ideal\n'
+                        "0,0.1,0.9,0.0,0.0,1.0\n1,0.95,0.2,0.0,0.0,1.0\n")
+    assert main(["witness", "--csv", str(csv_path), "--t1", "0", "--t2", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data['left_C"sharp'] == 0.9
+    assert data["right_C"] == 0.95
+
+
 def test_witness_pair_out_of_time_order_is_input_error(tmp_path, capsys):
     """``witness`` needs t1 before t2: a reversed or equal pair exits 1."""
     csv_path = tmp_path / "c.csv"
