@@ -69,15 +69,14 @@ class KrausChannel:
     in_dim: int = 0
     out_dim: int = 0
 
-    def __init__(self, kraus_ops, *, validate: bool = True) -> None:
+    def __init__(self, kraus_ops) -> None:
         ops = tuple(np.asarray(k, dtype=complex) for k in kraus_ops)
         if not ops:
             raise ValueError("need at least one Kraus operator")
         out_dim, in_dim = ops[0].shape
-        if validate:
-            s = sum(k.conj().T @ k for k in ops)
-            if np.abs(s - np.eye(in_dim)).max() > KRAUS_COMPLETE_TOL:
-                raise ValueError("Kraus completeness violated")
+        s = sum(k.conj().T @ k for k in ops)
+        if np.abs(s - np.eye(in_dim)).max() > KRAUS_COMPLETE_TOL:
+            raise ValueError("Kraus completeness violated")
         for k in ops:
             k.setflags(write=False)
         self.__dict__.update(kraus_ops=ops, in_dim=in_dim, out_dim=out_dim)
@@ -152,7 +151,7 @@ def _pauli_columns(n: int) -> np.ndarray:
 
 
 def identity_channel(n_qubits: int = 1) -> KrausChannel:
-    return KrausChannel([np.eye(2**n_qubits)], validate=False)
+    return KrausChannel([np.eye(2**n_qubits)])
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:

@@ -221,8 +221,8 @@ def _write_csv(path: Path, header, rows):
 
 def _witness_rows(path: str):
     """Header and {n: [C, C♯, C_err, C♯_err]} of a concurrence.csv; a file
-    without data rows, a short row or a non-numeric or non-finite cell is an
-    input error."""
+    without data rows, a short row, a non-numeric or non-finite cell or a
+    repeated n is an input error."""
     rows = list(csv.reader(Path(path).read_text().splitlines()))
     _require(len(rows) > 1, f"{path}: no data rows")
     _require(len(rows[0]) >= 5, f"{path}: header has fewer than 5 columns")
@@ -235,6 +235,7 @@ def _witness_rows(path: str):
             raise _InputError(f"{path} line {line}: n must be an integer and "
                               "the next four cells numbers") from None
         _require(all(map(math.isfinite, cells)), f"{path} line {line}: non-finite cell")
+        _require(n not in by_n, f"{path} line {line}: repeated n={n}")
         by_n[n] = cells
     return rows[0], by_n
 

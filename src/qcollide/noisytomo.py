@@ -60,11 +60,11 @@ that convert to and from it, with the same numbers.
 spawn_key=(purpose, n)))``: state n of a stack draws its count table from
 (``_TOMOGRAPHY``, n) and its 20 bootstrap replicas (``_estimate``) from
 (``_BOOTSTRAP``, n); the all-|0> and all-|1> calibration runs, on the measured
-qubits, draw from (``_CALIBRATION``, 0) and (``_CALIBRATION``, 1), each from
-the all-Z row of the outcome table alone.  Distinct
-(seed, purpose, n) give distinct streams for any seed: ``SeedSequence`` pads
-the seed's 32-bit words with zeros to at least four and appends the spawn key,
-so no other seed and key give the same words.  (A longer entropy list such as
+qubits, are ``sample`` of the all-Z setting alone, drawing from
+(``_CALIBRATION``, 0) and (``_CALIBRATION``, 1).  Distinct (seed, purpose, n)
+give distinct streams for any seed: ``SeedSequence`` pads the seed's 32-bit
+words with zeros to at least four and appends the spawn key, so no other seed
+and key give the same words.  (A longer entropy list such as
 ``[seed, purpose, n]`` is padded too, so it collides once the seed reaches
 2^32.)  The public ``sample(job)`` draws from ``default_rng(job.seed)``.
 """
@@ -430,33 +430,27 @@ def _interleave(k: int, lead: int = 0) -> list[int]:
     return list(range(lead)) + [lead + j for i in range(k) for j in (i, k + i)]
 
 
-def _measurement_probs(rho: DensityMatrix, measured, noise: NoiseConfig | None,
-                       bases: str = "XYZ") -> np.ndarray:
-    """Outcome table (b^k, 2^k) of the settings over b = len(bases) per-qubit
-    ``bases`` in XYZ order ("XYZ": every setting, rows in ``all_settings(k)``
-    order; "Z": the all-Z row alone), outcome bits in ``measured`` order:
-    the bases' rows of ``_FORWARD`` on each measured qubit.  With noise a
-    qubit's map first takes its readout matrix on the outcome: its confusion
-    times the population block [0, 3] × [0, 3] of the measurement
-    relaxation's superoperator, which is exact: amplitude damping plus
-    dephasing never feeds coherences into populations.  Each map is rows of
-    the full map, so a setting's row equals its row of the full table."""
+def _measurement_probs(rho: DensityMatrix, measured, noise: NoiseConfig | None) -> np.ndarray:
+    """Outcome table (3^k, 2^k) of every setting, rows in ``all_settings(k)``
+    order and outcome bits in ``measured`` order: ``_FORWARD`` on each
+    measured qubit.  With noise a qubit's map first takes its readout matrix
+    on the outcome: its confusion times the population block [0, 3] × [0, 3]
+    of the measurement relaxation's superoperator, which is exact: amplitude
+    damping plus dephasing never feeds coherences into populations."""
     k = len(measured)
     marg = partial_trace(rho, list(measured))
     order = marg.register.indices(measured)
     # ρ's axes as (a_1, b_1, ..., a_k, b_k), qubits in ``measured`` order.
     mat = marg.mat.reshape((2,) * (2 * k)).transpose([ax for i in order for ax in (i, k + i)])
-    rows = [2 * "XYZ".index(b) + o for b in bases for o in (0, 1)]
-    maps = [_FORWARD[rows]] * k
+    maps = [_FORWARD] * k
     if noise is not None:
         thermal = _thermal_superop(noise, noise.duration("MEASURE"))
         pop = np.eye(2) if thermal is None else thermal[np.ix_([0, 3], [0, 3])].real
         maps = [(np.array([[1 - p01, p10], [p01, 1 - p10]]) @ pop
-                 @ _FORWARD.reshape(3, 2, 4)).reshape(6, 4)[rows]
+                 @ _FORWARD.reshape(3, 2, 4)).reshape(6, 4)
                 for p01, p10 in map(noise.readout_probs, measured)]
-    b = len(bases)
-    probs = _apply_per_qubit(maps, mat.reshape(-1)).real.reshape((b, 2) * k)
-    probs = probs.transpose(np.argsort(_interleave(k))).reshape(b**k, 2**k)
+    probs = _apply_per_qubit(maps, mat.reshape(-1)).real.reshape((3, 2) * k)
+    probs = probs.transpose(np.argsort(_interleave(k))).reshape(3**k, 2**k)
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum(axis=1, keepdims=True)
 
@@ -472,19 +466,16 @@ def _stream(seed: int, purpose: int, n: int) -> np.random.Generator:
 
 def sample(job: TomographyJob, noise: NoiseConfig | None = None,
            settings=None, rng: np.random.Generator | None = None) -> ShotCounts:
-    """Simulate the tomography job (default: every setting); the count table
-    draws from ``rng``, by default ``default_rng(job.seed)``."""
+    """Simulate the tomography job (default: every setting) on the state its
+    circuit prepares from |0...0>, transpiled first when noisy and not
+    native; the count table draws from ``rng``, by default
+    ``default_rng(job.seed)``."""
     rng = default_rng(job.seed) if rng is None else rng
-    return _sample_state(_run_job(job, noise), job.measured, job.shots, rng, noise, settings)
-
-
-def _run_job(job: TomographyJob, noise: NoiseConfig | None) -> DensityMatrix:
-    """The state the job's circuit prepares from |0...0>, transpiled first
-    when noisy and not native."""
     c = job.circuit
     if noise is not None and any(g.kind not in circ.NATIVE_KINDS for g in c.gates):
         c = circ.transpile(c)
-    return apply_noisy_circuit(c, noise=noise)
+    return _sample_state(apply_noisy_circuit(c, noise=noise), job.measured, job.shots, rng,
+                         noise, settings)
 
 
 def _sample_state(rho: DensityMatrix, measured, shots: int, rng: np.random.Generator,
@@ -529,14 +520,8 @@ def calibration_jobs(register, measured, shots: int = 4096, seed: int = 0):
 
 def sample_calibration(job: TomographyJob, noise: NoiseConfig | None = None,
                        rng: np.random.Generator | None = None) -> ShotCounts:
-    """Sample a calibration circuit in the Z basis only, drawing from ``rng``
-    (default: ``default_rng(job.seed)``).  Only the all-Z row of the outcome
-    table is computed; it equals that row of the full table bit for bit, so
-    the counts are ``sample``'s for that one setting."""
-    rng = default_rng(job.seed) if rng is None else rng
-    probs = _measurement_probs(_run_job(job, noise), job.measured, noise, bases="Z")
-    return ShotCounts.of_table(job.measured, job.shots, ("Z" * len(job.measured),),
-                               rng.multinomial(job.shots, probs))
+    """Sample a calibration circuit: ``sample`` of the all-Z setting alone."""
+    return sample(job, noise, ("Z" * len(job.measured),), rng)
 
 
 def mitigate_readout(counts: ShotCounts, calib0: ShotCounts, calib1: ShotCounts) -> ShotCounts:

@@ -327,8 +327,9 @@ WITNESS_HEADER = "n,C,C_sharp,C_err,C_sharp_err,fidelity_to_ideal\n"
     WITNESS_HEADER + "0,1.0,1.0,0.0,0.0,1.0\n1,0.5,abc,0.0,0.0,1.0\n",
     WITNESS_HEADER + "0,1.0,1.0,0.0,0.0,1.0\n1.5,0.5,0.5,0.0,0.0,1.0\n",
     WITNESS_HEADER + "0,1.0,inf,0.0,0.0,1.0\n1,nan,0.5,0.0,0.0,1.0\n",
+    WITNESS_HEADER + "0,1.0,1.0,0.0,0.0,1.0\n1,0.9,0.9,0.0,0.0,1.0\n1,0.0,0.0,0.0,0.0,1.0\n",
 ], ids=["empty", "header-only", "short-row", "non-numeric-cell", "non-integer-n",
-        "non-finite-cell"])
+        "non-finite-cell", "repeated-n"])
 def test_malformed_witness_csv_is_input_error(tmp_path, capsys, text):
     csv_path = tmp_path / "c.csv"
     csv_path.write_text(text)

@@ -388,21 +388,6 @@ def test_measurement_probs_match_per_setting_loop(n, data, seed):
         assert np.abs(row - want).max() <= TOL
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_measurement_probs_z_row_equals_full_table_row(n, data, seed):
-    """The all-Z table that calibration draws from is the last row of the
-    full table, bit for bit."""
-    labels = [f"q{i}" for i in range(n)]
-    k = data.draw(st.integers(1, min(4, n)))
-    measured = tuple(data.draw(st.permutations(labels))[:k])
-    noise = data.draw(st.one_of(st.none(), readout_noise(labels)))
-    rho = random_density(np.random.default_rng(seed), n, labels)
-    z = noisytomo._measurement_probs(rho, measured, noise, bases="Z")
-    assert z.shape == (1, 2**k)
-    assert np.array_equal(z[0], noisytomo._measurement_probs(rho, measured, noise)[-1])
-
-
 def test_sampling_the_evolved_state_matches_sampling_the_circuit():
     noise = NoiseConfig()
     for model, n in ((collision.single_qubit_model(), 2), (collision.toy_model(), 1)):

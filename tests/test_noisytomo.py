@@ -349,8 +349,9 @@ def test_tomography_estimates_calibrate_on_the_measured_qubits(make_model):
 
 
 def test_sample_calibration_matches_sampling_the_z_setting():
-    """A calibration run computes only the all-Z row of the outcome table
-    and draws the same counts as ``sample`` of that one setting."""
+    """A calibration run draws the counts of ``sample`` of the all-Z setting
+    alone: on a one-qubit register, and on two of three qubits measured out
+    of register order."""
     noise = NoiseConfig(readout={"default": (0.03, 0.05), "S": (0.1, 0.02)})
     for labels, measured in ((("S",), ("S",)), (("A", "S", "E"), ("S", "A"))):
         for job in calibration_jobs(labels, measured, shots=512, seed=4):
