@@ -161,8 +161,11 @@ def _run_simulate(args) -> int:
                conc_rows)
     if len(sys_labels) == 1:
         images = np.stack([collision.bloch_image_samples(rec, mesh=60) for rec in used_series])
-        _write_csv(out_dir / "bloch.csv", ["n", "x", "y", "z"],
-                   ([n, *p] for n, pts in enumerate(images.tolist()) for p in pts))
+        # One int and three floats per row: no cell needs quoting, and csv
+        # writes floats as repr, so this is _write_csv's text in one pass.
+        (out_dir / "bloch.csv").write_text("n,x,y,z\n" + "".join(
+            f"{n},{x!r},{y!r},{z!r}\n" for n, pts in enumerate(images.tolist())
+            for x, y, z in pts))
 
     # non-Markovianity summary (single-qubit system channels only for BLP/volume)
     nm_lines = []
@@ -273,10 +276,13 @@ def _run_witness(args) -> int:
 def _run_nonmarkov(args) -> int:
     _require(math.isfinite(args.gdt), "--gdt must be finite")
     _require(min(args.t1, args.t2) >= 0, "--t1 and --t2 must be nonnegative")
+    # The backflow from t1 to t2 is a trace-distance increase only forwards
+    # in time; a reversed pair would report a loss as backflow.
+    _require(args.t1 < args.t2, "--t1 must be earlier than --t2")
     model = collision.single_qubit_model(args.gdt)
-    records = collision.evolve_series(model, max(args.t1, args.t2))
+    records = collision.evolve_series(model, args.t2)
     rec1, rec2 = records[args.t1], records[args.t2]
-    series, _, increase = nonmarkov.rhp_series(records[: args.t2 + 1], model.system_labels)
+    series, _, increase = nonmarkov.rhp_series(records, model.system_labels)
     delta, pair = nonmarkov.blp_max_increase(rec1.reduced_channel, rec2.reduced_channel)
     v1 = nonmarkov.bloch_volume(rec1.reduced_channel)
     v2 = nonmarkov.bloch_volume(rec2.reduced_channel)

@@ -137,10 +137,9 @@ def _assistance_upper(mats, register, system):
 def _concurrence_lower(mats, register, system, other):
     m = min(2 ** len(system), 2 ** len(other))
     mt = np.sqrt(2.0 / (m * (m - 1)))
-    # One partial transpose at a time: the stack holds every state and replica.
-    norms = [trace_norm(partial_transpose_mat(mats, register.indices(part), register.n))
-             for part in (system, other)]
-    return np.maximum(0.0, mt * np.maximum(norms[0] - 1.0, norms[1] - 1.0))
+    # rho^{T_A} = (rho^{T_S})^T has the same trace norm (see concurrence_lower).
+    norm = trace_norm(partial_transpose_mat(mats, register.indices(system), register.n))
+    return np.maximum(0.0, mt * (norm - 1.0))
 
 
 def assistance_upper(rho_sa, system_labels, *, register=None):
@@ -154,8 +153,9 @@ def assistance_upper(rho_sa, system_labels, *, register=None):
 def concurrence_lower(rho_sa, system_labels, *, register=None):
     """Trace-norm lower bound m~ * max(||rho^{T_S}|| - 1, ||rho^{T_A}|| - 1)
     of a DensityMatrix, or of each state of a (..., d, d) stack on
-    ``register``; each partial transpose of the whole stack goes through one
-    ``trace_norm``."""
+    ``register``.  A is the rest of the register, so rho^{T_A} = (rho^{T_S})^T
+    has the same trace norm: one ``trace_norm`` of the whole stack's partial
+    transpose on S gives both."""
     return _value(_concurrence_lower(*_bipartition(rho_sa, system_labels, register)))
 
 

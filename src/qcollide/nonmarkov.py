@@ -68,10 +68,20 @@ def _direction(theta, phi) -> np.ndarray:
                                         np.cos(theta)), axis=-1)
 
 
+def _norm3(v: np.ndarray):
+    """Euclidean norms of (..., 3) vectors along the last axis.
+
+    ``np.linalg.norm(v, axis=-1)`` adds the three squares in this order, so
+    this is the same number bit for bit, without the cost of a ufunc
+    reduction over a length-3 axis (about half of ``_backflow`` on the grid)."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def _backflow(a1: np.ndarray, a2: np.ndarray, r: np.ndarray):
     """2(‖A₂r‖ − ‖A₁r‖): the change in trace distance between the images of
     ±r under two qubit maps with Bloch blocks A₁, A₂ (the shift cancels)."""
-    return 2 * (np.linalg.norm(r @ a2.T, axis=-1) - np.linalg.norm(r @ a1.T, axis=-1))
+    return 2 * (_norm3(r @ a2.T) - _norm3(r @ a1.T))
 
 
 def blp_max_increase(ch1: KrausChannel, ch2: KrausChannel):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcollide
-from qcollide import entangle
+from qcollide import collision, entangle
 from qcollide.cli import main
-from qcollide.noisytomo import DEFAULT_DURATIONS_NS
+from qcollide.noisytomo import DEFAULT_DURATIONS_NS, NoiseConfig
 
 
 def read_csv(path):
@@ -116,6 +117,27 @@ def test_simulate_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("n_max, noisy", [(10, False), (4, True)])
+def test_bloch_csv_is_the_csv_writer_rendering_of_its_rows(tmp_path, n_max, noisy):
+    """``bloch.csv`` is formatted directly; it equals, byte for byte, a
+    ``csv.writer`` rendering of the same rows: n and the Bloch image of each
+    of the 60 mesh points under the (ideal or noisy) channel at n."""
+    argv = ["simulate", "--model", "single", "--collisions", str(n_max)]
+    noise = None
+    if noisy:
+        (tmp_path / "noise.cfg").write_text("t1_us = 280.0\n")
+        argv += ["--noise", str(tmp_path / "noise.cfg"), "--shots", "256", "--seed", "3"]
+        noise = NoiseConfig(t1_us=280.0)
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+    series = collision.evolve_series(collision.single_qubit_model(), n_max, noise)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "x", "y", "z"])
+    writer.writerows([n, *p] for n, rec in enumerate(series)
+                     for p in collision.bloch_image_samples(rec, mesh=60).tolist())
+    assert (tmp_path / "run" / "bloch.csv").read_bytes() == buf.getvalue().encode()
+
+
 @pytest.mark.parametrize("argv", [
     ["--model", "single"],
     ["--model", "toy", "--noise", "NOISE", "--shots", "256", "--mitigate", "--seed", "3"],
@@ -168,9 +190,15 @@ def test_nonmarkov_subcommand(capsys):
     assert "blp max trace-distance increase: 2.000000" in out
 
 
-def test_nonmarkov_t1_after_t2(capsys):
-    # The revival series stops at t2 even when t1 is later.
-    assert main(["nonmarkov", "--t1", "5", "--t2", "3"]) == 0
+def test_nonmarkov_pair_out_of_time_order_is_input_error(capsys):
+    """``nonmarkov`` needs t1 before t2: a reversed pair would report the
+    trace-distance loss from t2 to t1 as backflow (``--t1 2 --t2 1`` printed
+    1.414214), so a reversed or equal pair exits 1.  The revival series of a
+    valid pair stops at t2."""
+    for t1, t2 in (("5", "3"), ("2", "1"), ("4", "2"), ("2", "2")):
+        assert main(["nonmarkov", "--t1", t1, "--t2", t2]) == 1
+        assert "--t1" in capsys.readouterr().err
+    assert main(["nonmarkov", "--t1", "1", "--t2", "3"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "rhp series: [(0, 1.0), (1, 0.707107), (2, 0.0), (3, 0.707107)]",
         "rhp increase detected: True",

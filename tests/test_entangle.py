@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_density, random_pure, random_unitary
+from qcollide import collision, noisytomo
 from qcollide.entangle import (
     assistance_2q,
     assistance_upper,
@@ -18,6 +19,7 @@ from qcollide.qmat import (
     ket,
     partial_trace,
     partial_transpose,
+    partial_transpose_mat,
     pure_state,
     tensor,
     trace_norm,
@@ -222,6 +224,50 @@ def test_stacked_quantifiers_match_per_state(split, seed, kinds):
     else:
         assert np.abs(concurrence_lower(mats, system, register=reg) - conc).max() <= 1e-12
         assert np.abs(assistance_upper(mats, system, register=reg) - assist).max() <= 1e-12
+
+
+def two_sided_lower(mats, register, system):
+    """The trace-norm lower bound of a stack with both partial transposes,
+    m~ * max(||rho^{T_S}|| - 1, ||rho^{T_A}|| - 1), each through ``trace_norm``."""
+    other = [x for x in register.labels if x not in system]
+    m = min(2 ** len(system), 2 ** len(other))
+    norms = [trace_norm(partial_transpose_mat(mats, register.indices(part), register.n))
+             for part in (system, other)]
+    return np.maximum(0.0, np.sqrt(2.0 / (m * (m - 1)))
+                      * np.maximum(norms[0] - 1.0, norms[1] - 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_one_sided_lower_bound_equals_two_sided_bit_for_bit(n, data, seed):
+    """``concurrence_lower`` takes one partial transpose, since rho^{T_A} is
+    the transpose of rho^{T_S}; it equals the two-sided form bit for bit on
+    a random stack of unit-trace Hermitian matrices (not always positive) on
+    2-5 qubits, for any proper system part."""
+    labels = [f"q{i}" for i in range(n)]
+    system = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=n - 1,
+                                unique=True))
+    rng = np.random.default_rng(seed)
+    d = 2 ** n
+    g = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+    mats = (g + g.conj().swapaxes(-1, -2)) / 2
+    mats /= np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
+    reg = QubitRegister(labels)
+    assert np.array_equal(concurrence_lower(mats, system, register=reg),
+                          two_sided_lower(mats, reg, system))
+
+
+def test_one_sided_lower_bound_equals_two_sided_on_the_toy_estimator_stack():
+    """The same on the stack that ``simulate`` passes for the noisy mitigated
+    toy run (every state and its 20 bootstrap replicas, 256 shots, seed 3)."""
+    model, noise = collision.toy_model(), noisytomo.NoiseConfig(t1_us=280.0)
+    series = collision.evolve_series(model, 2, noise)
+    reg = series[0].joint_state.register
+    mats = noisytomo.tomography_estimates([rec.joint_state for rec in series], reg.labels,
+                                          256, 3, noise, True)
+    assert mats.shape == (3, 21, 16, 16)
+    assert np.array_equal(concurrence_lower(mats, model.system_labels, register=reg),
+                          two_sided_lower(mats, reg, model.system_labels))
 
 
 def test_stacked_trace_norm_mixes_hermitian_and_not(rng):

@@ -9,11 +9,11 @@ application against one contraction per gate, the channel conversions
 (the batched circuit channel, the Choi matrix, the transfer matrix with its
 cached Pauli columns, and the native-gate superoperators),
 the stacked state fidelity, ``channel.apply``, and the qubit diagnostics
-that read the channel's affine Bloch map (the BLP objective, the grid's
-record scan against the point-by-point scan, the objective's derivatives
-and Newton refine against Nelder-Mead, and the Bloch-image mesh), and the
-one-pass collision series against the per-n evolution, with the CPTP
-property of every channel it yields."""
+that read the channel's affine Bloch map (the BLP objective and its norm
+kernel, the grid's record scan against the point-by-point scan, the
+objective's derivatives and Newton refine against Nelder-Mead, and the
+Bloch-image mesh), and the one-pass collision series against the per-n
+evolution, with the CPTP property of every channel it yields."""
 
 import itertools
 import tracemalloc
@@ -986,6 +986,41 @@ def test_record_scan_matches_sequential_scan_on_blp_grids():
         a1, a2 = (transfer_of_channel(series[n].reduced_channel).bloch_block() for n in (2, 4))
         flat = nonmarkov._backflow(a1, a2, r).ravel()
         assert nonmarkov._first_better(flat) == reference_first_better(flat)
+
+
+def reference_backflow_norms(a1, a2, r):
+    """The BLP objective with ``np.linalg.norm`` along the last axis, as
+    ``_backflow`` computed it before its three-component norm kernel."""
+    return 2 * (np.linalg.norm(r @ a2.T, axis=-1) - np.linalg.norm(r @ a1.T, axis=-1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["channel", "matrix", "ideal"]), seed=st.integers(0, 2**32 - 1))
+@example(kind="ideal", seed=0)
+def test_backflow_norm_kernel_matches_linalg_norm_bit_for_bit(kind, seed):
+    """``_backflow`` equals the ``np.linalg.norm`` form bit for bit on the
+    full 2-degree grid, on random vectors in the grid's shape and on single
+    (3,) vectors (the case Newton's refine evaluates), for the Bloch blocks
+    of random qubit channels, of random real 3x3 matrices scaled by 1e-6 to
+    1e2, and of the ideal single model's (n = 2, n = 4) pair."""
+    rng = np.random.default_rng(seed)
+    if kind == "channel":
+        a1, a2 = (transfer_of_channel(random_channel(rng, 1, int(rng.integers(1, 3))))
+                  .bloch_block() for _ in range(2))
+    elif kind == "matrix":
+        a1, a2 = rng.normal(size=(2, 3, 3)) * 10.0 ** rng.uniform(-6, 2, size=(2, 1, 1))
+    else:
+        a1, a2 = (transfer_of_channel(IDEAL_SINGLE[n].reduced_channel).bloch_block()
+                  for n in (2, 4))
+    step = np.deg2rad(2.0)
+    grid = nonmarkov._direction(np.arange(0.0, np.pi + 1e-12, step)[:, None],
+                                np.arange(0.0, 2 * np.pi, step)[None, :])
+    for r in (grid, rng.normal(size=grid.shape)):
+        assert np.array_equal(nonmarkov._backflow(a1, a2, r), reference_backflow_norms(a1, a2, r))
+    for r in rng.normal(size=(50, 3)):
+        got = nonmarkov._backflow(a1, a2, r)
+        want = reference_backflow_norms(a1, a2, r)
+        assert type(got) is type(want) and np.array_equal(got, want)
 
 
 @settings(max_examples=20, deadline=None)
