@@ -2,7 +2,7 @@
 and non-Markovianity diagnostics, a native-gate transpiler, and shot-based
 tomography with readout mitigation."""
 
-from . import channel, circuit, collision, entangle, nonmarkov, noisytomo, qmat
+from . import channel, circuit, collision, entangle, nonmarkov, noisytomo, pipeline, qmat
 
 __all__ = [
     "qmat",
@@ -12,6 +12,7 @@ __all__ = [
     "nonmarkov",
     "circuit",
     "noisytomo",
+    "pipeline",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, channel, collision, entangle, nonmarkov, noisytomo, qmat
+from . import __version__, channel, collision, entangle, nonmarkov, noisytomo, pipeline
 from . import circuit as circ
 
 MODELS = {
@@ -83,22 +83,15 @@ def _require(ok: bool, message: str) -> None:
         raise _InputError(message)
 
 
-def _load_noise(arg: str, labels):
-    """The noise config in file ``arg`` (None for 'ideal'); its readout
-    labels must name qubits of ``labels``."""
+def _load_noise(arg: str):
+    """The noise config in file ``arg`` (None for 'ideal')."""
     if arg == "ideal":
         return None
     text = Path(arg).read_text()
     try:
-        noise = noisytomo.NoiseConfig.from_text(text)
-        noise.check_readout_labels(labels)
-        return noise
+        return noisytomo.NoiseConfig.from_text(text)
     except ValueError as exc:
         raise _InputError(f"noise config {arg}: {exc}") from exc
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 # --------------------------------------------------------------------------
@@ -109,85 +102,39 @@ def _run_simulate(args) -> int:
     _require(args.gdt is None or math.isfinite(args.gdt), "--gdt must be finite")
     _require(args.gdt is None or args.model in ("single", "two-qubit"),
              f"--gdt does not apply to --model {args.model}")
-    _require(args.seed >= 0, "--seed must be nonnegative")
-    _require(args.shots < 2**63, "--shots must be below 2^63 (a 64-bit count)")
     build = MODELS[args.model]
     model = build() if args.gdt is None else build(args.gdt)
-    noise = _load_noise(args.noise, model.register.labels)
-    _require(noise is None or args.shots > 0,
-             "--shots must be positive when noise is enabled")
-    _require(noise is not None or (args.shots == 0 and not args.mitigate),
-             "--shots and --mitigate need --noise")
-    # Mitigation inverts each measured qubit's confusion matrix, whose
-    # determinant is 1 - p01 - p10: below 0.2 it amplifies shot noise more
-    # than 5x.
-    for q in (*model.ancilla_labels, *model.system_labels) if args.mitigate else ():
-        p01, p10 = noise.readout_probs(q)
-        _require(abs(1 - p01 - p10) >= 0.2,
-                 f"--mitigate: qubit {q} reads out with p01 = {p01!r}, p10 = {p10!r}, "
-                 "and |1 - p01 - p10| below 0.2 cannot be mitigated")
-    n_max = args.collisions
-    if n_max is None:
-        n_max = model.max_steps or 10
+    noise = _load_noise(args.noise)
+    inputs = (args.shots, args.seed, args.mitigate)
     try:
-        model.check_collisions(n_max)
+        n_max = pipeline.check_inputs(model, args.collisions, noise, *inputs)
     except ValueError as exc:
-        raise _InputError(f"--collisions {n_max}: {exc}") from exc
+        raise _InputError(str(exc)) from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sys_labels = model.system_labels
-
-    ideal_series = collision.evolve_series(model, n_max)
-    used_series = (ideal_series if noise is None
-                   else collision.evolve_series(model, n_max, noise))
-    register = used_series[0].joint_state.register
-    # All states and their bootstrap replicas go through the quantifiers as
-    # one (N+1, R+1, d, d) stack; [:, 0] are the states.
-    mats = noisytomo.tomography_estimates([rec.joint_state for rec in used_series],
-                                          register.labels, args.shots, args.seed, noise,
-                                          args.mitigate)
-    exact, conc, assist = entangle.quantifiers(mats, sys_labels, register=register)
-    fids = qmat.state_fidelity_mat(np.stack([r.joint_state.mat for r in ideal_series]),
-                                   mats[:, 0])
-    errs = (np.stack([conc[:, 1:], assist[:, 1:]]).std(axis=-1, ddof=1) if args.shots > 0
-            else np.zeros((2, n_max + 1)))
-    conc_rows = [[n, *row] for n, row in enumerate(zip(
-        conc[:, 0].tolist(), assist[:, 0].tolist(), *errs.tolist(), fids.tolist()))]
-
-    c_col = "C" if exact else "C_lower"
-    cs_col = "C_sharp" if exact else "C_sharp_upper"
+    report = pipeline.simulate(model, n_max, noise, *inputs)
+    c_col, cs_col = ("C", "C_sharp") if report.exact else ("C_lower", "C_sharp_upper")
+    cols = [report.conc, report.assist, report.conc_err, report.assist_err, report.fidelity]
+    conc_rows = [[n, *row] for n, row in enumerate(np.column_stack(cols).tolist())]
     _write_csv(out_dir / "concurrence.csv",
                ["n", c_col, cs_col, f"{c_col}_err", f"{cs_col}_err", "fidelity_to_ideal"],
                conc_rows)
-    if len(sys_labels) == 1:
-        images = np.stack([collision.bloch_image_samples(rec, mesh=60) for rec in used_series])
+    if report.bloch is not None:
         # One int and three floats per row: no cell needs quoting, and csv
         # writes floats as repr, so this is _write_csv's text in one pass.
         (out_dir / "bloch.csv").write_text("n,x,y,z\n" + "".join(
-            f"{n},{x!r},{y!r},{z!r}\n" for n, pts in enumerate(images.tolist())
+            f"{n},{x!r},{y!r},{z!r}\n" for n, pts in enumerate(report.bloch.tolist())
             for x, y, z in pts))
-
-    # non-Markovianity summary (single-qubit system channels only for BLP/volume)
-    nm_lines = []
-    series, increase = nonmarkov.rhp_of_concurrence(range(n_max + 1),
-                                                      [row[1] for row in conc_rows])
-    nm_lines.append(["rhp_series", ";".join(f"{n}:{_fmt(v)}" for n, v in series)])
-    nm_lines.append(["rhp_is_lower_bound", str(not exact)])
-    nm_lines.append(["rhp_increase", str(increase)])
-    if len(sys_labels) == 1 and n_max >= 4:
-        t1_idx = min(range(n_max + 1), key=lambda i: conc_rows[i][1])
-        t2_idx = max(range(t1_idx, n_max + 1), key=lambda i: conc_rows[i][1])
-        ch1 = used_series[t1_idx].reduced_channel
-        ch2 = used_series[t2_idx].reduced_channel
-        delta, pair = nonmarkov.blp_max_increase(ch1, ch2)
-        nm_lines.append(["blp_t1_t2", f"{t1_idx};{t2_idx}"])
-        nm_lines.append(["blp_delta", _fmt(delta)])
-        nm_lines.append(["blp_argmax_a", ";".join(_fmt(x) for x in pair[0])])
-        nm_lines.append(["volume_ratio_t1", _fmt(nonmarkov.bloch_volume(ch1))])
-        nm_lines.append(["volume_ratio_t2", _fmt(nonmarkov.bloch_volume(ch2))])
+    nm_lines = [["rhp_series", ";".join(f"{n}:{v!r}" for n, v in report.rhp_series)],
+                ["rhp_is_lower_bound", str(not report.exact)],
+                ["rhp_increase", str(report.rhp_increase)]]
+    if report.blp_pair is not None:
+        nm_lines += [["blp_t1_t2", "{};{}".format(*report.blp_pair)],
+                     ["blp_delta", report.blp_delta],
+                     ["blp_argmax_a", ";".join(map(repr, report.blp_argmax))],
+                     ["volume_ratio_t1", report.volumes[0]],
+                     ["volume_ratio_t2", report.volumes[1]]]
     _write_csv(out_dir / "nonmarkov.csv", ["quantity", "value"], nm_lines)
-
-    noise_lines = [] if noise is None else noise.to_text().splitlines()
     # Only the QSD imports SciPy. Reading its version without importing it
     # (importlib.metadata) takes ~25 ms, most of an ideal single run.
     scipy = sys.modules.get("scipy")
@@ -197,7 +144,7 @@ def _run_simulate(args) -> int:
         f"gdt = {model.g_dt!r}",
         f"collisions = {n_max}",
         f"noise = {args.noise}",
-        *(f"noise.{line}" for line in noise_lines),
+        *(f"noise.{line}" for line in ("" if noise is None else noise.to_text()).splitlines()),
         f"numpy = {np.__version__}",
         f"scipy = {'not loaded' if scipy is None else scipy.__version__}",
         f"shots = {args.shots}",
@@ -210,7 +157,7 @@ def _run_simulate(args) -> int:
 
 
 def _write_csv(path: Path, header, rows):
-    """CSV of Python scalars: csv writes floats as ``repr``, like ``_fmt``."""
+    """CSV of Python scalars: csv writes floats as ``repr``."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)

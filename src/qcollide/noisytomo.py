@@ -155,6 +155,15 @@ class NoiseConfig:
             raise ValueError(", ".join(f"readout.{q}" for q in stray)
                              + f" names no qubit of the register ({', '.join(labels)})")
 
+    def check_mitigable(self, labels) -> None:
+        """Reject a qubit of ``labels`` whose readout mitigation would amplify
+        shot noise more than 5x: its confusion matrix's |det| = |1 - p01 - p10| < 0.2."""
+        for q in labels:
+            p01, p10 = self.readout_probs(q)
+            if abs(1 - p01 - p10) < 0.2:
+                raise ValueError(f"qubit {q} reads out with p01 = {p01!r}, p10 = {p10!r}, "
+                                 "and |1 - p01 - p10| below 0.2 cannot be mitigated")
+
     def duration(self, kind: str) -> float:
         return float(self.gate_duration_ns[kind])
 
@@ -181,12 +190,16 @@ class NoiseConfig:
     @classmethod
     def from_text(cls, text: str) -> "NoiseConfig":
         kwargs: dict = {"gate_duration_ns": {}, "readout": {}}
+        seen = set()
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
+            if key in seen:
+                raise ValueError(f"repeated noise config key {key!r}")
+            seen.add(key)
             if key in ("t1_us", "t2_us", "depol_1q", "depol_2q"):
                 kwargs[key] = float(val)
             elif key.startswith("duration."):

@@ -68,6 +68,12 @@ def _direction(theta, phi) -> np.ndarray:
                                         np.cos(theta)), axis=-1)
 
 
+_THETAS = np.arange(0.0, np.pi + 1e-12, np.deg2rad(2.0))
+_PHIS = np.arange(0.0, 2 * np.pi, np.deg2rad(2.0))
+_GRID = _direction(_THETAS[:, None], _PHIS[None, :])
+_GRID.flags.writeable = False
+
+
 def _norm3(v: np.ndarray):
     """Euclidean norms of (..., 3) vectors along the last axis.
 
@@ -92,12 +98,9 @@ def blp_max_increase(ch1: KrausChannel, ch2: KrausChannel):
     a1 = transfer_of_channel(ch1).bloch_block()
     a2 = transfer_of_channel(ch2).bloch_block()
 
-    step = np.deg2rad(2.0)
-    thetas = np.arange(0.0, np.pi + 1e-12, step)
-    phis = np.arange(0.0, 2 * np.pi, step)
-    grid = _backflow(a1, a2, _direction(thetas[:, None], phis[None, :]))
+    grid = _backflow(a1, a2, _GRID)
     best_i, best_val = _first_better(grid.ravel())
-    r = _direction(thetas[best_i // len(phis)], phis[best_i % len(phis)])
+    r = _direction(_THETAS[best_i // len(_PHIS)], _PHIS[best_i % len(_PHIS)])
     for start in (r, *_kernel_start(a1, a2)):
         cand, val = _newton_refine(a1, a2, start)
         if val > best_val + 1e-12:

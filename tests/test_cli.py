@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcollide
-from qcollide import collision, entangle
-from qcollide.cli import main
+from qcollide import collision, entangle, pipeline
+from qcollide.cli import MODELS, main
 from qcollide.noisytomo import DEFAULT_DURATIONS_NS, NoiseConfig
 
 
@@ -504,6 +504,135 @@ def test_shots_or_mitigate_without_noise_is_input_error(tmp_path, capsys):
         assert main(["simulate", "--model", "single", *extra, "--out", str(out)]) == 1
         assert not (out / "manifest.txt").exists()
         assert "--shots and --mitigate need --noise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("t1_us = 280.0\nt1_us = 300.0\n", "t1_us"),
+    ("readout.default = 0.01,0.01\nreadout.S = 0.02,0.02\nreadout.default = 0.03,0.03\n",
+     "readout.default"),
+], ids=["t1_us", "readout.default"])
+def test_repeated_noise_config_key_is_input_error(tmp_path, capsys, text, key):
+    """A key given twice is refused and named, not overridden by the last value."""
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text(text)
+    out = tmp_path / "x"
+    assert main(["simulate", "--model", "single", "--collisions", "1", "--noise",
+                 str(noise_file), "--shots", "16", "--out", str(out)]) == 1
+    assert f"repeated noise config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+NOISE_TEXT = "t1_us = 280.0\n"
+FLAGS = {"n_max": "--collisions", "shots": "--shots", "seed": "--seed"}
+
+
+def simulate_argv(tmp_path, model, noise_text, kwargs):
+    """The ``simulate`` arguments of ``pipeline.simulate(model, noise=…,
+    **kwargs)``, with the noise config (None: ideal) written to a file."""
+    argv = ["simulate", "--model", model, "--out", str(tmp_path / "run")]
+    if noise_text is not None:
+        (tmp_path / "noise.cfg").write_text(noise_text)
+        argv += ["--noise", str(tmp_path / "noise.cfg")]
+    for name, value in kwargs.items():
+        argv += ["--mitigate"] if name == "mitigate" else [FLAGS[name], str(value)]
+    return argv
+
+
+def library_call(model, noise_text, kwargs):
+    noise = None if noise_text is None else NoiseConfig.from_text(noise_text)
+    return pipeline.simulate(MODELS[model](), noise=noise, **kwargs)
+
+
+@pytest.mark.parametrize("model, noise_text, kwargs", [
+    ("single", NOISE_TEXT, {}),  # noise without shots (test_usage_errors)
+    ("single", NOISE_TEXT, {"shots": -1}),
+    ("single", None, {"shots": 16}),
+    ("single", None, {"mitigate": True}),
+    ("single", None, {"shots": 16, "mitigate": True}),
+    ("single", NOISE_TEXT, {"shots": 16, "seed": -1}),
+    ("single", NOISE_TEXT, {"shots": 2**63}),
+    ("single", NOISE_TEXT, {"n_max": 1, "shots": 99999999999999999999}),
+    ("single", "readout.default = 0.5,0.5\n", {"n_max": 2, "shots": 64, "mitigate": True}),
+    ("single", "readout.S = 0.6,0.45\n", {"n_max": 2, "shots": 64, "mitigate": True}),
+    ("toy", "readout.S = 0.1,0.1\n", {"n_max": 1, "shots": 16}),
+    ("single", None, {"n_max": -1}),
+    ("toy", None, {"n_max": 3}),
+    ("swap", NOISE_TEXT, {"n_max": 3, "shots": 16}),
+], ids=["noise-without-shots", "negative-shots", "shots-without-noise",
+        "mitigate-without-noise", "shots-and-mitigate-without-noise", "negative-seed",
+        "shots-2^63", "shots-above-int64", "mitigate-unreadable-default",
+        "mitigate-unreadable-system", "readout-label-outside-register",
+        "negative-collisions", "toy-collisions-above-limit", "swap-collisions-above-limit"])
+def test_library_rejects_what_the_cli_rejects_with_its_message(tmp_path, capsys, model,
+                                                               noise_text, kwargs):
+    """Every ``simulate`` input that exits 1 makes ``pipeline.simulate``
+    raise ``ValueError``, and the CLI prints that message."""
+    with pytest.raises(ValueError) as exc:
+        library_call(model, noise_text, kwargs)
+    assert main(simulate_argv(tmp_path, model, noise_text, kwargs)) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_value_error_inside_the_run_is_not_an_input_error(tmp_path, capsys):
+    """Only the input check's ``ValueError`` means exit 1: one raised while the
+    run computes still exits 2."""
+    with mock.patch.object(entangle, "quantifiers", side_effect=ValueError("broken")):
+        assert main(["simulate", "--model", "single", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "numerical invariant violation: broken\n"
+
+
+def report_cells(report):
+    """{file: rows of cells} that ``simulate`` writes for ``report``: each
+    value's ``repr``, ints as ``str``."""
+    c, cs = ("C", "C_sharp") if report.exact else ("C_lower", "C_sharp_upper")
+    series = (report.conc, report.assist, report.conc_err, report.assist_err, report.fidelity)
+    files = {
+        "concurrence.csv": [["n", c, cs, f"{c}_err", f"{cs}_err", "fidelity_to_ideal"]]
+        + [[str(n), *map(repr, row)] for n, row in enumerate(zip(*(a.tolist() for a in series)))],
+        "nonmarkov.csv": [
+            ["quantity", "value"],
+            ["rhp_series", ";".join(f"{n}:{v!r}" for n, v in report.rhp_series)],
+            ["rhp_is_lower_bound", str(not report.exact)],
+            ["rhp_increase", str(report.rhp_increase)],
+        ],
+    }
+    if report.bloch is not None:
+        files["bloch.csv"] = [["n", "x", "y", "z"]] + [
+            [str(n), *map(repr, point)] for n, points in enumerate(report.bloch.tolist())
+            for point in points]
+    if report.blp_pair is not None:
+        files["nonmarkov.csv"] += [
+            ["blp_t1_t2", ";".join(map(str, report.blp_pair))],
+            ["blp_delta", repr(report.blp_delta)],
+            ["blp_argmax_a", ";".join(map(repr, report.blp_argmax))],
+            ["volume_ratio_t1", repr(report.volumes[0])],
+            ["volume_ratio_t2", repr(report.volumes[1])],
+        ]
+    return files
+
+
+@pytest.mark.parametrize("model, noisy, kwargs", [
+    ("single", False, {}),
+    ("single", True, {"n_max": 4, "shots": 64, "seed": 3, "mitigate": True}),
+    ("two-qubit", False, {}),
+    ("two-qubit", True, {"n_max": 2, "shots": 64, "seed": 3}),
+    ("toy", False, {}),
+    ("toy", True, {"shots": 64, "seed": 1, "mitigate": True}),
+    ("swap", False, {}),
+    ("swap", True, {"shots": 64, "seed": 3}),
+], ids=[f"{m}-{kind}" for m in ("single", "two-qubit", "toy", "swap")
+        for kind in ("ideal", "noisy")])
+def test_simulate_files_are_the_report_values(tmp_path, model, noisy, kwargs):
+    """Every cell of the three CSVs is, exactly, the matching value of the
+    library's report for the same inputs."""
+    noise_text = NOISE_TEXT if noisy else None
+    report = library_call(model, noise_text, kwargs)
+    assert main(simulate_argv(tmp_path, model, noise_text, kwargs)) == 0
+    want = report_cells(report)
+    assert sorted(p.name for p in (tmp_path / "run").glob("*.csv")) == sorted(want)
+    for name, rows in want.items():
+        assert read_csv(tmp_path / "run" / name) == (rows[0], rows[1:]), name
 
 
 @pytest.fixture(scope="module")
