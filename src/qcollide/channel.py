@@ -1,19 +1,19 @@
-"""CPT maps in Kraus, Choi-state, and Pauli-transfer representations.
+"""CPT maps as superoperators, with Choi-state and Pauli-transfer read-offs.
 
 Choi states are normalized to trace 1 (a physical system–ancilla state whose
 concurrence can be computed directly), not to trace d.
 
 A channel is its superoperator on the row-major vec (vec(A)[i*d + j] =
-A[i, j]; Wood, Biamonte & Cory, arXiv:1111.6950).  Conversions run one way,
-from Kraus operators to the superoperator, through two private helpers:
+A[i, j]; Wood, Biamonte & Cory, arXiv:1111.6950): one type, ``Channel``,
+holds a read-only copy of it and nothing else.  Kraus operators are only an
+input: ``KrausChannel`` checks their completeness and builds the ``Channel``
+of their superoperator.  Conversions run one way, from Kraus operators to
+the superoperator, through two private helpers:
 
-* ``_superop``: Σ K⊗K̄, behind ``KrausChannel.superop``;
+* ``_superop``: Σ K⊗K̄, behind ``KrausChannel``;
 * ``_reshuffle``: a superoperator's entries as its Choi matrix (trace d),
-  behind ``choi_of_channel``.
-
-A channel read off its superoperator (by ``compose`` or the circuit path of
-``noisytomo``, after the trace-preservation check of
-``KrausChannel._of_superop``) holds no Kraus set.
+  behind ``choi_of_channel``, which returns the Choi state as a
+  ``DensityMatrix``.
 
 ``_superop_at`` is the one channel application: it applies a local
 superoperator on some qubits of a matrix or a stack of matrices, for
@@ -40,8 +40,8 @@ from .qmat import (
 )
 
 __all__ = [
+    "Channel",
     "KrausChannel",
-    "ChoiState",
     "TransferMap",
     "choi_of_channel",
     "transfer_of_channel",
@@ -59,60 +59,44 @@ __all__ = [
 KRAUS_COMPLETE_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """A CPT map given by Kraus operators (sum K†K = I within 1e-9), whose
-    superoperator is derived on first use, or read off its superoperator
-    (``_of_superop``), which holds no Kraus set: its ``kraus_ops`` raises
-    AttributeError."""
+def _is_power_of_4(x: int) -> bool:
+    return x > 0 and not x & (x - 1) and x.bit_length() % 2 == 1
 
-    in_dim: int = 0
-    out_dim: int = 0
 
-    def __init__(self, kraus_ops) -> None:
-        ops = tuple(np.asarray(k, dtype=complex) for k in kraus_ops)
-        if not ops:
-            raise ValueError("need at least one Kraus operator")
-        out_dim, in_dim = ops[0].shape
-        s = sum(k.conj().T @ k for k in ops)
-        if np.abs(s - np.eye(in_dim)).max() > KRAUS_COMPLETE_TOL:
-            raise ValueError("Kraus completeness violated")
-        for k in ops:
-            k.setflags(write=False)
-        self.__dict__.update(kraus_ops=ops, in_dim=in_dim, out_dim=out_dim)
+class Channel:
+    """A CPT map as its superoperator, the map vec ρ → vec E(ρ) on the
+    row-major vec: a read-only copy of ``superop``, of shape
+    (out_dim², in_dim²), on ``n_qubits`` input qubits.
 
-    @classmethod
-    def _of_superop(cls, superop: np.ndarray) -> "KrausChannel":
-        """The channel with superoperator ``superop``, rejected if
-        Tr E(|i><j|) is over 1e-3 from δ_ij (in trace-1 units).  Only trace
-        preservation is checked; complete positivity is the caller's
-        precondition."""
+    Rejected if ``superop`` is not 2-D of shape (4^m, 4^k), or if
+    Tr E(|i><j|) is over 1e-3 from δ_ij (in trace-1 units).  Only trace
+    preservation is checked; complete positivity is the caller's
+    precondition."""
+
+    def __init__(self, superop) -> None:
+        superop = np.array(superop, dtype=complex)
+        if superop.ndim != 2 or not all(map(_is_power_of_4, superop.shape)):
+            raise ValueError(f"superoperator shape {superop.shape} is not (4^m, 4^k)")
         d_out, d_in = map(math.isqrt, superop.shape)
         dev = np.abs(np.eye(d_out).ravel() @ superop - np.eye(d_in).ravel()).max() / d_in
         if dev > 1e-3:
             raise ValueError(f"trace-preservation violation {dev:.2e} > 1e-3")
         superop.setflags(write=False)
-        ch = cls.__new__(cls)
-        ch.__dict__.update(superop=superop, in_dim=d_in, out_dim=d_out)
-        return ch
-
-    @functools.cached_property
-    def superop(self) -> np.ndarray:
-        """Σ K⊗K̄, the map vec ρ → vec E(ρ) on the row-major vec (read-only)."""
-        s = _superop(self.kraus_ops)
-        s.setflags(write=False)
-        return s
-
-    @property
-    def n_qubits(self) -> int:
-        return int(round(np.log2(self.in_dim)))
+        self.superop = superop
+        self.in_dim, self.out_dim = d_in, d_out
+        self.n_qubits = d_in.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class ChoiState:
-    """(E ⊗ 1)|Φ+⟩⟨Φ+| normalized to trace 1, on register (S_out, S_ref)."""
-
-    rho: DensityMatrix
+def KrausChannel(ops) -> Channel:
+    """The channel Σ K ρ K† of Kraus operators K of equal shape with
+    Σ K†K = I within 1e-9, as the superoperator Σ K⊗K̄."""
+    ops = np.array(ops, dtype=complex)
+    if ops.ndim != 3 or not len(ops):
+        raise ValueError("need at least one Kraus operator, all of one 2-D shape")
+    s = sum(k.conj().T @ k for k in ops)
+    if np.abs(s - np.eye(ops.shape[2])).max() > KRAUS_COMPLETE_TOL:
+        raise ValueError("Kraus completeness violated")
+    return Channel(_superop(ops))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,15 +134,15 @@ def _pauli_columns(n: int) -> np.ndarray:
     return vecs
 
 
-def identity_channel(n_qubits: int = 1) -> KrausChannel:
+def identity_channel(n_qubits: int = 1) -> Channel:
     return KrausChannel([np.eye(2**n_qubits)])
 
 
-def unitary_channel(u: np.ndarray) -> KrausChannel:
-    return KrausChannel([np.asarray(u, dtype=complex)])
+def unitary_channel(u: np.ndarray) -> Channel:
+    return KrausChannel([u])
 
 
-def depolarizing_channel(p: float, n_qubits: int = 1) -> KrausChannel:
+def depolarizing_channel(p: float, n_qubits: int = 1) -> Channel:
     """With probability p replace the state by the maximally mixed one."""
     d = 2**n_qubits
     ops = []
@@ -169,13 +153,13 @@ def depolarizing_channel(p: float, n_qubits: int = 1) -> KrausChannel:
     return KrausChannel(ops)
 
 
-def amplitude_damping_channel(gamma: float) -> KrausChannel:
+def amplitude_damping_channel(gamma: float) -> Channel:
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     return KrausChannel([k0, k1])
 
 
-def phase_damping_channel(lam: float) -> KrausChannel:
+def phase_damping_channel(lam: float) -> Channel:
     k0 = np.sqrt(1 - lam) * np.eye(2)
     k1 = np.sqrt(lam) * np.diag([1.0, 0.0]).astype(complex)
     k2 = np.sqrt(lam) * np.diag([0.0, 1.0]).astype(complex)
@@ -190,22 +174,22 @@ def _reshuffle(superop: np.ndarray) -> np.ndarray:
     return choi.reshape(d_out * d_in, d_out * d_in)
 
 
-def choi_of_channel(ch: KrausChannel, labels=("S_out", "S_ref")) -> ChoiState:
-    """(E ⊗ 1)|Φ+⟩⟨Φ+| with |Φ+⟩ ∝ Σ|jj⟩, trace-1 normalization."""
+def choi_of_channel(ch: Channel, labels=("S_out", "S_ref")) -> DensityMatrix:
+    """(E ⊗ 1)|Φ+⟩⟨Φ+| with |Φ+⟩ ∝ Σ|jj⟩, trace-1 normalization, on
+    register (S_out, S_ref)."""
     d = ch.in_dim
-    n_out = int(round(np.log2(ch.out_dim)))
-    n_ref = int(round(np.log2(d)))
+    n_out = ch.out_dim.bit_length() - 1
+    n_ref = ch.n_qubits
     out_labels = [f"{labels[0]}{i}" for i in range(n_out)] if n_out > 1 else [labels[0]]
     ref_labels = [f"{labels[1]}{i}" for i in range(n_ref)] if n_ref > 1 else [labels[1]]
-    return ChoiState(DensityMatrix(QubitRegister(out_labels + ref_labels),
-                                   _reshuffle(ch.superop) / d))
+    return DensityMatrix(QubitRegister(out_labels + ref_labels), _reshuffle(ch.superop) / d)
 
 
-def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+def apply(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
     return apply_extended(ch, rho, rho.register.labels)
 
 
-def apply_extended(ch: KrausChannel, rho_joint: DensityMatrix, target_labels) -> DensityMatrix:
+def apply_extended(ch: Channel, rho_joint: DensityMatrix, target_labels) -> DensityMatrix:
     """Apply the channel on the target labels, identity elsewhere."""
     reg = rho_joint.register
     targets = reg.indices(list(target_labels))
@@ -295,7 +279,7 @@ def embed_operator(op: np.ndarray, qubit_positions, n: int) -> np.ndarray:
     return t.transpose(order).reshape(2**n, 2**n)
 
 
-def transfer_of_channel(ch: KrausChannel) -> TransferMap:
+def transfer_of_channel(ch: Channel) -> TransferMap:
     """M_ab = tr(P_a E[P_b]) = vec(P_a)† S vec(P_b) with P the normalized
     Pauli basis and S the superoperator ``ch.superop``."""
     if ch.in_dim != ch.out_dim:
@@ -304,8 +288,8 @@ def transfer_of_channel(ch: KrausChannel) -> TransferMap:
     return TransferMap((vecs.conj().T @ ch.superop @ vecs).real)
 
 
-def compose(a: KrausChannel, b: KrausChannel) -> KrausChannel:
+def compose(a: Channel, b: Channel) -> Channel:
     """The channel 'a after b', compose(a, b)(rho) = a(b(rho)): a.superop @ b.superop."""
     if a.in_dim != b.out_dim:
         raise ValueError("dimension mismatch")
-    return KrausChannel._of_superop(a.superop @ b.superop)
+    return Channel(a.superop @ b.superop)

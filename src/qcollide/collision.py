@@ -42,7 +42,7 @@ import numpy as np
 
 from . import circuit as circ
 from . import noisytomo
-from .channel import KrausChannel, TransferMap, apply_extended, transfer_of_channel
+from .channel import Channel, TransferMap, apply_extended, transfer_of_channel
 from .qmat import DensityMatrix, QubitRegister, _projector, ket, partial_trace
 
 __all__ = [
@@ -139,7 +139,7 @@ class CollisionModel:
 class EvolutionRecord:
     n: int
     joint_state: DensityMatrix  # on system + ancilla: reduced_channel ⊗ id_A of the prep
-    reduced_channel: KrausChannel  # system map for n collisions, as its superoperator
+    reduced_channel: Channel  # system map for n collisions, as its superoperator
 
 
 def single_qubit_model(g_dt: float = np.pi / 4) -> CollisionModel:

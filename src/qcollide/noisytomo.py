@@ -24,7 +24,7 @@ superoperators, so it is exact.  ``_apply_blocks`` then applies the blocks
 with ``channel._superop_at`` to a matrix or a stack of matrices.  The circuit
 channel on kept qubits (``noisy_channel_of_circuit``) runs the circuit once
 on the stack of all inputs |i><j|; the traced-out images are its
-superoperator, and the channel holds no Kraus set.
+superoperator, held as a ``channel.Channel``.
 
 Tomography is linear, and both of its maps factor into one small map per
 measured qubit (``_FORWARD`` and ``_INVERSE``), applied by ``_apply_per_qubit``
@@ -80,7 +80,7 @@ from numpy.random import SeedSequence, default_rng
 
 from . import circuit as circ
 from .channel import (
-    KrausChannel,
+    Channel,
     _superop,
     _superop_at,
     amplitude_damping_channel,
@@ -294,7 +294,7 @@ def apply_noisy_circuit(c: circ.Circuit, rho: DensityMatrix | None = None,
 
 
 def noisy_channel_of_circuit(c: circ.Circuit, noise: NoiseConfig | None,
-                             keep=None) -> KrausChannel:
+                             keep=None) -> Channel:
     """The circuit's CPT map on the ``keep`` qubits (default: all), read off
     as its superoperator from one run of the circuit on the stack of all d²
     inputs |i><j|.
@@ -322,13 +322,13 @@ def _channel_inputs(reg: QubitRegister, keep=None) -> tuple[list[int], np.ndarra
     return pos, inputs
 
 
-def _channel_of_images(images: np.ndarray, pos, n: int) -> KrausChannel:
+def _channel_of_images(images: np.ndarray, pos, n: int) -> Channel:
     """The channel read off the images of the ``_channel_inputs`` stack on an
     n-qubit register, keeping the qubits at ``pos``, as its superoperator."""
     d = 2 ** len(pos)
     out = partial_trace_mat(images, pos, n)
     # out[i*d + j] is E(|i><j|), whose row-major vec is superoperator column i*d + j.
-    return KrausChannel._of_superop(out.reshape(d * d, d * d).T)
+    return Channel(out.reshape(d * d, d * d).T)
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import KrausChannel, transfer_of_channel
+from .channel import Channel, transfer_of_channel
 from .entangle import quantifiers
 
 __all__ = [
@@ -90,7 +90,7 @@ def _backflow(a1: np.ndarray, a2: np.ndarray, r: np.ndarray):
     return 2 * (_norm3(r @ a2.T) - _norm3(r @ a1.T))
 
 
-def blp_max_increase(ch1: KrausChannel, ch2: KrausChannel):
+def blp_max_increase(ch1: Channel, ch2: Channel):
     """Maximum over antipodal pure pairs of d_tr(ch2(a), ch2(b)) - d_tr(ch1(a),
     ch1(b)); returns (delta, (bloch_a, bloch_b))."""
     if ch1.in_dim != 2 or ch2.in_dim != 2:
@@ -193,7 +193,7 @@ def _kernel_start(a1: np.ndarray, a2: np.ndarray) -> list:
     return [kernel.T @ np.linalg.svd(a2 @ kernel.T)[2][0]]
 
 
-def bloch_volume(ch: KrausChannel) -> float:
+def bloch_volume(ch: Channel) -> float:
     """|det| of the 3x3 Bloch block, the product of its singular values (the
     image ellipsoid's semi-axes): the image volume as a fraction of the full
     Bloch-ball volume V0 = 4*pi/3.  Singular values below 1e-12 count as 0,

@@ -1,9 +1,12 @@
-"""Shared random-object generators for the test suite (all seeded)."""
+"""Shared random-object generators (all seeded), reference Kraus sets and a
+CPTP check for the test suite."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from qcollide.qmat import DensityMatrix, QubitRegister
+from qcollide.qmat import PAULIS, DensityMatrix, QubitRegister, nkron
 
 
 def random_density(rng, n_qubits, labels=None, rank=None):
@@ -30,6 +33,28 @@ def random_unitary(rng, d):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def amplitude_damping_kraus(gamma):
+    return [np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]], dtype=complex),
+            np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)]
+
+
+def phase_damping_kraus(lam):
+    return [np.sqrt(1 - lam) * np.eye(2),
+            np.sqrt(lam) * np.diag([1.0, 0.0]).astype(complex),
+            np.sqrt(lam) * np.diag([0.0, 1.0]).astype(complex)]
+
+
+def depolarizing_kraus(p, n_qubits=1):
+    """√w P over the Pauli strings P of n qubits, w = 1 - p + p/d² for the
+    identity and p/d² for the others."""
+    d = 2**n_qubits
+    ops = []
+    for i, name in enumerate(itertools.product("IXYZ", repeat=n_qubits)):
+        w = (1 - p) + p / d**2 if i == 0 else p / d**2
+        ops.append(np.sqrt(w) * nkron(*(PAULIS[c] for c in name)))
+    return ops
 
 
 def assert_cptp(ch, tol):

@@ -161,7 +161,7 @@ def test_criterion_6_noisy_property_based():
     for n in range(5):
         ideal = collision.evolve(model, n).reduced_channel
         noisy = collision.evolve(model, n, noise=noise).reduced_channel
-        f = state_fidelity(choi_of_channel(ideal).rho, choi_of_channel(noisy).rho)
+        f = state_fidelity(choi_of_channel(ideal), choi_of_channel(noisy))
         assert 0.5 <= f <= 1.0
         fids.append(f)
     assert all(b < a for a, b in zip(fids, fids[1:]))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import assert_cptp, random_density, random_unitary
+from conftest import amplitude_damping_kraus, assert_cptp, random_density, random_unitary
 from qcollide import collision
 from qcollide.channel import (
     KRAUS_COMPLETE_TOL,
+    Channel,
     KrausChannel,
     _superop,
     _superop_at,
@@ -26,19 +27,24 @@ from qcollide.qmat import ket, partial_trace, pure_state
 BELL = (ket("00") + ket("11")) / np.sqrt(2)
 
 
-def random_channel(rng, n_qubits=1, env_qubits=1):
-    """Random CPT map via a Haar unitary on a dilated space."""
+def random_kraus(rng, n_qubits=1, env_qubits=1):
+    """Kraus set of a random CPT map via a Haar unitary on a dilated space."""
     d, de = 2**n_qubits, 2**env_qubits
     u = random_unitary(rng, d * de)
     # K_e = <e| U |0>_env blocks
-    return KrausChannel([u[e * d:(e + 1) * d, 0:d] for e in range(de)])
+    return [u[e * d:(e + 1) * d, 0:d] for e in range(de)]
+
+
+def random_channel(rng, n_qubits=1, env_qubits=1):
+    """Random CPT map via a Haar unitary on a dilated space."""
+    return KrausChannel(random_kraus(rng, n_qubits, env_qubits))
 
 
 def test_kraus_completeness_enforced():
     with pytest.raises(ValueError):
         KrausChannel([np.eye(2) * 0.5])
-    ch = amplitude_damping_channel(0.3)
-    s = sum(k.conj().T @ k for k in ch.kraus_ops)
+    amplitude_damping_channel(0.3)
+    s = sum(k.conj().T @ k for k in amplitude_damping_kraus(0.3))
     assert np.abs(s - np.eye(2)).max() < 1e-12
 
 
@@ -52,7 +58,7 @@ def test_kraus_completeness_tolerance():
 def test_apply_at_matches_explicit_embedding(rng):
     # a non-Hermitian input on 3 qubits, two Kraus operators on qubit 1
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    ops = amplitude_damping_channel(0.4).kraus_ops
+    ops = amplitude_damping_kraus(0.4)
     want = sum(
         np.kron(np.kron(np.eye(2), k), np.eye(2)) @ m
         @ np.kron(np.kron(np.eye(2), k), np.eye(2)).conj().T
@@ -63,41 +69,74 @@ def test_apply_at_matches_explicit_embedding(rng):
 
 def test_choi_examples():
     bell = np.outer(BELL, BELL.conj())
-    assert np.abs(choi_of_channel(identity_channel()).rho.mat - bell).max() < 1e-12
+    assert np.abs(choi_of_channel(identity_channel()).mat - bell).max() < 1e-12
     assert np.abs(
-        choi_of_channel(depolarizing_channel(1.0)).rho.mat - np.eye(4) / 4
+        choi_of_channel(depolarizing_channel(1.0)).mat - np.eye(4) / 4
     ).max() < 1e-10
     # 4 collisions at g_dt=pi/4 give the unitary Z map; its Choi state is
     # maximally entangled with concurrence 1
     ch_t2 = collision.evolve(collision.single_qubit_model(), 4).reduced_channel
-    assert concurrence_2q(choi_of_channel(ch_t2).rho) == pytest.approx(1.0, abs=1e-9)
+    assert concurrence_2q(choi_of_channel(ch_t2)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_choi_invariants_hold(rng):
     for _ in range(20):
         c = choi_of_channel(random_channel(rng))
-        marg = partial_trace(c.rho, [c.rho.register.labels[1]])
+        marg = partial_trace(c, [c.register.labels[1]])
         assert np.abs(marg.mat - np.eye(2) / 2).max() < 1e-9
-        assert np.linalg.eigvalsh(c.rho.mat).min() > -1e-10
+        assert np.linalg.eigvalsh(c.mat).min() > -1e-10
 
 
 def test_read_off_channel_rejects_non_tp():
     """A superoperator whose Tr E(|i><j|) is more than 1e-3 (trace-1 units)
     off δ_ij is rejected when read off; one within that is kept."""
     with pytest.raises(ValueError, match="trace-preservation"):
-        KrausChannel._of_superop(0.99 * np.eye(4))
-    assert KrausChannel._of_superop((1 - 1e-4) * np.eye(4)).in_dim == 2
+        Channel(0.99 * np.eye(4))
+    assert Channel((1 - 1e-4) * np.eye(4)).in_dim == 2
 
 
-def test_read_off_channel_holds_only_its_superoperator():
-    """A Kraus-built channel keeps its Kraus operators; a channel read off
-    its superoperator, or made by ``compose``, has no Kraus set to give."""
-    ops = amplitude_damping_channel(0.3).kraus_ops
-    assert KrausChannel(ops).kraus_ops == ops
-    for ch in (KrausChannel._of_superop(np.eye(4)),
-               compose(identity_channel(), amplitude_damping_channel(0.3))):
-        with pytest.raises(AttributeError):
-            ch.kraus_ops
+def test_kraus_channel_does_not_alias_its_operators(rng):
+    """Kraus operators that are views of an isometry: zeroing the isometry
+    afterwards leaves the channel trace preserving."""
+    u = random_unitary(rng, 4)
+    ch = KrausChannel([u[0:2, 0:2], u[2:4, 0:2]])
+    want = _superop([u[0:2, 0:2], u[2:4, 0:2]])
+    u[:] = 0
+    assert np.array_equal(ch.superop, want)
+    assert_cptp(ch, 1e-9)
+
+
+def test_constructors_leave_the_callers_arrays_writable(rng):
+    """Each constructor keeps its own read-only copy: the caller's arrays
+    stay writable, and writing to them does not move the channel."""
+    k = random_unitary(rng, 2)
+    s = np.eye(4, dtype=complex)
+    kraus_built, read_off = KrausChannel([k]), Channel(s)
+    want = kraus_built.superop.copy(), read_off.superop.copy()
+    assert k.flags.writeable and s.flags.writeable
+    k[:] = 0
+    s[:] = 0
+    assert np.array_equal(kraus_built.superop, want[0])
+    assert np.array_equal(read_off.superop, want[1])
+    for ch in (kraus_built, read_off):
+        with pytest.raises(ValueError):
+            ch.superop[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: Channel(np.eye(9)), id="9x9-superop"),
+    pytest.param(lambda: Channel(np.eye(4, 8)), id="4x8-superop"),
+    pytest.param(lambda: Channel(np.eye(4).ravel()), id="1-d-superop"),
+    pytest.param(lambda: Channel(np.eye(16).reshape(4, 4, 4, 4)), id="4-d-superop"),
+    pytest.param(lambda: KrausChannel([np.eye(3)]), id="3x3-kraus"),
+    pytest.param(lambda: KrausChannel([]), id="no-kraus"),
+    pytest.param(lambda: KrausChannel([np.eye(2), np.eye(4)]), id="ragged-kraus"),
+])
+def test_constructors_reject_non_qubit_shapes(make):
+    """A superoperator must be 2-D of shape (4^m, 4^k), so Kraus operators
+    must act between qubit registers."""
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_assert_cptp_rejects_maps_the_read_off_accepts():
@@ -108,8 +147,8 @@ def test_assert_cptp_rejects_maps_the_read_off_accepts():
     swap = np.eye(4)[[0, 2, 1, 3]]  # vec(ρ) -> vec(ρ^T)
     for superop in (swap, (1 - 5e-4) * np.eye(4)):
         with pytest.raises(AssertionError):
-            assert_cptp(KrausChannel._of_superop(superop), 1e-9)
-    assert_cptp(KrausChannel._of_superop(np.eye(4)), 1e-9)
+            assert_cptp(Channel(superop), 1e-9)
+    assert_cptp(Channel(np.eye(4)), 1e-9)
 
 
 def test_transfer_examples():

@@ -110,8 +110,8 @@ def test_ideal_reduced_channel_matches_circuit_unitary(make_model, g_dt, n):
     )
     d_o, d_s = 2 ** len(other), 2 ** len(sys_pos)
     t = t.reshape(d_o, d_s, d_o, d_s)[:, :, 0, :]
-    want = choi_of_channel(KrausChannel([t[k] for k in range(d_o)])).rho.mat
-    got = choi_of_channel(collision.evolve(model, n).reduced_channel).rho.mat
+    want = choi_of_channel(KrausChannel([t[k] for k in range(d_o)])).mat
+    got = choi_of_channel(collision.evolve(model, n).reduced_channel).mat
     assert np.abs(got - want).max() < 1e-10
 
 

@@ -5,9 +5,10 @@ replica-stack reconstruction, the batched bootstrap,
 the estimator's shot path on count tables against the ShotCounts pipeline, the
 superoperator contraction of ``_superop_at`` and ``unitary_of_circuit``, the
 column-blocked ``_contract_at`` against one ``tensordot``, the fused circuit
-application against one contraction per gate, the channel conversions
-(the batched circuit channel, the Choi matrix, the transfer matrix with its
-cached Pauli columns, and the native-gate superoperators),
+application against one contraction per gate, the one channel type (its
+read-only superoperator), the channel conversions (the batched circuit
+channel, the Choi matrix, the transfer matrix with its cached Pauli columns,
+and the native-gate superoperators),
 the stacked state fidelity, ``channel.apply``, and the qubit diagnostics
 that read the channel's affine Bloch map (the BLP objective and its norm
 kernel, the grid's record scan against the point-by-point scan, the
@@ -22,11 +23,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import assert_cptp, random_density, random_unitary
-from test_channel import random_channel
+from conftest import (
+    amplitude_damping_kraus,
+    assert_cptp,
+    depolarizing_kraus,
+    phase_damping_kraus,
+    random_density,
+    random_unitary,
+)
+from test_channel import random_channel, random_kraus
 from qcollide import circuit as circ
 from qcollide import collision, noisytomo, nonmarkov
 from qcollide.channel import (
+    Channel,
     KrausChannel,
     _contract_at,
     _pauli_columns,
@@ -529,7 +538,7 @@ def test_noisy_channel_of_circuit_matches_reference_loop(n, data, noisy, seed):
     c = random_circuit(rng, n, 6, native=noisy)
     keep = data.draw(st.permutations(c.register.labels))[: data.draw(st.integers(1, min(3, n)))]
     noise = NoiseConfig() if noisy else None
-    got = choi_of_channel(noisy_channel_of_circuit(c, noise, keep=keep)).rho.mat
+    got = choi_of_channel(noisy_channel_of_circuit(c, noise, keep=keep)).mat
     assert np.abs(got - reference_channel_choi(c, noise, keep)).max() <= TOL
 
 
@@ -668,35 +677,36 @@ def test_fused_orderings_match_per_gate_application(name, batch):
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 3), env=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
 def test_choi_of_channel_matches_kron_sandwich(n, env, seed):
-    ch = random_channel(np.random.default_rng(seed), n, env)
+    ops = random_kraus(np.random.default_rng(seed), n, env)
+    ch = KrausChannel(ops)
     d = ch.in_dim
     phi = np.eye(d).reshape(-1) / np.sqrt(d)  # Σ|jj> / √d
     want = sum(np.kron(k, np.eye(d)) @ np.outer(phi, phi) @ np.kron(k, np.eye(d)).conj().T
-               for k in ch.kraus_ops)
-    assert np.abs(choi_of_channel(ch).rho.mat - want).max() <= TOL
+               for k in ops)
+    assert np.abs(choi_of_channel(ch).mat - want).max() <= TOL
 
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 2), env=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
 def test_transfer_of_channel_matches_pauli_trace_loop(n, env, seed):
-    ch = random_channel(np.random.default_rng(seed), n, env)
+    ops = random_kraus(np.random.default_rng(seed), n, env)
+    ch = KrausChannel(ops)
     basis = [p for _, p in pauli_basis(n)]
-    want = np.array([[np.trace(pa.conj().T @ sum(k @ pb @ k.conj().T for k in ch.kraus_ops)).real
+    want = np.array([[np.trace(pa.conj().T @ sum(k @ pb @ k.conj().T for k in ops)).real
                       for pb in basis] for pa in basis])
     assert np.abs(transfer_of_channel(ch).M - want).max() <= TOL
 
 
 def dilated_channel_pair(rng, n, env):
-    """One random n-qubit channel twice: from the Kraus operators
-    <e|U|0>_env of a Haar unitary U on (env, system), and read off the images
-    of the circuit that runs U with the environment in |0> and traces it
-    out."""
+    """One random n-qubit channel twice: as the Kraus operators <e|U|0>_env
+    of a Haar unitary U on (env, system), and read off the images of the
+    circuit that runs U with the environment in |0> and traces it out."""
     d = 2**n
     u = random_unitary(rng, d * 2**env)
-    kraus = KrausChannel([u[e * d:(e + 1) * d, :d] for e in range(2**env)])
+    ops = [u[e * d:(e + 1) * d, :d] for e in range(2**env)]
     labels = tuple(f"e{i}" for i in range(env)) + tuple(f"s{i}" for i in range(n))
     c = Circuit(labels, [Gate("UNITARY", labels, matrix=u)])
-    return kraus, noisy_channel_of_circuit(c, None, keep=labels[env:])
+    return ops, noisy_channel_of_circuit(c, None, keep=labels[env:])
 
 
 @settings(max_examples=30, deadline=None)
@@ -708,17 +718,44 @@ def test_compose_and_read_off_channels_match_kraus_references(n, env, seed):
     read off images has the transfer matrix of the same channel built from
     Kraus operators."""
     rng = np.random.default_rng(seed)
-    a, a_read = dilated_channel_pair(rng, n, env)
-    b, b_read = dilated_channel_pair(rng, n, env)
+    a_ops, a_read = dilated_channel_pair(rng, n, env)
+    b_ops, b_read = dilated_channel_pair(rng, n, env)
+    a, b = KrausChannel(a_ops), KrausChannel(b_ops)
     d = 2**n
     assert np.abs(transfer_of_channel(a_read).M - transfer_of_channel(a).M).max() <= TOL
-    vecs = [(ka @ kb).reshape(-1) for ka in a.kraus_ops for kb in b.kraus_ops]
+    vecs = [(ka @ kb).reshape(-1) for ka in a_ops for kb in b_ops]
     want = sum(np.outer(v, v.conj()) for v in vecs) / d
     for x, y in itertools.product((a, a_read), (b, b_read)):
         ab = compose(x, y)
         s = ab.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
         assert np.abs(s / d - want).max() <= TOL
-        assert np.abs(choi_of_channel(ab).rho.mat - want).max() <= TOL
+        assert np.abs(choi_of_channel(ab).mat - want).max() <= TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3), env=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       p=st.floats(0.0, 1.0))
+def test_channel_is_only_its_read_only_superoperator(n, env, seed, p):
+    """One channel type, holding one representation: ``KrausChannel``
+    stores ``_superop`` of its Kraus set and ``Channel`` the superoperator it
+    is given, bit for bit, read-only, and neither keeps a Kraus set; the
+    named channels are ``_superop`` of their Kraus sets.  A channel read off
+    a circuit's images, or made by ``compose``, is a ``Channel`` too."""
+    rng = np.random.default_rng(seed)
+    ops = random_kraus(rng, n, env)
+    s = _superop(random_kraus(rng, n, env))
+    named = ((amplitude_damping_channel(p), amplitude_damping_kraus(p)),
+             (phase_damping_channel(p), phase_damping_kraus(p)),
+             (depolarizing_channel(p, n), depolarizing_kraus(p, n)))
+    kraus_built, given = KrausChannel(ops), Channel(s)
+    cases = [(kraus_built, _superop(ops)), (given, s)] + [(ch, _superop(k)) for ch, k in named]
+    for ch, want in cases:
+        assert type(ch) is Channel and not hasattr(ch, "kraus_ops")
+        assert np.array_equal(ch.superop, want)
+        assert not ch.superop.flags.writeable
+    _, read_off = dilated_channel_pair(rng, n, env)
+    for ch in (read_off, compose(kraus_built, given)):
+        assert type(ch) is Channel and not hasattr(ch, "kraus_ops")
 
 
 @settings(max_examples=5, deadline=None)
@@ -759,8 +796,8 @@ def reference_thermal_ops(noise, duration):
     t1, t2 = noise.t1_us * 1000.0, noise.t2_us * 1000.0
     gamma = 1.0 - np.exp(-duration / t1)
     lam = 1.0 - np.exp(-2.0 * duration * max(1.0 / t2 - 1.0 / (2.0 * t1), 0.0))
-    return [kp @ ka for kp in phase_damping_channel(lam).kraus_ops
-            for ka in amplitude_damping_channel(gamma).kraus_ops]
+    return [kp @ ka for kp in phase_damping_kraus(lam)
+            for ka in amplitude_damping_kraus(gamma)]
 
 
 def reference_native_ops(noise, kind, u):
@@ -768,7 +805,7 @@ def reference_native_ops(noise, kind, u):
     thermal operators of each qubit: the uncompressed Kraus set."""
     nq = int(np.log2(u.shape[0]))
     p = noise.depol_1q if nq == 1 else noise.depol_2q
-    ops = [k @ u for k in depolarizing_channel(p, nq).kraus_ops]
+    ops = [k @ u for k in depolarizing_kraus(p, nq)]
     thermal = reference_thermal_ops(noise, noise.duration(kind))
     if thermal:
         for pos in range(nq):
@@ -793,11 +830,11 @@ def test_native_superop_matches_uncompressed_product(t1, t2_ratio, depol_1q, dep
         assert np.abs(noise.native_superop[kind] - want).max() <= TOL
 
 
-def reference_apply(ch, rho):
+def reference_apply(ops, rho):
     """Σ K ρ K†, one Kraus operator at a time: ``channel.apply`` before it
     became one superoperator contraction on every qubit."""
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
-    for k in ch.kraus_ops:
+    out = np.zeros((len(ops[0]), len(ops[0])), dtype=complex)
+    for k in ops:
         out += k @ rho.mat @ k.conj().T
     return DensityMatrix(rho.register, out, validate=False)
 
@@ -806,42 +843,43 @@ def reference_apply(ch, rho):
 @given(n=st.integers(1, 3), env=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
 def test_apply_matches_kraus_sum(n, env, seed):
     rng = np.random.default_rng(seed)
-    ch = random_channel(rng, n, env)
+    ops = random_kraus(rng, n, env)
     rho = random_density(rng, n)
-    got = apply(ch, rho)
+    got = apply(KrausChannel(ops), rho)
     assert got.register == rho.register
-    assert np.abs(got.mat - reference_apply(ch, rho).mat).max() <= TOL
+    assert np.abs(got.mat - reference_apply(ops, rho).mat).max() <= TOL
 
 
-def reference_backflow(ch1, ch2, r):
+def reference_backflow(ops1, ops2, r):
     """The BLP objective before the closed form: the change in trace distance
     between the images of the antipodal states ±r, one state at a time."""
     a, b = bloch_to_state(r), bloch_to_state(-r)
-    return (trace_distance(reference_apply(ch2, a), reference_apply(ch2, b))
-            - trace_distance(reference_apply(ch1, a), reference_apply(ch1, b)))
+    return (trace_distance(reference_apply(ops2, a), reference_apply(ops2, b))
+            - trace_distance(reference_apply(ops1, a), reference_apply(ops1, b)))
 
 
 @settings(max_examples=30, deadline=None)
 @given(env1=st.integers(1, 2), env2=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
 def test_backflow_closed_form_matches_trace_distances(env1, env2, seed):
     rng = np.random.default_rng(seed)
-    ch1, ch2 = random_channel(rng, 1, env1), random_channel(rng, 1, env2)
-    a1 = transfer_of_channel(ch1).bloch_block()
-    a2 = transfer_of_channel(ch2).bloch_block()
+    ops1, ops2 = random_kraus(rng, 1, env1), random_kraus(rng, 1, env2)
+    a1 = transfer_of_channel(KrausChannel(ops1)).bloch_block()
+    a2 = transfer_of_channel(KrausChannel(ops2)).bloch_block()
     thetas, phis = rng.uniform(0, np.pi, 6), rng.uniform(0, 2 * np.pi, 6)
     got = nonmarkov._backflow(a1, a2, nonmarkov._direction(thetas, phis))
     for theta, phi, value in zip(thetas, phis, got):
         r = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
                       np.cos(theta)])
-        assert abs(value - reference_backflow(ch1, ch2, r)) <= TOL
+        assert abs(value - reference_backflow(ops1, ops2, r)) <= TOL
 
 
 @settings(max_examples=20, deadline=None)
 @given(env=st.integers(1, 2), mesh=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
 def test_bloch_image_samples_match_per_state_images(env, mesh, seed):
-    ch = random_channel(np.random.default_rng(seed), 1, env)
-    got = collision.bloch_image_samples(collision.EvolutionRecord(0, None, ch), mesh=mesh)
-    want = [state_to_bloch(reference_apply(ch, bloch_to_state(r)))
+    ops = random_kraus(np.random.default_rng(seed), 1, env)
+    got = collision.bloch_image_samples(collision.EvolutionRecord(0, None, KrausChannel(ops)),
+                                        mesh=mesh)
+    want = [state_to_bloch(reference_apply(ops, bloch_to_state(r)))
             for r in collision._fibonacci_sphere(mesh)]
     assert np.shape(got) == (mesh, 3)
     assert np.abs(np.asarray(got) - want).max() <= TOL
@@ -1052,7 +1090,7 @@ def test_blp_argmax_is_stable_under_channel_round_off():
     delta, (ra, _) = nonmarkov.blp_max_increase(*pair)
     rng = np.random.default_rng(7)
     for _ in range(20):
-        perturbed = [KrausChannel._of_superop(
+        perturbed = [Channel(
             ch.superop * (1 + 1e-15 * rng.normal(size=ch.superop.shape))) for ch in pair]
         d, (r, _) = nonmarkov.blp_max_increase(*perturbed)
         assert abs(d - delta) <= TOL
@@ -1125,8 +1163,8 @@ def test_evolve_series_matches_per_n_evolution(case, noise):
         joint, channel = reference_evolve(model, rec.n, noise)
         assert rec.joint_state.register == joint.register
         assert np.abs(rec.joint_state.mat - joint.mat).max() <= TOL
-        got = choi_of_channel(rec.reduced_channel).rho.mat
-        assert np.abs(got - choi_of_channel(channel).rho.mat).max() <= TOL
+        got = choi_of_channel(rec.reduced_channel).mat
+        assert np.abs(got - choi_of_channel(channel).mat).max() <= TOL
 
 
 @settings(max_examples=12, deadline=None)

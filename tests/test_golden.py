@@ -37,7 +37,7 @@ def _outputs(name: str, noisy: bool, n: int) -> dict:
     key = f"{name}_{'noisy' if noisy else 'ideal'}_{n}"
     return {
         f"{key}_joint": rec.joint_state.mat,
-        f"{key}_choi": choi_of_channel(rec.reduced_channel).rho.mat,
+        f"{key}_choi": choi_of_channel(rec.reduced_channel).mat,
     }
 
 

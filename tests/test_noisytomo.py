@@ -156,7 +156,7 @@ def test_noisy_channel_on_kept_qubits_matches_reference():
             ref += np.kron(out, np.kron(e_b, e_d))
     ref /= 4
     ch = noisy_channel_of_circuit(c, noise, keep=("b", "d"))
-    assert np.abs(choi_of_channel(ch).rho.mat - ref).max() < 1e-9
+    assert np.abs(choi_of_channel(ch).mat - ref).max() < 1e-9
     with pytest.raises(ValueError):
         noisy_channel_of_circuit(c, noise)  # at most 3 kept qubits
 
