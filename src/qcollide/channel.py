@@ -16,10 +16,9 @@ the superoperator, through two private helpers:
   ``DensityMatrix``.
 
 ``_superop_at`` is the one channel application: it applies a local
-superoperator on some qubits of a matrix or a stack of matrices, for
-``apply``, ``apply_extended`` and the circuit path of ``noisytomo``.
-``transfer_of_channel`` sandwiches the superoperator between the normalized
-Pauli vecs, a read-only matrix built once per qubit count
+superoperator, or a stack of them, on some qubits of a matrix or a stack of
+matrices.  ``_pauli_transfer`` sandwiches a superoperator, or a stack, between
+the normalized Pauli vecs, a read-only matrix built once per qubit count
 (``_pauli_columns``).
 """
 
@@ -28,8 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .qmat import (
@@ -99,16 +96,13 @@ def KrausChannel(ops) -> Channel:
     return Channel(_superop(ops))
 
 
-@dataclass(frozen=True, eq=False)
 class TransferMap:
-    """Real matrix acting on normalized-Pauli coordinates; first row (1,0,...,0)."""
-
-    M: np.ndarray = field(repr=False)
+    """Real matrix acting on normalized-Pauli coordinates; first row (1,0,...,0).
+    ``M`` is a read-only copy, as ``Channel.superop`` is."""
 
     def __init__(self, M) -> None:
-        M = np.asarray(M, dtype=float)
-        M.setflags(write=False)
-        object.__setattr__(self, "M", M)
+        self.M = np.array(M, dtype=float)
+        self.M.setflags(write=False)
 
     def bloch_block(self) -> np.ndarray:
         """The 3x3 rotation-scaling block (qubit channels only)."""
@@ -204,6 +198,8 @@ def _superop_at(superop: np.ndarray, mat: np.ndarray, positions, n: int) -> np.n
     qubit positions, MSB-first) to an n-qubit matrix.  ``mat`` may be any
     square matrix, not only a state (the circuit's channel read-off feeds it
     |i><j|), or a stack of them with leading batch axes (..., 2^n, 2^n).
+    ``superop`` may be a stack (..., 4^k, 4^k) too; its stack axes lead the
+    result's, each superoperator applied to every matrix.
 
     The 4^k × 4^k superoperator of k qubits is contracted once with the k
     row and k column axes of each matrix (``_contract_at``); the identity on
@@ -213,7 +209,7 @@ def _superop_at(superop: np.ndarray, mat: np.ndarray, positions, n: int) -> np.n
     b = len(batch)
     axes = [b + p for p in positions] + [b + n + p for p in positions]
     out = _contract_at(superop, mat.reshape(batch + (2,) * (2 * n)), axes)
-    return out.reshape(batch + (2**n, 2**n))
+    return out.reshape(out.shape[:out.ndim - 2 * n] + (2**n, 2**n))
 
 
 def _superop(ops) -> np.ndarray:
@@ -233,8 +229,9 @@ _BLAS_THREAD_MIN = 65_536
 
 
 def _contract_at(op: np.ndarray, tensor: np.ndarray, axes) -> np.ndarray:
-    """Apply the square operator ``op`` on len(axes) qubit axes of a tensor
-    with a length-2 axis per qubit; the axes keep their places.
+    """Apply the square operator ``op``, or each of a stack (..., D, D) of
+    them, on len(axes) qubit axes of a tensor with a length-2 axis per qubit;
+    the axes keep their places, after the stack axes.
 
     The contracted axes go first and the other axes become the columns of
     one ``matmul`` over column blocks.  Each product of a D×D operator stays
@@ -248,11 +245,11 @@ def _contract_at(op: np.ndarray, tensor: np.ndarray, axes) -> np.ndarray:
     operator too large for even one column runs as one product."""
     m = len(axes)
     d = 2**m
+    stack = op.shape[:-2]
     t = np.moveaxis(tensor, list(axes), list(range(m)))
     rest = t.shape[m:]
     cols = t.reshape(d, -1)
     n = cols.shape[1]
-    op = op.reshape(d, d)
     cap = (_BLAS_THREAD_MIN - 1) // (d * d)  # columns per product
     if n <= cap or not cap:
         out = op @ cols
@@ -261,11 +258,13 @@ def _contract_at(op: np.ndarray, tensor: np.ndarray, axes) -> np.ndarray:
         # columns fit too.
         c = 1 << (cap.bit_length() - 1)
         head = n - n % c - c
-        out = np.empty((d, n), np.result_type(op, cols))
-        np.matmul(op, cols[:, :head].reshape(d, -1, c).swapaxes(0, 1),
-                  out=out[:, :head].reshape(d, -1, c).swapaxes(0, 1))
-        np.matmul(op, cols[:, head:], out=out[:, head:])
-    return np.moveaxis(out.reshape((2,) * m + rest), list(range(m)), list(axes))
+        out = np.empty(stack + (d, n), np.result_type(op, cols))
+        np.matmul(op[..., None, :, :], cols[:, :head].reshape(d, -1, c).swapaxes(0, 1),
+                  out=out[..., :head].reshape(stack + (d, -1, c)).swapaxes(-3, -2))
+        np.matmul(op, cols[:, head:], out=out[..., head:])
+    s = len(stack)
+    return np.moveaxis(out.reshape(stack + (2,) * m + rest),
+                       list(range(s, s + m)), [s + a for a in axes])
 
 
 def embed_operator(op: np.ndarray, qubit_positions, n: int) -> np.ndarray:
@@ -284,8 +283,13 @@ def transfer_of_channel(ch: Channel) -> TransferMap:
     Pauli basis and S the superoperator ``ch.superop``."""
     if ch.in_dim != ch.out_dim:
         raise ValueError("square channel required")
-    vecs = _pauli_columns(ch.n_qubits)
-    return TransferMap((vecs.conj().T @ ch.superop @ vecs).real)
+    return TransferMap(_pauli_transfer(ch.superop))
+
+
+def _pauli_transfer(superop: np.ndarray) -> np.ndarray:
+    """vec(P_a)† S vec(P_b) for a square superoperator S, or each of a stack."""
+    vecs = _pauli_columns((superop.shape[-1].bit_length() - 1) // 2)
+    return (vecs.conj().T @ superop @ vecs).real
 
 
 def compose(a: Channel, b: Channel) -> Channel:

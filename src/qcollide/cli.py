@@ -35,11 +35,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="qcollide", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="run a collision-model experiment")
+def _simulate_args(sim) -> None:
     sim.add_argument("--model", choices=sorted(MODELS), default="single")
     sim.add_argument("--gdt", type=float, default=None,
                      help="collision strength g*dt in radians, single and two-qubit "
@@ -55,22 +51,39 @@ def _build_parser() -> _Parser:
                      help="apply readout-error mitigation to shot data")
     sim.add_argument("--out", required=True, help="output directory")
 
-    wit = sub.add_parser("witness", help="evaluate the quantum-memory witness")
+
+def _witness_args(wit) -> None:
     wit.add_argument("--csv", required=True, help="concurrence.csv from simulate")
     wit.add_argument("--t1", type=int, required=True)
     wit.add_argument("--t2", type=int, required=True)
     wit.add_argument("--out", default=None, help="optional report file")
 
-    nm = sub.add_parser("nonmarkov", help="non-Markovianity diagnostics")
+
+def _nonmarkov_args(nm) -> None:
     nm.add_argument("--gdt", type=float, default=np.pi / 4)
     nm.add_argument("--t1", type=int, default=2, help="collision count at t1")
     nm.add_argument("--t2", type=int, default=4, help="collision count at t2")
 
-    sub.add_parser("transpile-check", help="verify the native-gate sequences")
 
-    cc = sub.add_parser("continuum-check", help="verify the continuum limit")
+def _continuum_args(cc) -> None:
     cc.add_argument("--points", type=int, default=50)
     cc.add_argument("--tmax", type=float, default=1.4)
+
+
+def _build_parser(argv=()) -> _Parser:
+    """The parser with only the subparser that ``argv[0]`` names, or all of
+    them if it names none (no arguments, ``-h``, an unknown command).  The
+    usage line keeps all names, as an "unrecognized arguments" error prints
+    it; the metavar is set only then, as a missing or unknown command's
+    error would print it instead of "command"."""
+    p = _Parser(prog="qcollide", description=__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    if only:
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name, (help_text, add_args, _) in COMMANDS.items():
+        if only in (None, name):
+            add_args(sub.add_parser(name, help=help_text))
     return p
 
 
@@ -304,19 +317,21 @@ def _run_continuum_check(args) -> int:
     return 0 if ok else 2
 
 
+# name -> (help, argument builder, runner), in the order of the command list.
+COMMANDS = {
+    "simulate": ("run a collision-model experiment", _simulate_args, _run_simulate),
+    "witness": ("evaluate the quantum-memory witness", _witness_args, _run_witness),
+    "nonmarkov": ("non-Markovianity diagnostics", _nonmarkov_args, _run_nonmarkov),
+    "transpile-check": ("verify the native-gate sequences", lambda _: None, _run_transpile_check),
+    "continuum-check": ("verify the continuum limit", _continuum_args, _run_continuum_check),
+}
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _run_simulate(args)
-        if args.command == "witness":
-            return _run_witness(args)
-        if args.command == "nonmarkov":
-            return _run_nonmarkov(args)
-        if args.command == "transpile-check":
-            return _run_transpile_check(args)
-        if args.command == "continuum-check":
-            return _run_continuum_check(args)
+        return COMMANDS[args.command][2](args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -326,7 +341,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

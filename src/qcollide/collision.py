@@ -20,12 +20,12 @@ collision-model picture of Ciccarello et al., Phys. Rep. 954 (2022)), and
 ``evolve(model, n)`` is its record n.  Each distinct step runs through the
 circuit channel of ``noisytomo``, with ``noise=None`` for the ideal case, on
 one running object: the stack of all inputs |i><j| on the system, the
-environment in |0...0>.  Record n reads the reduced system
-channel Λ_n off the stack and applies it to the prepared system + ancilla
-state, ρ_SA(n) = (Λ_n ⊗ id_A)(ρ_SA(0)).  Noisy runs prepare that state with
-the transpiled preparation gates and transpile each distinct step once, on
-its system + environment qubits, decomposing payloads on three or more
-qubits first.
+environment in |0...0>.  Record n reads the reduced system channel Λ_n
+off the stack and applies it to the prepared system + ancilla state,
+ρ_SA(n) = (Λ_n ⊗ id_A)(ρ_SA(0)), all N+1 records at once.  Noisy runs
+prepare that state with the transpiled preparation gates and transpile each
+distinct step once, on its system + environment qubits, decomposing payloads
+on three or more qubits first.
 
 Tensor-order convention for the toy pair unitary: the matrix acts on (E, S)
 with the ENVIRONMENT as the first (most significant) factor.  This is the
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import circuit as circ
 from . import noisytomo
-from .channel import Channel, TransferMap, apply_extended, transfer_of_channel
+from .channel import Channel, TransferMap, _pauli_transfer, _superop_at
 from .qmat import DensityMatrix, QubitRegister, _projector, ket, partial_trace
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "continuum_transfer",
     "lindblad_rate",
     "bloch_image_samples",
+    "bloch_image_series",
 ]
 
 
@@ -224,10 +225,12 @@ def evolve_series(model: CollisionModel, n_max: int,
 
     The one running object is the stack of all inputs |i><j| on the system
     with the environment in |0...0>, to which each distinct step's fused
-    superoperator blocks are applied.  Record n reads the reduced channel Λ_n
-    off the stack and applies it to the prepared system + ancilla state: the
-    reduced ``model.initial_state`` for ``noise=None``, else the transpiled
-    prep gates run from |0...0>.  Noisy runs transpile each distinct step once.
+    superoperator blocks are applied; the N+1 stacks are kept.  One partial
+    trace reads every reduced channel Λ_n off them, and one contraction
+    applies them all to the prepared system + ancilla state (the reduced
+    ``model.initial_state`` for ``noise=None``, else the transpiled prep
+    gates run from |0...0>), each record bit for bit as if done alone.
+    Noisy runs transpile each distinct step once.
 
     This equals evolving the whole register and tracing out the environment
     because no step acts on an ancilla and the prep on no environment qubit
@@ -243,14 +246,15 @@ def evolve_series(model: CollisionModel, n_max: int,
         steps = [_native(c) for c in steps]
     blocks = [noisytomo._fused_superops(c, noise) for c in steps]
     pos, stack = noisytomo._channel_inputs(se, model.system_labels)
-    records = []
-    for n in range(n_max + 1):
-        if n:
-            stack = noisytomo._apply_blocks(blocks[min(n, len(steps)) - 1], se, stack)
-        channel = noisytomo._channel_of_images(stack, pos, se.n)
-        joint = apply_extended(channel, prepared, model.system_labels)
-        records.append(EvolutionRecord(n, joint, channel))
-    return records
+    images = np.empty((n_max + 1,) + stack.shape, complex)
+    images[0] = stack
+    for n in range(1, n_max + 1):
+        images[n] = noisytomo._apply_blocks(blocks[min(n, len(steps)) - 1], se, images[n - 1])
+    superops = noisytomo._superop_of_images(images, pos, se.n)
+    reg = prepared.register
+    joints = _superop_at(superops, prepared.mat, reg.indices(model.system_labels), reg.n)
+    return [EvolutionRecord(n, DensityMatrix(reg, joint, validate=False), Channel(superop))
+            for n, (joint, superop) in enumerate(zip(joints, superops))]
 
 
 def evolve(model: CollisionModel, n: int,
@@ -297,7 +301,17 @@ def _fibonacci_sphere(mesh: int) -> np.ndarray:
 
 def bloch_image_samples(record: EvolutionRecord, mesh: int = 100) -> np.ndarray:
     """Image of a uniform Bloch-sphere mesh under the reduced channel, one
-    Bloch vector per row: the affine map r ↦ t + A r read off the Pauli
-    transfer matrix (t its first column, A its 3x3 block; qubits only)."""
-    m = transfer_of_channel(record.reduced_channel)
-    return m.M[1:, 0] + _fibonacci_sphere(mesh) @ m.bloch_block().T
+    Bloch vector per row: ``bloch_image_series`` of the one record."""
+    return bloch_image_series([record], mesh)[0]
+
+
+def bloch_image_series(records, mesh: int = 100) -> np.ndarray:
+    """Images (len(records), mesh, 3) of one uniform Bloch-sphere mesh under
+    each record's reduced channel: the affine map r ↦ t + A r read off its
+    Pauli transfer matrix (t the first column, A the 3x3 block; qubits
+    only), all from one transfer product over the records."""
+    superops = np.stack([rec.reduced_channel.superop for rec in records])
+    if superops.shape[1:] != (4, 4):
+        raise ValueError("qubit transfer map required")
+    m = _pauli_transfer(superops)
+    return m[:, None, 1:, 0] + _fibonacci_sphere(mesh) @ m[:, 1:, 1:].swapaxes(1, 2)

@@ -24,7 +24,7 @@ superoperators, so it is exact.  ``_apply_blocks`` then applies the blocks
 with ``channel._superop_at`` to a matrix or a stack of matrices.  The circuit
 channel on kept qubits (``noisy_channel_of_circuit``) runs the circuit once
 on the stack of all inputs |i><j|; the traced-out images are its
-superoperator, held as a ``channel.Channel``.
+superoperator (``_superop_of_images``), held as a ``channel.Channel``.
 
 Tomography is linear, and both of its maps factor into one small map per
 measured qubit (``_FORWARD`` and ``_INVERSE``), applied by ``_apply_per_qubit``
@@ -303,7 +303,7 @@ def noisy_channel_of_circuit(c: circ.Circuit, noise: NoiseConfig | None,
     qubits may be kept; the channel orders them as the register does."""
     pos, inputs = _channel_inputs(c.register, keep)
     images = _apply_circuit_to_matrix(c, inputs, noise)
-    return _channel_of_images(images, pos, c.register.n)
+    return Channel(_superop_of_images(images, pos, c.register.n))
 
 
 def _channel_inputs(reg: QubitRegister, keep=None) -> tuple[list[int], np.ndarray]:
@@ -322,13 +322,14 @@ def _channel_inputs(reg: QubitRegister, keep=None) -> tuple[list[int], np.ndarra
     return pos, inputs
 
 
-def _channel_of_images(images: np.ndarray, pos, n: int) -> Channel:
-    """The channel read off the images of the ``_channel_inputs`` stack on an
-    n-qubit register, keeping the qubits at ``pos``, as its superoperator."""
+def _superop_of_images(images: np.ndarray, pos, n: int) -> np.ndarray:
+    """The C-contiguous superoperator read off the images of the
+    ``_channel_inputs`` stack on an n-qubit register, keeping the qubits at
+    ``pos``, or one for each of a stack (..., d², D, D) of such images."""
     d = 2 ** len(pos)
     out = partial_trace_mat(images, pos, n)
-    # out[i*d + j] is E(|i><j|), whose row-major vec is superoperator column i*d + j.
-    return Channel(out.reshape(d * d, d * d).T)
+    # out[..., i*d + j] is E(|i><j|), whose row-major vec is superoperator column i*d + j.
+    return np.ascontiguousarray(out.reshape(out.shape[:-3] + (d * d, d * d)).swapaxes(-1, -2))
 
 
 # --------------------------------------------------------------------------

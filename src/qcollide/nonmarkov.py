@@ -5,9 +5,10 @@ BLP and volume read the qubit channel's Bloch block A, the 3x3 block of its
 Pauli transfer matrix.  The BLP search runs over antipodal pure pairs ±r,
 which is optimal for qubit trace-distance criteria; their images lie at
 unnormalised trace distance 2‖A r‖.  The objective 2(‖A₂r‖ − ‖A₁r‖) is
-evaluated on a 2-degree (θ, φ) grid in one array operation, and the first
-point better by more than 1e-12 wins.  That rule only ever adopts a point
-above every earlier one, so ``_first_better`` applies it to the grid's strict
+evaluated on a 2-degree (θ, φ) grid, stored as the columns of one (3, 16,380)
+array, in one array operation (``_grid_backflow``), and the first point
+better by more than 1e-12 wins.  That rule only ever adopts a point above
+every earlier one, so ``_first_better`` applies it to the grid's strict
 running-maximum records alone, found by one ``np.fmax.accumulate`` (1 to 4 of
 the 16,380 points on the ideal single model's channel pairs, ~50 to ~340 on
 the noisy ones).  The grid point is then refined by Newton's method on the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channel, transfer_of_channel
+from .channel import Channel, _pauli_transfer
 from .entangle import quantifiers
 
 __all__ = [
@@ -61,16 +62,18 @@ def rhp_of_concurrence(ns, conc) -> tuple[tuple[tuple[int, float], ...], bool]:
     return series, increase
 
 
-def _direction(theta, phi) -> np.ndarray:
-    """Unit Bloch vectors (..., 3) at polar angle theta and azimuth phi."""
+def _direction(theta, phi, axis=-1) -> np.ndarray:
+    """Unit Bloch vectors at polar angle theta and azimuth phi, their
+    components along ``axis``."""
     st = np.sin(theta)
     return np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
-                                        np.cos(theta)), axis=-1)
+                                        np.cos(theta)), axis=axis)
 
 
 _THETAS = np.arange(0.0, np.pi + 1e-12, np.deg2rad(2.0))
 _PHIS = np.arange(0.0, 2 * np.pi, np.deg2rad(2.0))
-_GRID = _direction(_THETAS[:, None], _PHIS[None, :])
+# The grid's unit vectors, θ-major, as the columns of one (3, 16,380) array.
+_GRID = _direction(_THETAS[:, None], _PHIS[None, :], axis=0).reshape(3, -1)
 _GRID.flags.writeable = False
 
 
@@ -79,7 +82,7 @@ def _norm3(v: np.ndarray):
 
     ``np.linalg.norm(v, axis=-1)`` adds the three squares in this order, so
     this is the same number bit for bit, without the cost of a ufunc
-    reduction over a length-3 axis (about half of ``_backflow`` on the grid)."""
+    reduction over a length-3 axis."""
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     return np.sqrt(x * x + y * y + z * z)
 
@@ -90,16 +93,27 @@ def _backflow(a1: np.ndarray, a2: np.ndarray, r: np.ndarray):
     return 2 * (_norm3(r @ a2.T) - _norm3(r @ a1.T))
 
 
+def _grid_backflow(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """``_backflow`` at every grid point, in grid order, bit for bit; the
+    norms of each (3, 16,380) product A·``_GRID`` add its rows."""
+    return 2 * (_norm3((a2 @ _GRID).T) - _norm3((a1 @ _GRID).T))
+
+
+def _bloch_block(ch: Channel) -> np.ndarray:
+    """The 3x3 block A of a qubit channel's Pauli transfer matrix: a strided
+    view into the transfer product, not a copy, since the search's bits
+    depend on that layout."""
+    if ch.superop.shape != (4, 4):
+        raise ValueError("qubit channels required")
+    return _pauli_transfer(ch.superop)[1:, 1:]
+
+
 def blp_max_increase(ch1: Channel, ch2: Channel):
     """Maximum over antipodal pure pairs of d_tr(ch2(a), ch2(b)) - d_tr(ch1(a),
     ch1(b)); returns (delta, (bloch_a, bloch_b))."""
-    if ch1.in_dim != 2 or ch2.in_dim != 2:
-        raise ValueError("qubit channels required")
-    a1 = transfer_of_channel(ch1).bloch_block()
-    a2 = transfer_of_channel(ch2).bloch_block()
+    a1, a2 = _bloch_block(ch1), _bloch_block(ch2)
 
-    grid = _backflow(a1, a2, _GRID)
-    best_i, best_val = _first_better(grid.ravel())
+    best_i, best_val = _first_better(_grid_backflow(a1, a2))
     r = _direction(_THETAS[best_i // len(_PHIS)], _PHIS[best_i % len(_PHIS)])
     for start in (r, *_kernel_start(a1, a2)):
         cand, val = _newton_refine(a1, a2, start)
@@ -198,6 +212,6 @@ def bloch_volume(ch: Channel) -> float:
     image ellipsoid's semi-axes): the image volume as a fraction of the full
     Bloch-ball volume V0 = 4*pi/3.  Singular values below 1e-12 count as 0,
     so a rank-deficient block gives exactly 0 rather than round-off (qubit
-    channels only: ``bloch_block`` checks)."""
-    sv = np.linalg.svd(transfer_of_channel(ch).bloch_block(), compute_uv=False)
+    channels only)."""
+    sv = np.linalg.svd(_bloch_block(ch), compute_uv=False)
     return float(np.prod(np.where(sv < 1e-12, 0.0, sv)))

@@ -72,8 +72,7 @@ def simulate(model, n_max=None, noise=None, shots=0, seed=0, mitigate=False) -> 
     report = dict(exact=exact, conc=conc[:, 0], assist=assist[:, 0], conc_err=errs[0],
                   assist_err=errs[1], fidelity=fids, rhp_series=series, rhp_increase=increase)
     if len(model.system_labels) == 1:
-        report["bloch"] = np.stack([collision.bloch_image_samples(rec, mesh=60)
-                                    for rec in used_series])
+        report["bloch"] = collision.bloch_image_series(used_series, mesh=60)
     if len(model.system_labels) == 1 and n_max >= 4:
         t1 = min(range(n_max + 1), key=lambda i: conc[i, 0])
         t2 = max(range(t1, n_max + 1), key=lambda i: conc[i, 0])

@@ -7,6 +7,7 @@ from qcollide.channel import (
     KRAUS_COMPLETE_TOL,
     Channel,
     KrausChannel,
+    TransferMap,
     _superop,
     _superop_at,
     amplitude_damping_channel,
@@ -121,6 +122,19 @@ def test_constructors_leave_the_callers_arrays_writable(rng):
     for ch in (kraus_built, read_off):
         with pytest.raises(ValueError):
             ch.superop[0, 0] = 0.0
+
+
+def test_transfer_map_copies_the_callers_array():
+    """``TransferMap`` keeps its own read-only copy, as ``Channel`` does: the
+    caller's array stays writable and writing to it leaves the map as it was."""
+    m = np.eye(4)
+    tm = TransferMap(m)
+    assert m.flags.writeable
+    assert not np.shares_memory(tm.M, m)
+    m[:] = 0
+    assert np.array_equal(tm.M, np.eye(4))
+    with pytest.raises(ValueError):
+        tm.M[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("make", [

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcollide
-from qcollide import collision, entangle, pipeline
+from qcollide import cli, collision, entangle, pipeline
 from qcollide.cli import MODELS, main
 from qcollide.noisytomo import DEFAULT_DURATIONS_NS, NoiseConfig
 
@@ -175,6 +175,42 @@ def test_usage_errors(tmp_path):
     csv_path.write_text("n,C,C_sharp,C_err,C_sharp_err,fidelity_to_ideal\n"
                         "0,1.0,1.0,0.0,0.0,1.0\n")
     assert main(["witness", "--csv", str(csv_path), "--t1", "5", "--t2", "6"]) == 1
+
+
+def cli_output(argv, capsys):
+    """(stdout, stderr, exit code) of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return out.out, out.err, code
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], *([name, "-h"] for name in cli.COMMANDS), ["bogus"],
+    ["simulate"], ["simulate", "--model", "bad", "--out", "d"],
+    ["simulate", "--out", "d", "extra"], ["witness", "--t1", "x"],
+], ids=" ".join)
+def test_parser_output_matches_a_full_build(argv, capsys):
+    """A run builds only the subparser its first argument names, and its
+    help and usage errors are those of a parser with all five built: the
+    same stdout, stderr and exit code."""
+    full = cli._build_parser
+    got = cli_output(argv, capsys)
+    with mock.patch.object(cli, "_build_parser", lambda argv=(): full(())):
+        want = cli_output(argv, capsys)
+    assert got == want
+    assert got[2] in (0, 1)
+
+
+def test_a_run_builds_only_its_subparser():
+    for name in cli.COMMANDS:
+        (action,) = cli._build_parser([name, "-h"])._subparsers._group_actions
+        assert list(action.choices) == [name]
+    for argv in ([], ["-h"], ["bogus"]):
+        (action,) = cli._build_parser(argv)._subparsers._group_actions
+        assert list(action.choices) == list(cli.COMMANDS)
 
 
 def test_transpile_and_continuum_checks(capsys):

@@ -14,7 +14,8 @@ that read the channel's affine Bloch map (the BLP objective and its norm
 kernel, the grid's record scan against the point-by-point scan, the
 objective's derivatives and Newton refine against Nelder-Mead, and the
 Bloch-image mesh), and the one-pass collision series against the per-n
-evolution, with the CPTP property of every channel it yields."""
+evolution, with the CPTP property of every channel it yields and its
+stacked read-off against a per-record loop."""
 
 import itertools
 import tracemalloc
@@ -43,6 +44,7 @@ from qcollide.channel import (
     _superop_at,
     amplitude_damping_channel,
     apply,
+    apply_extended,
     choi_of_channel,
     compose,
     depolarizing_channel,
@@ -490,6 +492,26 @@ def test_contract_at_blocks_match_one_tensordot(case):
     axes = [len(batch) + a for a in axes]
     np.testing.assert_array_equal(_contract_at(op, tensor, axes),
                                   reference_contract_at(op, tensor, axes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(contraction_cases(), st.sampled_from([(1,), (3,), (2, 2)]))
+@example((6, (2, 4, 8, 10), (), 1), (3,))  # blocked: 16x16 on 256 columns
+@example((3, (0, 1, 2, 3, 4, 5), (3, 7), 6), (2,))  # blocked: 64x64 on 21
+def test_contract_at_operator_stack_matches_each_operator(case, stack):
+    """A stack of operators gives each operator's own contraction, bit for
+    bit, with the stack axes first, on the one-product and the blocked path."""
+    n, axes, batch, seed = case
+    rng = np.random.default_rng(seed)
+    d = 2 ** len(axes)
+    ops = rng.normal(size=stack + (d, d)) + 1j * rng.normal(size=stack + (d, d))
+    shape = batch + (2,) * (2 * n)
+    tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    axes = [len(batch) + a for a in axes]
+    got = _contract_at(ops, tensor, axes)
+    assert got.shape == stack + tensor.shape
+    for idx in np.ndindex(stack):
+        np.testing.assert_array_equal(got[idx], _contract_at(ops[idx], tensor, axes))
 
 
 def reference_channel_choi(c, noise, keep):
@@ -1061,6 +1083,32 @@ def test_backflow_norm_kernel_matches_linalg_norm_bit_for_bit(kind, seed):
         assert type(got) is type(want) and np.array_equal(got, want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["channel", "matrix", "ideal"]), seed=st.integers(0, 2**32 - 1))
+@example(kind="ideal", seed=0)
+def test_grid_backflow_norm_kernel_matches_linalg_norm_bit_for_bit(kind, seed):
+    """The grid search's kernel on the stored (3, 16,380) grid equals the
+    ``np.linalg.norm`` form on the (91, 180, 3) grid bit for bit, in grid
+    order, for the Bloch blocks the search reads off random qubit channels
+    and off the ideal single model's (n = 2, n = 4) pair, and for random
+    real 3x3 matrices scaled by 1e-6 to 1e2."""
+    rng = np.random.default_rng(seed)
+    if kind == "channel":
+        a1, a2 = (nonmarkov._bloch_block(random_channel(rng, 1, int(rng.integers(1, 3))))
+                  for _ in range(2))
+    elif kind == "matrix":
+        a1, a2 = rng.normal(size=(2, 3, 3)) * 10.0 ** rng.uniform(-6, 2, size=(2, 1, 1))
+    else:
+        a1, a2 = (nonmarkov._bloch_block(IDEAL_SINGLE[n].reduced_channel) for n in (2, 4))
+    step = np.deg2rad(2.0)
+    grid = nonmarkov._direction(np.arange(0.0, np.pi + 1e-12, step)[:, None],
+                                np.arange(0.0, 2 * np.pi, step)[None, :])
+    assert np.array_equal(nonmarkov._GRID, grid.reshape(-1, 3).T)
+    assert nonmarkov._GRID.flags.c_contiguous and not nonmarkov._GRID.flags.writeable
+    assert np.array_equal(nonmarkov._grid_backflow(a1, a2),
+                          reference_backflow_norms(a1, a2, grid).ravel())
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_backflow_derivatives_match_finite_differences(seed):
@@ -1178,3 +1226,61 @@ def test_evolve_series_channels_are_cptp(case, noise):
         ch = rec.reduced_channel
         assert not hasattr(ch, "kraus_ops")
         assert_cptp(ch, 1e-9)
+
+
+def reference_series_read_off(model, n_max, noise, mesh):
+    """(superoperator, joint state, Bloch images or None) of each record of
+    ``evolve_series``, each read off its own input stack and applied alone,
+    one record at a time: the channel by a partial trace of that stack, the
+    joint state by ``apply_extended``, and the Bloch images by that channel's
+    own transfer product."""
+    se = QubitRegister(model.system_labels + model.env_labels)
+    steps = [Circuit(se, gates) for gates in model.steps[:n_max]]
+    prepared = partial_trace(model.initial_state, model.ancilla_labels + model.system_labels)
+    if noise is not None:
+        prep = collision._native(Circuit(prepared.register, collision._prep_gates(model)))
+        prepared = noisytomo.apply_noisy_circuit(prep, None, noise)
+        steps = [collision._native(c) for c in steps]
+    blocks = [noisytomo._fused_superops(c, noise) for c in steps]
+    pos, stack = noisytomo._channel_inputs(se, model.system_labels)
+    d = 2 ** len(pos)
+    out = []
+    for n in range(n_max + 1):
+        if n:
+            stack = noisytomo._apply_blocks(blocks[min(n, len(steps)) - 1], se, stack)
+        channel = Channel(partial_trace_mat(stack, pos, se.n).reshape(d * d, d * d).T)
+        joint = apply_extended(channel, prepared, model.system_labels)
+        bloch = None
+        if d == 2:
+            vecs = _pauli_columns(1)
+            m = (vecs.conj().T @ channel.superop @ vecs).real
+            bloch = m[1:, 0] + collision._fibonacci_sphere(mesh) @ m[1:, 1:].T
+        out.append((channel.superop, joint.mat, bloch))
+    return out
+
+
+@settings(max_examples=16, deadline=None)
+@given(case=model_series(max_collisions=6), noise=st.one_of(st.none(), device_noise()),
+       mesh=st.integers(1, 60))
+@example(case=(collision.single_qubit_model(), 10), noise=None, mesh=60)
+@example(case=(collision.single_qubit_model(), 4), noise=NoiseConfig(), mesh=60)
+@example(case=(collision.toy_model(), 2), noise=NoiseConfig(), mesh=60)
+@example(case=(collision.two_qubit_model(), 10), noise=None, mesh=60)
+def test_stacked_read_off_matches_per_record_loop_bit_for_bit(case, noise, mesh):
+    """``evolve_series`` reads every record off the kept input stacks in one
+    partial trace and one contraction, and ``bloch_image_series`` takes one
+    transfer product over the records: each superoperator, joint state and
+    Bloch image is the per-record loop's, bit for bit."""
+    model, n_max = case
+    records = collision.evolve_series(model, n_max, noise)
+    want = reference_series_read_off(model, n_max, noise, mesh)
+    assert len(records) == len(want)
+    for rec, (superop, joint, _) in zip(records, want):
+        assert np.array_equal(rec.reduced_channel.superop, superop)
+        assert np.array_equal(rec.joint_state.mat, joint)
+    if len(model.system_labels) == 1:
+        images = collision.bloch_image_series(records, mesh)
+        assert images.shape == (n_max + 1, mesh, 3)
+        for rec, got, (_, _, bloch) in zip(records, images, want):
+            assert np.array_equal(got, bloch)
+            assert np.array_equal(collision.bloch_image_samples(rec, mesh), bloch)
