@@ -19,7 +19,9 @@ the superoperator, through two private helpers:
 superoperator, or a stack of them, on some qubits of a matrix or a stack of
 matrices.  ``_pauli_transfer`` sandwiches a superoperator, or a stack, between
 the normalized Pauli vecs, a read-only matrix built once per qubit count
-(``_pauli_columns``).
+(``_pauli_columns``).  The Pauli transfer matrix has no type of its own:
+``transfer_of_channel`` returns that product, marked read-only, as a plain
+array.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .qmat import (
 __all__ = [
     "Channel",
     "KrausChannel",
-    "TransferMap",
     "choi_of_channel",
     "transfer_of_channel",
     "compose",
@@ -94,21 +95,6 @@ def KrausChannel(ops) -> Channel:
     if np.abs(s - np.eye(ops.shape[2])).max() > KRAUS_COMPLETE_TOL:
         raise ValueError("Kraus completeness violated")
     return Channel(_superop(ops))
-
-
-class TransferMap:
-    """Real matrix acting on normalized-Pauli coordinates; first row (1,0,...,0).
-    ``M`` is a read-only copy, as ``Channel.superop`` is."""
-
-    def __init__(self, M) -> None:
-        self.M = np.array(M, dtype=float)
-        self.M.setflags(write=False)
-
-    def bloch_block(self) -> np.ndarray:
-        """The 3x3 rotation-scaling block (qubit channels only)."""
-        if self.M.shape != (4, 4):
-            raise ValueError("qubit transfer map required")
-        return self.M[1:, 1:]
 
 
 def pauli_basis(n: int):
@@ -278,12 +264,17 @@ def embed_operator(op: np.ndarray, qubit_positions, n: int) -> np.ndarray:
     return t.transpose(order).reshape(2**n, 2**n)
 
 
-def transfer_of_channel(ch: Channel) -> TransferMap:
-    """M_ab = tr(P_a E[P_b]) = vec(P_a)† S vec(P_b) with P the normalized
-    Pauli basis and S the superoperator ``ch.superop``."""
+def transfer_of_channel(ch: Channel) -> np.ndarray:
+    """The Pauli transfer matrix M_ab = tr(P_a E[P_b]) = vec(P_a)† S vec(P_b)
+    with P the normalized Pauli basis and S the superoperator ``ch.superop``:
+    the real part of that product, a read-only view of it, not a copy.  Its
+    first row is (1, 0, …, 0); for a qubit channel ``[1:, 1:]`` is the 3x3
+    Bloch block."""
     if ch.in_dim != ch.out_dim:
         raise ValueError("square channel required")
-    return TransferMap(_pauli_transfer(ch.superop))
+    m = _pauli_transfer(ch.superop)
+    m.setflags(write=False)
+    return m
 
 
 def _pauli_transfer(superop: np.ndarray) -> np.ndarray:

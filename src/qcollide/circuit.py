@@ -19,12 +19,14 @@ Shende-Markov-Bullock (0/1/2/3-CNOT cases decided by the invariants of
 gamma(U) = (E†UE)(E†UE)^T, compared by ``_close``, the scalar form of
 ``np.isclose``), with each CNOT realized by one ECR plus local corrections:
 a constant native sequence, derived once per process on the placeholder
-wires and relabelled per CNOT.  The checks read the lowered gates'
-unitary off ``unitary_of_circuit``; it feeds only the checks and the output
-phase, so a change to its rounding can move ``global_phase`` by round-off
-but never a native gate.  Where the class test misfires (near a class
-boundary, such as close to the identity) and the gates miss the unitary, it
-is split as (U G†) G with a fixed generic G and each factor is synthesised.
+wires and relabelled per CNOT.  One ``unitary_of_circuit`` of a two-qubit
+unitary's native gates verifies them and gives ``transpile`` their phase
+(``_two_qubit_lowering``); it feeds only the checks and the output phase, so
+a change to its rounding can move ``global_phase`` by round-off but never a
+native gate.  Where the class test misfires (near a class boundary, such as
+close to the identity) and the gates miss the unitary, it is split as
+(U G†) G with a fixed generic G, and both factors' native gates are verified
+the same way, together.
 Unitaries on three or more qubits are pre-decomposed with
 ``decompose_multiqubit`` (cosine-sine decomposition plus multiplexor
 demultiplexing), which emits CNOTs, single-qubit gates and two-qubit unitary
@@ -528,16 +530,6 @@ def _kak(U: np.ndarray, wires: tuple[str, str]) -> list[Gate]:
     return [_g(C, w0), _g(D, w1)] + interior + [_g(A, w1), _g(B, w0)]
 
 
-def _checked_kak(u: np.ndarray, wires: tuple[str, str]) -> list[Gate] | None:
-    """The KAK gates of u if they reproduce it within 1e-9 up to phase."""
-    try:
-        gates = _kak(u, wires)
-    except ValueError:
-        return None
-    got = unitary_of_circuit(Circuit(wires, gates))
-    return gates if equivalent_up_to_global_phase(u, got, tol=1e-9)[0] else None
-
-
 def _generic_two_qubit() -> np.ndarray:
     """exp(i(0.41 XX + 0.27 YY + 0.13 ZZ)) after RY(0.7) ⊗ RX(0.4): a fixed
     two-qubit unitary far from every boundary between CNOT-count classes."""
@@ -551,20 +543,24 @@ def _generic_two_qubit() -> np.ndarray:
 _GENERIC_2Q = _generic_two_qubit()
 
 
-def _two_qubit_gates(u: np.ndarray, wires: tuple[str, str]) -> list[Gate]:
-    """The KAK gates of a two-qubit unitary.  Near a boundary between
-    CNOT-count classes (close to the identity, say) the class test of
-    ``_kak`` misfires and its gates miss u or fail to build; then
-    u = (u G†) G with the fixed generic G, and both factors have
-    well-conditioned KAKs."""
-    gates = _checked_kak(u, wires)
-    if gates is None:
-        first = _checked_kak(_GENERIC_2Q, wires)
-        second = _checked_kak(u @ _GENERIC_2Q.conj().T, wires)
-        if first is None or second is None:
-            raise AssertionError("two-qubit synthesis failed to verify")
-        gates = first + second
-    return gates
+def _two_qubit_lowering(u: np.ndarray, wires: tuple[str, str]):
+    """(native gates, their unitary) for a two-qubit unitary u, the gates
+    checked to reproduce u within 1e-9 up to phase by that one unitary.
+    The KAK route comes first.  Near a boundary between CNOT-count classes
+    (close to the identity, say) the class test of ``_kak`` misfires and its
+    gates miss u or fail to build; then u = (u G†) G with the fixed generic
+    G, whose two factors have well-conditioned KAKs, and the native gates of
+    both are checked against u together."""
+    for factors in ((u,), (_GENERIC_2Q, u @ _GENERIC_2Q.conj().T)):
+        try:
+            kak = [sub for f in factors for sub in _kak(f, wires)]
+        except ValueError:
+            continue
+        gates = [n for sub in kak for n in _lower(sub)]
+        got = unitary_of_circuit(Circuit(wires, gates))
+        if equivalent_up_to_global_phase(u, got, tol=1e-9)[0]:
+            return gates, got
+    raise AssertionError("two-qubit synthesis failed to verify")
 
 
 # --------------------------------------------------------------------------
@@ -623,28 +619,33 @@ def _relabel(gates, wires) -> list[Gate]:
 def _checked_lowering(g: Gate):
     """(native gates on ``_PLACEHOLDERS``, phase, deviation) for one source
     gate: its lowering u_native with g.unitary() = e^{i phase} u_native up to
-    an operator-norm deviation ``deviation``."""
+    an operator-norm deviation ``deviation``.  A two-qubit payload's u_native
+    is the unitary ``_two_qubit_lowering`` verified it with, not built again."""
     if len(g.qubits) > len(_PLACEHOLDERS):
         raise ValueError("UNITARY payloads on more than 2 qubits must be pre-decomposed "
                          "with decompose_multiqubit")
     local = replace(g, qubits=_PLACEHOLDERS[:len(g.qubits)])
     if g.kind in NATIVE_KINDS:
         return [local], 0.0, 0.0
-    gates = _lower(local)
+    if g.kind == "UNITARY" and len(g.qubits) == 2:
+        gates, got = _two_qubit_lowering(g.matrix, local.qubits)
+    else:
+        gates = _lower(local)
+        got = unitary_of_circuit(Circuit(local.qubits, gates))
     target = g.unitary()
-    got = unitary_of_circuit(Circuit(local.qubits, gates))
     _, phase = equivalent_up_to_global_phase(target, got)
     return gates, phase, float(np.linalg.norm(target - np.exp(1j * phase) * got, 2))
 
 
 def _lower(g: Gate) -> list[Gate]:
+    """The native gates of g; a two-qubit payload's come verified."""
     if g.kind in NATIVE_KINDS:
         return [g]
     if g.kind == "CNOT":
         return _cnot_native(*g.qubits)
     if len(g.qubits) == 1:  # H or a one-qubit UNITARY
         return _euler_native(g.unitary(), g.qubits[0])
-    return [n for sub in _two_qubit_gates(g.matrix, g.qubits) for n in _lower(sub)]
+    return _two_qubit_lowering(g.matrix, g.qubits)[0]
 
 
 def _merge_rz(gates: list[Gate]):

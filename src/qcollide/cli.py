@@ -306,8 +306,8 @@ def _run_continuum_check(args) -> int:
         model = collision.single_qubit_model(g_dt=t / n)
         rec = collision.evolve(model, n)
         dev = np.abs(
-            channel.transfer_of_channel(rec.reduced_channel).M
-            - collision.continuum_transfer(t).M
+            channel.transfer_of_channel(rec.reduced_channel)
+            - collision.continuum_transfer(t)
         ).max()
         worst_transfer = max(worst_transfer, float(dev))
     print(f"max |rate(t) - tan(t)| over grid: {worst_rate:.3e}")

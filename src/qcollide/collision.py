@@ -42,7 +42,7 @@ import numpy as np
 
 from . import circuit as circ
 from . import noisytomo
-from .channel import Channel, TransferMap, _pauli_transfer, _superop_at
+from .channel import Channel, _pauli_transfer, _superop_at
 from .qmat import DensityMatrix, QubitRegister, _projector, ket, partial_trace
 
 __all__ = [
@@ -265,11 +265,12 @@ def evolve(model: CollisionModel, n: int,
     return evolve_series(model, n, noise)[n]
 
 
-def continuum_transfer(t: float) -> TransferMap:
+def continuum_transfer(t: float) -> np.ndarray:
+    """The continuum-limit Pauli transfer matrix at time t, read-only."""
     c, s = np.cos(t), np.sin(t)
-    return TransferMap(
-        [[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [s * s, 0, 0, c * c]]
-    )
+    m = np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [s * s, 0, 0, c * c]], dtype=float)
+    m.setflags(write=False)
+    return m
 
 
 def lindblad_rate(t: float, h: float = 1e-6) -> float:
@@ -280,10 +281,10 @@ def lindblad_rate(t: float, h: float = 1e-6) -> float:
     (G_z0 = 2 gamma, G_zz = -2 gamma); it equals tan(t)."""
     if abs(np.cos(t)) <= 1e-6:
         raise ValueError("t too close to a singularity of the generator")
-    e_plus = continuum_transfer(t + h).M
-    e_minus = continuum_transfer(t - h).M
+    e_plus = continuum_transfer(t + h)
+    e_minus = continuum_transfer(t - h)
     deriv = (e_plus - e_minus) / (2 * h)
-    g = deriv @ np.linalg.inv(continuum_transfer(t).M)
+    g = deriv @ np.linalg.inv(continuum_transfer(t))
     gamma = -g[1, 1]
     if abs(g[3, 0] - 2 * gamma) > 1e-4 or abs(g[3, 3] + 2 * gamma) > 1e-4:
         raise ValueError("generator does not match the amplitude-damping form")

@@ -117,7 +117,8 @@ DEFAULT_READOUT = {"default": (0.01, 0.01)}
 class NoiseConfig:
     """Per-gate error parameters, relaxation times, and readout flips.  The
     given durations and readout flips are merged over ``DEFAULT_DURATIONS_NS``
-    and ``DEFAULT_READOUT``: a key not given keeps its default."""
+    and ``DEFAULT_READOUT``: a key not given keeps its default.  RZ is
+    virtual, so its duration must stay 0: nothing would read another value."""
 
     t1_us: float = 280.0
     t2_us: float = 180.0
@@ -143,6 +144,9 @@ class NoiseConfig:
                 raise ValueError(f"unknown gate duration kind {kind!r}")
             if not (np.isfinite(d) and d >= 0):
                 raise ValueError("durations must be finite and nonnegative")
+        if self.gate_duration_ns["RZ"] != 0:
+            raise ValueError("duration.RZ must be 0: RZ is virtual, a noiseless frame change "
+                             "that takes no time")
 
     def readout_probs(self, label: str) -> tuple[float, float]:
         return tuple(self.readout.get(label, self.readout["default"]))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channel, _pauli_transfer
+from .channel import Channel, transfer_of_channel
 from .entangle import quantifiers
 
 __all__ = [
@@ -100,12 +100,12 @@ def _grid_backflow(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
 
 
 def _bloch_block(ch: Channel) -> np.ndarray:
-    """The 3x3 block A of a qubit channel's Pauli transfer matrix: a strided
-    view into the transfer product, not a copy, since the search's bits
-    depend on that layout."""
+    """The 3x3 block A of a qubit channel's Pauli transfer matrix,
+    ``transfer_of_channel(ch)[1:, 1:]``: a strided view into the transfer
+    product, not a copy, since the search's bits depend on that layout."""
     if ch.superop.shape != (4, 4):
         raise ValueError("qubit channels required")
-    return _pauli_transfer(ch.superop)[1:, 1:]
+    return transfer_of_channel(ch)[1:, 1:]
 
 
 def blp_max_increase(ch1: Channel, ch2: Channel):

@@ -66,8 +66,8 @@ def test_criterion_2_continuum_limit():
     g_dt = 0.17
     for n in range(1, 9):
         rec = collision.evolve(collision.single_qubit_model(g_dt), n)
-        m = transfer_of_channel(rec.reduced_channel).M
-        assert np.abs(m - collision.continuum_transfer(n * g_dt).M).max() < 1e-10
+        m = transfer_of_channel(rec.reduced_channel)
+        assert np.abs(m - collision.continuum_transfer(n * g_dt)).max() < 1e-10
     grid = np.linspace(1e-3, 1.4, 50)
     for t in grid:
         assert abs(collision.lindblad_rate(t) - np.tan(t)) < 1e-4

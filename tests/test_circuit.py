@@ -470,6 +470,57 @@ def test_toy_transpile_is_local_and_lowers_each_payload_once():
     assert kak.call_count == 2
 
 
+@pytest.mark.parametrize("payload, routes", [
+    pytest.param(collision.toy_unitary(), 1, id="toy-kak"),
+    pytest.param(collision_unitary(np.pi / 4), 1, id="exchange-pi/4-kak"),
+    pytest.param(collision_unitary(1e-6), 2, id="exchange-1e-6-split"),
+])
+def test_two_qubit_lowering_is_checked_once(payload, routes):
+    """A distinct two-qubit payload, here on two wire pairs, builds one
+    two-qubit unitary per route it tries: the native gates' unitary, which
+    both verifies the lowering and gives its phase.  The KAK route takes one
+    build; the exchange unitary at 1e-6, whose KAK misses it, takes a second
+    for the (U G†) G split."""
+    c = Circuit(("a", "b", "c"), [Gate("UNITARY", ("a", "b"), matrix=payload),
+                                  Gate("UNITARY", ("c", "b"), matrix=payload)])
+    widths = []
+    build = circ.unitary_of_circuit
+
+    def spy(c):
+        widths.append(c.register.n)
+        return build(c)
+
+    with mock.patch.object(circ, "unitary_of_circuit", spy):
+        t = transpile(c)
+    assert widths == [2] * routes
+    assert np.abs(unitary_of_circuit(t) - unitary_of_circuit(c)).max() < 1e-8
+
+
+# float.hex of the global phase of the transpiled prep and steps of the four
+# models, frozen from the transpiler that built every lowering's unitary twice
+# (same platform as NATIVE_GATES_SHA256 below).
+GLOBAL_PHASES = {
+    "single_qubit_model": ("-0x1.2d97c7f3321d2p+1", "0x1.0000000000000p-51"),
+    "two_qubit_model": ("-0x1.2d97c7f3321d2p+1", "0x1.921fb54442d40p-1"),
+    "swap_model": ("0x1.921fb54442d18p+0", "-0x1.921fb54442d16p+0", "-0x1.921fb54442d16p+0"),
+    "toy_model": ("0x1.921fb54442d18p+0", "-0x1.921fb54442d18p+1", "-0x1.921fb54442d18p+1"),
+}
+
+
+def test_transpiled_models_keep_their_global_phase_bit_for_bit():
+    """The phase is read off the same native unitary that checks the
+    lowering, so it keeps its bits: the prep and every step of the four
+    models, the two-qubit steps through ``decompose_multiqubit``."""
+    for name, want in GLOBAL_PHASES.items():
+        model = getattr(collision, name)()
+        se = QubitRegister(model.system_labels + model.env_labels)
+        prep = Circuit(QubitRegister(model.ancilla_labels + model.system_labels),
+                       collision._prep_gates(model))
+        got = [float(collision._native(c).global_phase).hex()
+               for c in [prep] + [Circuit(se, gates) for gates in model.steps]]
+        assert tuple(got) == want, name
+
+
 # SHA-256 of every (kind, qubits, θ.hex()) of the transpiled prep and steps of
 # the four models, frozen from the transpiler before its per-gate fast paths
 # (NumPy 2.4.6, SciPy 1.17.1, OpenBLAS 0.3.31 on x86-64; the KAK and the QSD

@@ -331,6 +331,26 @@ def test_bad_relaxation_time_or_duration_is_input_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_nonzero_rz_duration_is_input_error(tmp_path, capsys):
+    """RZ is virtual and nothing reads its duration, so a nonzero
+    ``duration.RZ`` is rejected (by the constructor, by ``from_text`` and by
+    ``simulate --noise``, exit 1) rather than run as 0; ``duration.RZ = 0.0``,
+    which every manifest records, still reads back."""
+    with pytest.raises(ValueError, match="RZ is virtual"):
+        NoiseConfig(gate_duration_ns={"RZ": 35.0})
+    with pytest.raises(ValueError, match="RZ is virtual"):
+        NoiseConfig.from_text("duration.RZ = 35\n")
+    cfg = NoiseConfig.from_text("duration.RZ = 0.0\n")
+    assert cfg == NoiseConfig() and NoiseConfig.from_text(cfg.to_text()) == cfg
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text("duration.RZ = 35\n")
+    out = tmp_path / "x"
+    assert main(["simulate", "--model", "single", "--collisions", "1", "--noise",
+                 str(noise_file), "--shots", "64", "--out", str(out)]) == 1
+    assert "duration.RZ must be 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_collisions_beyond_model_limit_is_input_error(tmp_path):
     assert main(["simulate", "--model", "toy", "--collisions", "3",
                  "--out", str(tmp_path / "toy")]) == 1

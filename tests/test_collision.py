@@ -134,17 +134,17 @@ def test_single_environment_consistency():
     t = 1.1
     ref = transfer_of_channel(
         collision.evolve(collision.single_qubit_model(t), 1).reduced_channel
-    ).M
+    )
     for n in (2, 3, 5):
         m = transfer_of_channel(
             collision.evolve(collision.single_qubit_model(t / n), n).reduced_channel
-        ).M
+        )
         assert np.abs(m - ref).max() < 1e-10
 
 
 def test_continuum_transfer_examples():
-    assert np.allclose(collision.continuum_transfer(0.0).M, np.eye(4))
-    m = collision.continuum_transfer(np.pi / 2).M
+    assert np.allclose(collision.continuum_transfer(0.0), np.eye(4))
+    m = collision.continuum_transfer(np.pi / 2)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     expected[3, 0] = 1.0
@@ -152,7 +152,7 @@ def test_continuum_transfer_examples():
     for n, t in [(1, 0.4), (3, 0.9), (8, 1.3)]:
         rec = collision.evolve(collision.single_qubit_model(t / n), n)
         assert np.abs(
-            transfer_of_channel(rec.reduced_channel).M - collision.continuum_transfer(t).M
+            transfer_of_channel(rec.reduced_channel) - collision.continuum_transfer(t)
         ).max() < 1e-10
 
 

@@ -716,7 +716,7 @@ def test_transfer_of_channel_matches_pauli_trace_loop(n, env, seed):
     basis = [p for _, p in pauli_basis(n)]
     want = np.array([[np.trace(pa.conj().T @ sum(k @ pb @ k.conj().T for k in ops)).real
                       for pb in basis] for pa in basis])
-    assert np.abs(transfer_of_channel(ch).M - want).max() <= TOL
+    assert np.abs(transfer_of_channel(ch) - want).max() <= TOL
 
 
 def dilated_channel_pair(rng, n, env):
@@ -744,7 +744,7 @@ def test_compose_and_read_off_channels_match_kraus_references(n, env, seed):
     b_ops, b_read = dilated_channel_pair(rng, n, env)
     a, b = KrausChannel(a_ops), KrausChannel(b_ops)
     d = 2**n
-    assert np.abs(transfer_of_channel(a_read).M - transfer_of_channel(a).M).max() <= TOL
+    assert np.abs(transfer_of_channel(a_read) - transfer_of_channel(a)).max() <= TOL
     vecs = [(ka @ kb).reshape(-1) for ka in a_ops for kb in b_ops]
     want = sum(np.outer(v, v.conj()) for v in vecs) / d
     for x, y in itertools.product((a, a_read), (b, b_read)):
@@ -885,8 +885,8 @@ def reference_backflow(ops1, ops2, r):
 def test_backflow_closed_form_matches_trace_distances(env1, env2, seed):
     rng = np.random.default_rng(seed)
     ops1, ops2 = random_kraus(rng, 1, env1), random_kraus(rng, 1, env2)
-    a1 = transfer_of_channel(KrausChannel(ops1)).bloch_block()
-    a2 = transfer_of_channel(KrausChannel(ops2)).bloch_block()
+    a1 = transfer_of_channel(KrausChannel(ops1))[1:, 1:]
+    a2 = transfer_of_channel(KrausChannel(ops2))[1:, 1:]
     thetas, phis = rng.uniform(0, np.pi, 6), rng.uniform(0, 2 * np.pi, 6)
     got = nonmarkov._backflow(a1, a2, nonmarkov._direction(thetas, phis))
     for theta, phi, value in zip(thetas, phis, got):
@@ -936,8 +936,8 @@ def reference_blp_search(ch1, ch2):
     Nelder-Mead from the grid point at tight tolerances."""
     from scipy.optimize import minimize
 
-    a1 = transfer_of_channel(ch1).bloch_block()
-    a2 = transfer_of_channel(ch2).bloch_block()
+    a1 = np.ascontiguousarray(transfer_of_channel(ch1)[1:, 1:])
+    a2 = np.ascontiguousarray(transfer_of_channel(ch2)[1:, 1:])
     step = np.deg2rad(2.0)
     thetas = np.arange(0.0, np.pi + 1e-12, step)
     phis = np.arange(0.0, 2 * np.pi, step)
@@ -1043,7 +1043,8 @@ def test_record_scan_matches_sequential_scan_on_blp_grids():
                              np.arange(0.0, 2 * np.pi, step)[None, :])
     noisy = collision.evolve_series(collision.single_qubit_model(), 4, NoiseConfig())
     for series in (IDEAL_SINGLE, noisy):
-        a1, a2 = (transfer_of_channel(series[n].reduced_channel).bloch_block() for n in (2, 4))
+        a1, a2 = (np.ascontiguousarray(transfer_of_channel(series[n].reduced_channel)[1:, 1:])
+                  for n in (2, 4))
         flat = nonmarkov._backflow(a1, a2, r).ravel()
         assert nonmarkov._first_better(flat) == reference_first_better(flat)
 
@@ -1065,13 +1066,14 @@ def test_backflow_norm_kernel_matches_linalg_norm_bit_for_bit(kind, seed):
     1e2, and of the ideal single model's (n = 2, n = 4) pair."""
     rng = np.random.default_rng(seed)
     if kind == "channel":
-        a1, a2 = (transfer_of_channel(random_channel(rng, 1, int(rng.integers(1, 3))))
-                  .bloch_block() for _ in range(2))
+        a1, a2 = (np.ascontiguousarray(
+            transfer_of_channel(random_channel(rng, 1, int(rng.integers(1, 3))))[1:, 1:])
+            for _ in range(2))
     elif kind == "matrix":
         a1, a2 = rng.normal(size=(2, 3, 3)) * 10.0 ** rng.uniform(-6, 2, size=(2, 1, 1))
     else:
-        a1, a2 = (transfer_of_channel(IDEAL_SINGLE[n].reduced_channel).bloch_block()
-                  for n in (2, 4))
+        a1, a2 = (np.ascontiguousarray(
+            transfer_of_channel(IDEAL_SINGLE[n].reduced_channel)[1:, 1:]) for n in (2, 4))
     step = np.deg2rad(2.0)
     grid = nonmarkov._direction(np.arange(0.0, np.pi + 1e-12, step)[:, None],
                                 np.arange(0.0, 2 * np.pi, step)[None, :])
@@ -1109,6 +1111,20 @@ def test_grid_backflow_norm_kernel_matches_linalg_norm_bit_for_bit(kind, seed):
                           reference_backflow_norms(a1, a2, grid).ravel())
 
 
+@pytest.mark.parametrize("noise", [None, NoiseConfig()], ids=["ideal", "default-noise"])
+def test_bloch_block_is_the_transfer_matrix_block_bit_for_bit(noise):
+    """The Pauli transfer matrix is a plain read-only array, and the one
+    Bloch-block read, ``nonmarkov._bloch_block``, is its ``[1:, 1:]``: the
+    same bits in the same strided layout, on which the BLP search's bits
+    depend, for every record of the single model's series."""
+    for rec in collision.evolve_series(collision.single_qubit_model(), 10, noise):
+        m = transfer_of_channel(rec.reduced_channel)
+        assert type(m) is np.ndarray and not m.flags.writeable
+        block = nonmarkov._bloch_block(rec.reduced_channel)
+        assert np.array_equal(m[1:, 1:], block)
+        assert m[1:, 1:].strides == block.strides
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_backflow_derivatives_match_finite_differences(seed):
@@ -1116,7 +1132,7 @@ def test_backflow_derivatives_match_finite_differences(seed):
     differences (step 1e-5) of the objective and of the analytic gradient at
     a random point of R³ (the largest gap over 3,000 seeds was 3e-7)."""
     rng = np.random.default_rng(seed)
-    a1, a2 = (transfer_of_channel(random_channel(rng, 1, 2)).bloch_block() for _ in range(2))
+    a1, a2 = (transfer_of_channel(random_channel(rng, 1, 2))[1:, 1:] for _ in range(2))
     r = rng.normal(size=3)
     grad, hess = nonmarkov._backflow_derivatives(a1, a2, r)
     h, eye = 1e-5, np.eye(3)
