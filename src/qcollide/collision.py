@@ -17,15 +17,14 @@ Toy/Swap) as one ``UNITARY`` gate per step operation, and ``max_steps`` the
 step limit (2 for Toy/Swap, else none).  One evolution path serves ideal and
 noisy runs: ``evolve_series`` makes one pass over the collisions (the
 collision-model picture of Ciccarello et al., Phys. Rep. 954 (2022)), and
-``evolve(model, n)`` is its record n.  Each distinct step runs through the
-circuit channel of ``noisytomo``, with ``noise=None`` for the ideal case, on
-one running object: the stack of all inputs |i><j| on the system, the
-environment in |0...0>.  Record n reads the reduced system channel Λ_n
-off the stack and applies it to the prepared system + ancilla state,
-ρ_SA(n) = (Λ_n ⊗ id_A)(ρ_SA(0)), all N+1 records at once.  Noisy runs
-prepare that state with the transpiled preparation gates and transpile each
-distinct step once, on its system + environment qubits, decomposing payloads
-on three or more qubits first.
+``evolve(model, n)`` is its record n.  One call of the circuit-channel
+read-off, ``noisytomo._channel_series`` (``noise=None`` for the ideal case),
+reads every reduced system channel Λ_n off the system's |i><j| input stack,
+the environment in |0...0>, run through the collisions' steps.  Λ_n is applied
+to the prepared system + ancilla state, ρ_SA(n) = (Λ_n ⊗ id_A)(ρ_SA(0)), all
+N+1 records at once.  Noisy runs prepare that state with the transpiled
+preparation gates and transpile each distinct step once, on its system +
+environment qubits, decomposing payloads on three or more qubits first.
 
 Tensor-order convention for the toy pair unitary: the matrix acts on (E, S)
 with the ENVIRONMENT as the first (most significant) factor.  This is the
@@ -223,14 +222,13 @@ def evolve_series(model: CollisionModel, n_max: int,
                   noise: noisytomo.NoiseConfig | None = None) -> list[EvolutionRecord]:
     """Records for n = 0..n_max collisions from one pass over the collisions.
 
-    The one running object is the stack of all inputs |i><j| on the system
-    with the environment in |0...0>, to which each distinct step's fused
-    superoperator blocks are applied; the N+1 stacks are kept.  One partial
-    trace reads every reduced channel Λ_n off them, and one contraction
-    applies them all to the prepared system + ancilla state (the reduced
+    ``noisytomo._channel_series`` reads every reduced channel Λ_n off one
+    pass of the stack of all inputs |i><j| on the system, the environment in
+    |0...0>, through the per-collision steps, and one contraction applies
+    them all to the prepared system + ancilla state (the reduced
     ``model.initial_state`` for ``noise=None``, else the transpiled prep
     gates run from |0...0>), each record bit for bit as if done alone.
-    Noisy runs transpile each distinct step once.
+    Noisy runs transpile each distinct step once; each is fused once.
 
     This equals evolving the whole register and tracing out the environment
     because no step acts on an ancilla and the prep on no environment qubit
@@ -244,13 +242,8 @@ def evolve_series(model: CollisionModel, n_max: int,
         prep = _native(circ.Circuit(prepared.register, _prep_gates(model)))
         prepared = noisytomo.apply_noisy_circuit(prep, None, noise)
         steps = [_native(c) for c in steps]
-    blocks = [noisytomo._fused_superops(c, noise) for c in steps]
-    pos, stack = noisytomo._channel_inputs(se, model.system_labels)
-    images = np.empty((n_max + 1,) + stack.shape, complex)
-    images[0] = stack
-    for n in range(1, n_max + 1):
-        images[n] = noisytomo._apply_blocks(blocks[min(n, len(steps)) - 1], se, images[n - 1])
-    superops = noisytomo._superop_of_images(images, pos, se.n)
+    collisions = [steps[min(n, len(steps)) - 1] for n in range(1, n_max + 1)]
+    superops = noisytomo._channel_series(se, collisions, noise, model.system_labels)
     reg = prepared.register
     joints = _superop_at(superops, prepared.mat, reg.indices(model.system_labels), reg.n)
     return [EvolutionRecord(n, DensityMatrix(reg, joint, validate=False), Channel(superop))

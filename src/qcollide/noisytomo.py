@@ -21,10 +21,9 @@ gate-clustering fold that ``circuit.unitary_of_circuit`` uses for unitaries:
 each qubit's run of 1-qubit gates becomes one 4x4 superoperator, folded into
 the next multi-qubit gate on that qubit.  This only composes
 superoperators, so it is exact.  ``_apply_blocks`` then applies the blocks
-with ``channel._superop_at`` to a matrix or a stack of matrices.  The circuit
-channel on kept qubits (``noisy_channel_of_circuit``) runs the circuit once
-on the stack of all inputs |i><j|; the traced-out images are its
-superoperator (``_superop_of_images``), held as a ``channel.Channel``.
+with ``channel._superop_at`` to a matrix or a stack of matrices.  The one
+circuit-channel read-off, ``_channel_series``, runs circuits in turn on the
+stack of all inputs |i><j| and traces every kept image stack out at once.
 
 Tomography is linear, and both of its maps factor into one small map per
 measured qubit (``_FORWARD`` and ``_INVERSE``), applied by ``_apply_per_qubit``
@@ -299,15 +298,29 @@ def apply_noisy_circuit(c: circ.Circuit, rho: DensityMatrix | None = None,
 
 def noisy_channel_of_circuit(c: circ.Circuit, noise: NoiseConfig | None,
                              keep=None) -> Channel:
-    """The circuit's CPT map on the ``keep`` qubits (default: all), read off
-    as its superoperator from one run of the circuit on the stack of all d²
-    inputs |i><j|.
+    """The circuit's CPT map on the ``keep`` qubits (default: all, at most 3,
+    in register order), the others starting in |0> and traced out: the last
+    superoperator of ``_channel_series`` of the one circuit."""
+    return Channel(_channel_series(c.register, [c], noise, keep)[-1])
 
-    The other qubits start in |0> and are traced out at the end.  At most 3
-    qubits may be kept; the channel orders them as the register does."""
-    pos, inputs = _channel_inputs(c.register, keep)
-    images = _apply_circuit_to_matrix(c, inputs, noise)
-    return Channel(_superop_of_images(images, pos, c.register.n))
+
+def _channel_series(reg: QubitRegister, circuits, noise: NoiseConfig | None,
+                    keep=None) -> np.ndarray:
+    """The C-contiguous (N+1, d², d²) superoperators of the first n = 0..N
+    ``circuits`` on the ``keep`` qubits of ``reg``: the ``_channel_inputs``
+    stack runs through them in order, each distinct circuit (by identity)
+    fused once, and one partial trace reads all N+1 image stacks."""
+    pos, stack = _channel_inputs(reg, keep)
+    fused = {}
+    images = np.empty((len(circuits) + 1,) + stack.shape, complex)
+    images[0] = stack
+    for n, c in enumerate(circuits, start=1):
+        if id(c) not in fused:
+            fused[id(c)] = _fused_superops(c, noise)
+        images[n] = _apply_blocks(fused[id(c)], reg, images[n - 1])
+    out = partial_trace_mat(images, pos, reg.n).reshape(len(images), len(stack), len(stack))
+    # out[n, i*d + j] is Λ_n(|i><j|), whose row-major vec is superoperator column i*d + j.
+    return np.ascontiguousarray(out.swapaxes(-1, -2))
 
 
 def _channel_inputs(reg: QubitRegister, keep=None) -> tuple[list[int], np.ndarray]:
@@ -316,7 +329,7 @@ def _channel_inputs(reg: QubitRegister, keep=None) -> tuple[list[int], np.ndarra
     pos = sorted(reg.indices(reg.labels if keep is None else keep))
     k = len(pos)
     if k > 3:
-        raise ValueError("noisy_channel_of_circuit keeps at most 3 qubits")
+        raise ValueError(f"the circuit channel read-off keeps at most 3 qubits, not {k}")
     d = 2**k
     # Register index of kept basis state i, the other qubits in |0>.
     full = [sum(((i >> (k - 1 - b)) & 1) << (reg.n - 1 - p) for b, p in enumerate(pos))
@@ -324,16 +337,6 @@ def _channel_inputs(reg: QubitRegister, keep=None) -> tuple[list[int], np.ndarra
     inputs = np.zeros((d * d, reg.dim, reg.dim), dtype=complex)
     inputs[np.arange(d * d), np.repeat(full, d), np.tile(full, d)] = 1.0
     return pos, inputs
-
-
-def _superop_of_images(images: np.ndarray, pos, n: int) -> np.ndarray:
-    """The C-contiguous superoperator read off the images of the
-    ``_channel_inputs`` stack on an n-qubit register, keeping the qubits at
-    ``pos``, or one for each of a stack (..., d², D, D) of such images."""
-    d = 2 ** len(pos)
-    out = partial_trace_mat(images, pos, n)
-    # out[..., i*d + j] is E(|i><j|), whose row-major vec is superoperator column i*d + j.
-    return np.ascontiguousarray(out.reshape(out.shape[:-3] + (d * d, d * d)).swapaxes(-1, -2))
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,8 @@ the channel moves it by ~1e-13.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .channel import Channel, transfer_of_channel
@@ -70,11 +72,15 @@ def _direction(theta, phi, axis=-1) -> np.ndarray:
                                         np.cos(theta)), axis=axis)
 
 
-_THETAS = np.arange(0.0, np.pi + 1e-12, np.deg2rad(2.0))
-_PHIS = np.arange(0.0, 2 * np.pi, np.deg2rad(2.0))
-# The grid's unit vectors, θ-major, as the columns of one (3, 16,380) array.
-_GRID = _direction(_THETAS[:, None], _PHIS[None, :], axis=0).reshape(3, -1)
-_GRID.flags.writeable = False
+@cache
+def _grid():
+    """The 2° search grid's polar angles θ, azimuths φ, and unit vectors,
+    θ-major, as the columns of one read-only (3, 16,380) array."""
+    thetas = np.arange(0.0, np.pi + 1e-12, np.deg2rad(2.0))
+    phis = np.arange(0.0, 2 * np.pi, np.deg2rad(2.0))
+    grid = _direction(thetas[:, None], phis[None, :], axis=0).reshape(3, -1)
+    grid.flags.writeable = False
+    return thetas, phis, grid
 
 
 def _norm3(v: np.ndarray):
@@ -95,8 +101,8 @@ def _backflow(a1: np.ndarray, a2: np.ndarray, r: np.ndarray):
 
 def _grid_backflow(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """``_backflow`` at every grid point, in grid order, bit for bit; the
-    norms of each (3, 16,380) product A·``_GRID`` add its rows."""
-    return 2 * (_norm3((a2 @ _GRID).T) - _norm3((a1 @ _GRID).T))
+    norms of each (3, 16,380) product of A and the grid add its rows."""
+    return 2 * (_norm3((a2 @ _grid()[2]).T) - _norm3((a1 @ _grid()[2]).T))
 
 
 def _bloch_block(ch: Channel) -> np.ndarray:
@@ -113,8 +119,9 @@ def blp_max_increase(ch1: Channel, ch2: Channel):
     ch1(b)); returns (delta, (bloch_a, bloch_b))."""
     a1, a2 = _bloch_block(ch1), _bloch_block(ch2)
 
+    thetas, phis, _ = _grid()
     best_i, best_val = _first_better(_grid_backflow(a1, a2))
-    r = _direction(_THETAS[best_i // len(_PHIS)], _PHIS[best_i % len(_PHIS)])
+    r = _direction(thetas[best_i // len(phis)], phis[best_i % len(phis)])
     for start in (r, *_kernel_start(a1, a2)):
         cand, val = _newton_refine(a1, a2, start)
         if val > best_val + 1e-12:

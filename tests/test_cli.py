@@ -471,6 +471,59 @@ def test_import_and_simulate_load_no_scipy_or_new_numpy_modules(tmp_path, argv):
     assert report == {"code": 0, "at_import": [], "during": []}
 
 
+# Runs ``cli.main(argv)`` and prints the ``csv`` and ``json`` modules loaded
+# since start-up (taken before the probe imports anything itself) and the
+# size of the BLP grid cache.
+STDLIB_PROBE = """
+import sys
+loaded = set(sys.modules)
+from qcollide import cli, nonmarkov
+code = cli.main(sys.argv[1:])
+new = sorted(m for m in set(sys.modules) - loaded if m.partition(".")[0] in ("csv", "json"))
+grids = nonmarkov._grid.cache_info().currsize
+import json
+print(json.dumps({"code": code, "new": new, "grids": grids}))
+"""
+
+
+@pytest.mark.parametrize("argv, grids", [
+    (["--model", "single"], 1),
+    (["--model", "toy", "--noise", "{noise}", "--shots", "64", "--mitigate"], 0),
+])
+def test_simulate_loads_no_csv_or_json_and_builds_the_grid_only_to_search(tmp_path, argv, grids):
+    """A fresh interpreter: a ``simulate`` run imports neither ``csv`` nor
+    ``json`` (only the witness reads a CSV or writes JSON), and builds the
+    BLP grid once if it searches (single, N = 10) and never if it does not
+    (toy)."""
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text("t1_us = 280.0\n")
+    argv = [a.format(noise=noise_file) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(qcollide.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", STDLIB_PROBE, "simulate", *argv, "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"code": 0, "new": [], "grids": grids}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "single"],
+    ["--model", "toy", "--noise", "{noise}", "--shots", "64", "--mitigate"],
+])
+def test_simulate_csvs_are_what_csv_writer_writes(tmp_path, argv):
+    """No cell of a ``simulate`` CSV needs quoting: each file is the text
+    ``csv.writer`` writes for the cells ``csv.reader`` reads back."""
+    noise_file = tmp_path / "noise.cfg"
+    noise_file.write_text("t1_us = 280.0\n")
+    out = tmp_path / "run"
+    assert main(["simulate", *(a.format(noise=noise_file) for a in argv), "--out", str(out)]) == 0
+    for path in sorted(out.glob("*.csv")):
+        text = path.read_text()
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv.reader(text.splitlines()))
+        assert buf.getvalue() == text, path.name
+
+
 # Runs ``cli.main(argv)`` and prints whether SciPy was imported by then.
 SCIPY_PROBE = """
 import json, sys

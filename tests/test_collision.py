@@ -278,6 +278,20 @@ def test_evolve_series_keeps_ancilla_and_environment_apart(model, n_max, noise):
         assert not (labels & set(model.ancilla_labels) and labels & set(model.env_labels))
 
 
+@pytest.mark.parametrize("noise", [None, NoiseConfig()], ids=["ideal", "noisy"])
+@pytest.mark.parametrize("model, n_max, distinct", [
+    (collision.single_qubit_model(), 10, 1),
+    (collision.toy_model(), 2, 2),
+])
+def test_evolve_series_fuses_each_distinct_step_once(model, n_max, distinct, noise):
+    """``noisytomo._channel_series`` fuses each distinct step once, however
+    many collisions apply it; a noisy run also fuses its preparation."""
+    with mock.patch.object(noisytomo, "_fused_superops",
+                           wraps=noisytomo._fused_superops) as spy:
+        collision.evolve_series(model, n_max, noise)
+    assert spy.call_count == distinct + (noise is not None)
+
+
 def test_negative_collision_count_rejected():
     with pytest.raises(ValueError):
         collision.evolve(collision.single_qubit_model(), -1)

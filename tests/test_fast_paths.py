@@ -1105,8 +1105,8 @@ def test_grid_backflow_norm_kernel_matches_linalg_norm_bit_for_bit(kind, seed):
     step = np.deg2rad(2.0)
     grid = nonmarkov._direction(np.arange(0.0, np.pi + 1e-12, step)[:, None],
                                 np.arange(0.0, 2 * np.pi, step)[None, :])
-    assert np.array_equal(nonmarkov._GRID, grid.reshape(-1, 3).T)
-    assert nonmarkov._GRID.flags.c_contiguous and not nonmarkov._GRID.flags.writeable
+    assert np.array_equal(nonmarkov._grid()[2], grid.reshape(-1, 3).T)
+    assert nonmarkov._grid()[2].flags.c_contiguous and not nonmarkov._grid()[2].flags.writeable
     assert np.array_equal(nonmarkov._grid_backflow(a1, a2),
                           reference_backflow_norms(a1, a2, grid).ravel())
 

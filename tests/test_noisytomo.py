@@ -161,6 +161,17 @@ def test_noisy_channel_on_kept_qubits_matches_reference():
         noisy_channel_of_circuit(c, noise)  # at most 3 kept qubits
 
 
+def test_read_off_of_more_than_three_qubits_names_the_read_off():
+    """The kept-qubit limit is the circuit-channel read-off's, whichever
+    caller (``noisy_channel_of_circuit`` or ``collision.evolve_series``)
+    asked for it."""
+    c = Circuit(("a", "b", "c", "d"), [Gate("X", ("a",))])
+    for call in (lambda: noisy_channel_of_circuit(c, None),
+                 lambda: noisytomo._channel_series(c.register, [c], None)):
+        with pytest.raises(ValueError, match="circuit channel read-off keeps at most 3 qubits"):
+            call()
+
+
 def test_noise_requires_native_gates():
     c = Circuit(("a", "b"), [Gate("CNOT", ("a", "b"))])
     with pytest.raises(ValueError):
