@@ -27,10 +27,10 @@ native gate.  Where the class test misfires (near a class boundary, such as
 close to the identity) and the gates miss the unitary, it is split as
 (U G†) G with a fixed generic G, and both factors' native gates are verified
 the same way, together.
-Unitaries on three or more qubits are pre-decomposed with
+``transpile`` first expands a unitary on three or more qubits with
 ``decompose_multiqubit`` (cosine-sine decomposition plus multiplexor
-demultiplexing), which emits CNOTs, single-qubit gates and two-qubit unitary
-payloads for ``transpile``.
+demultiplexing) into CNOTs, single-qubit gates and two-qubit unitary
+payloads, so any circuit lowers in one call.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(map(str, self.qubits)))
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ValueError(f"{self.kind} names a qubit twice: {self.qubits}")
         arity = _ARITY.get(self.kind)
         if arity is not None:
             if len(self.qubits) != arity:
@@ -570,24 +572,33 @@ def _two_qubit_lowering(u: np.ndarray, wires: tuple[str, str]):
 def transpile(c: Circuit) -> Circuit:
     """Rewrite a circuit over {RZ, SX, ECR, X} only; exact including phase.
 
-    Each distinct source gate (kind, angle, payload, arity) is lowered once
-    per call on placeholder wires, checked on its own one or two qubits, and
-    relabelled onto every wire pair it occurs on.  The check compares the
-    lowered gates' unitary with the source gate's up to a local phase; the
-    operator-norm deviations, summed over every gate instance (plus the
-    angles of the near-zero RZ that ``_merge_rz`` drops), must stay within
-    1e-8.  That sum bounds the deviation of the whole circuit, so no
-    register-wide unitary is ever built.
+    A payload on more than two qubits is first replaced by the gates of its
+    ``decompose_multiqubit``.  Each distinct source gate (kind, angle,
+    payload, arity) is then lowered once per call on placeholder wires,
+    checked on its own one or two qubits, and relabelled onto every wire
+    pair it occurs on.  The check compares the lowered gates' unitary with
+    the source gate's up to a local phase; the operator-norm deviations,
+    summed over every gate instance (plus the angles of the near-zero RZ
+    that ``_merge_rz`` drops), must stay within 1e-8.  That sum bounds the
+    deviation of the whole circuit, so no register-wide unitary is built.
 
-    The output ``global_phase`` is the input phase plus the local phases,
-    plus π for each 2π wrap of an RZ angle that ``_merge_rz`` applies while
-    merging or dropping RZ gates: RZ(θ − 2π) = −RZ(θ), so dropping RZ(2π)
-    adds π.  The native circuit's unitary then equals the input's exactly,
-    not merely up to phase."""
+    The output ``global_phase`` is the input phase plus the decompositions'
+    and the local phases, plus π for each 2π wrap of an RZ angle that
+    ``_merge_rz`` applies while merging or dropping RZ gates: RZ(θ − 2π) =
+    −RZ(θ), so dropping RZ(2π) adds π.  The native circuit's unitary then
+    equals the input's exactly, not merely up to phase."""
     lowered: dict = {}
     native: list[Gate] = []
     phase, dev = c.global_phase, 0.0
+    source: list[Gate] = []
     for g in c.gates:
+        if len(g.qubits) > len(_PLACEHOLDERS):
+            qsd = decompose_multiqubit(g.matrix, g.qubits)
+            phase += qsd.global_phase
+            source.extend(qsd.gates)
+        else:
+            source.append(g)
+    for g in source:
         key = (g.kind, g.theta, None if g.matrix is None else g.matrix.tobytes(),
                len(g.qubits))
         if key not in lowered:
@@ -621,9 +632,6 @@ def _checked_lowering(g: Gate):
     gate: its lowering u_native with g.unitary() = e^{i phase} u_native up to
     an operator-norm deviation ``deviation``.  A two-qubit payload's u_native
     is the unitary ``_two_qubit_lowering`` verified it with, not built again."""
-    if len(g.qubits) > len(_PLACEHOLDERS):
-        raise ValueError("UNITARY payloads on more than 2 qubits must be pre-decomposed "
-                         "with decompose_multiqubit")
     local = replace(g, qubits=_PLACEHOLDERS[:len(g.qubits)])
     if g.kind in NATIVE_KINDS:
         return [local], 0.0, 0.0

@@ -94,12 +94,12 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _load_noise(arg: str):
-    """The noise config in file ``arg`` (None for 'ideal')."""
+    """The noise config in file ``arg`` (None for 'ideal'); a file that does
+    not decode or parse is an input error."""
     if arg == "ideal":
         return None
-    text = Path(arg).read_text()
     try:
-        return noisytomo.NoiseConfig.from_text(text)
+        return noisytomo.NoiseConfig.from_text(Path(arg).read_text())
     except ValueError as exc:
         raise _InputError(f"noise config {arg}: {exc}") from exc
 
@@ -177,10 +177,14 @@ def _write_csv(path: Path, header, rows):
 
 def _witness_rows(path: str):
     """Header and {n: [C, C♯, C_err, C♯_err]} of a concurrence.csv; a file
-    without data rows, a short row, a non-numeric or non-finite cell or a
-    repeated n is an input error."""
+    that does not decode, without data rows, a short row, a non-numeric or
+    non-finite cell or a repeated n is an input error."""
     import csv  # only the witness reads a CSV; simulate writes its own
-    rows = list(csv.reader(Path(path).read_text().splitlines()))
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: {exc}") from None
+    rows = list(csv.reader(text.splitlines()))
     _require(len(rows) > 1, f"{path}: no data rows")
     _require(len(rows[0]) >= 5, f"{path}: header has fewer than 5 columns")
     by_n = {}

@@ -22,9 +22,9 @@ read-off, ``noisytomo._channel_series`` (``noise=None`` for the ideal case),
 reads every reduced system channel Λ_n off the system's |i><j| input stack,
 the environment in |0...0>, run through the collisions' steps.  Λ_n is applied
 to the prepared system + ancilla state, ρ_SA(n) = (Λ_n ⊗ id_A)(ρ_SA(0)), all
-N+1 records at once.  Noisy runs prepare that state with the transpiled
-preparation gates and transpile each distinct step once, on its system +
-environment qubits, decomposing payloads on three or more qubits first.
+N+1 records at once.  Noisy runs prepare that state with the noisy
+preparation gates, and the noisy circuit channel transpiles the preparation
+and each distinct step (on its system + environment qubits) once.
 
 Tensor-order convention for the toy pair unitary: the matrix acts on (E, S)
 with the ENVIRONMENT as the first (most significant) factor.  This is the
@@ -198,24 +198,13 @@ def _collision_gates(model: CollisionModel, n: int) -> list[circ.Gate]:
     return [g for m in range(1, n + 1) for g in steps[min(m, len(steps)) - 1]]
 
 
-def _native(c: circ.Circuit) -> circ.Circuit:
-    """Transpile, first decomposing payloads on more than two qubits."""
-    gates: list[circ.Gate] = []
-    for g in c.gates:
-        if g.kind == "UNITARY" and len(g.qubits) > 2:
-            gates.extend(circ.decompose_multiqubit(g.matrix, g.qubits).gates)
-        else:
-            gates.append(g)
-    return circ.transpile(c.with_gates(gates))
-
-
 def build_circuit(model: CollisionModel, n: int, *, include_prep: bool = True,
                   native: bool = False) -> circ.Circuit:
     """The preparation + n-collision circuit for a model."""
     model.check_collisions(n)
     gates = _prep_gates(model) if include_prep else []
     c = circ.Circuit(model.register, gates + _collision_gates(model, n))
-    return _native(c) if native else c
+    return circ.transpile(c) if native else c
 
 
 def evolve_series(model: CollisionModel, n_max: int,
@@ -226,9 +215,9 @@ def evolve_series(model: CollisionModel, n_max: int,
     pass of the stack of all inputs |i><j| on the system, the environment in
     |0...0>, through the per-collision steps, and one contraction applies
     them all to the prepared system + ancilla state (the reduced
-    ``model.initial_state`` for ``noise=None``, else the transpiled prep
-    gates run from |0...0>), each record bit for bit as if done alone.
-    Noisy runs transpile each distinct step once; each is fused once.
+    ``model.initial_state`` for ``noise=None``, else the prep gates run
+    noisily from |0...0>), each record bit for bit as if done alone.  Each
+    distinct step is fused once, and transpiled once before that when noisy.
 
     This equals evolving the whole register and tracing out the environment
     because no step acts on an ancilla and the prep on no environment qubit
@@ -239,9 +228,8 @@ def evolve_series(model: CollisionModel, n_max: int,
     steps = [circ.Circuit(se, gates) for gates in model.steps[:n_max]]
     prepared = partial_trace(model.initial_state, model.ancilla_labels + model.system_labels)
     if noise is not None:
-        prep = _native(circ.Circuit(prepared.register, _prep_gates(model)))
+        prep = circ.Circuit(prepared.register, _prep_gates(model))
         prepared = noisytomo.apply_noisy_circuit(prep, None, noise)
-        steps = [_native(c) for c in steps]
     collisions = [steps[min(n, len(steps)) - 1] for n in range(1, n_max + 1)]
     superops = noisytomo._channel_series(se, collisions, noise, model.system_labels)
     reg = prepared.register

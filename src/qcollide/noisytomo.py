@@ -234,8 +234,6 @@ def _gate_superop(gate: circ.Gate, noise: NoiseConfig | None) -> np.ndarray:
     """Superoperator (on the gate's own qubits) of the noisy gate."""
     if noise is None or gate.kind == "RZ":
         return _superop([gate.unitary()])
-    if gate.kind not in circ.NATIVE_KINDS:
-        raise ValueError(f"noise model requires native gates, got {gate.kind!r}")
     return noise.native_superop[gate.kind]
 
 
@@ -259,7 +257,11 @@ def _noisy_gate_superop(noise: NoiseConfig, kind: str, u: np.ndarray) -> np.ndar
 def _fused_superops(c: circ.Circuit, noise: NoiseConfig | None) -> list:
     """The (noisy) circuit channel as the ``circuit._fused_blocks`` of its
     gates' superoperators, [superoperator, labels] blocks to be applied in
-    order; a virtual RZ enters as the diagonal (1, e^{-iθ}, e^{iθ}, 1)."""
+    order; a virtual RZ enters as the diagonal (1, e^{-iθ}, e^{iθ}, 1).  A
+    noisy circuit with a non-native gate is transpiled first."""
+    if noise is not None and any(g.kind not in circ.NATIVE_KINDS for g in c.gates):
+        c = circ.transpile(c)
+
     def superop_of(g):
         if g.kind != "RZ":
             return _gate_superop(g, noise)
@@ -488,15 +490,11 @@ def _stream(seed: int, purpose: int, n: int) -> np.random.Generator:
 def sample(job: TomographyJob, noise: NoiseConfig | None = None,
            settings=None, rng: np.random.Generator | None = None) -> ShotCounts:
     """Simulate the tomography job (default: every setting) on the state its
-    circuit prepares from |0...0>, transpiled first when noisy and not
-    native; the count table draws from ``rng``, by default
-    ``default_rng(job.seed)``."""
+    circuit prepares from |0...0> (``apply_noisy_circuit``); the count table
+    draws from ``rng``, by default ``default_rng(job.seed)``."""
     rng = default_rng(job.seed) if rng is None else rng
-    c = job.circuit
-    if noise is not None and any(g.kind not in circ.NATIVE_KINDS for g in c.gates):
-        c = circ.transpile(c)
-    return _sample_state(apply_noisy_circuit(c, noise=noise), job.measured, job.shots, rng,
-                         noise, settings)
+    return _sample_state(apply_noisy_circuit(job.circuit, noise=noise), job.measured,
+                         job.shots, rng, noise, settings)
 
 
 def _sample_state(rho: DensityMatrix, measured, shots: int, rng: np.random.Generator,

@@ -1,5 +1,5 @@
-"""Shared random-object generators (all seeded), reference Kraus sets and a
-CPTP check for the test suite."""
+"""Shared random-object generators (all seeded), reference Kraus sets, a
+CPTP check and the golden CSV comparison for the test suite."""
 
 import itertools
 
@@ -70,6 +70,31 @@ def assert_cptp(ch, tol):
     # Tracing the output a leaves Tr E(|i><j|) = δ_ij.
     traced = np.einsum("aiaj->ij", choi.reshape(d_out, d_in, d_out, d_in))
     assert np.abs(traced - np.eye(d_in)).max() <= tol
+
+
+def _csv_values(cell: str):
+    """A CSV cell as a list of floats, or the cell itself if it is not numeric
+    (``rhp_series`` cells are ``n:value`` pairs joined by ``;``)."""
+    try:
+        return [float(part.split(":")[-1]) for part in cell.split(";")]
+    except ValueError:
+        return cell
+
+
+def assert_csv_matches_golden(got, want, where, tol):
+    """Assert that the CSV rows ``got`` have the frozen rows ``want``'s shape,
+    each numeric cell within tol of its frozen value and every other cell
+    equal; ``where`` names the file in a failure."""
+    assert len(got) == len(want), where
+    for want_row, got_row in zip(want, got):
+        assert len(got_row) == len(want_row), (where, want_row)
+        for want_cell, cell in zip(want_row, got_row):
+            w, g = _csv_values(want_cell), _csv_values(cell)
+            if isinstance(w, str) or isinstance(g, str):
+                assert cell == want_cell, (where, want_row)
+            else:
+                assert len(g) == len(w)
+                assert max(abs(a - b) for a, b in zip(g, w)) <= tol, (where, want_row)
 
 
 @pytest.fixture

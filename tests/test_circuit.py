@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_unitary
 from qcollide import circuit as circ
@@ -151,6 +151,28 @@ def test_transpile_structured_two_qubit(rng):
     assert np.abs(unitary_of_circuit(t) - swap).max() < 1e-8
 
 
+@st.composite
+def one_cnot_payloads(draw):
+    """locals · CNOT · locals: Haar-random local gates on both sides of a
+    CNOT of either orientation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cnot = circ.CNOT_MATRIX if draw(st.booleans()) else circ._CNOT10
+    before, after = (np.kron(random_unitary(rng, 2), random_unitary(rng, 2)) for _ in "ba")
+    return after @ cnot @ before
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_cnot_payloads())
+@example(circ.CNOT_MATRIX)
+@example(np.kron(circ.H_MATRIX, np.eye(2)) @ circ.CNOT_MATRIX)
+def test_one_cnot_payloads_lower_to_one_ecr(u):
+    """A payload of the one-CNOT class lowers through the one-CNOT branch of
+    ``_kak`` to a single ECR, exact including phase."""
+    t = transpile(Circuit(("a", "b"), [Gate("UNITARY", ("a", "b"), matrix=u)]))
+    assert gate_count(t)["ECR"] == 1
+    assert np.abs(unitary_of_circuit(t) - u).max() <= 1e-8
+
+
 def _dressed_exchange(seed):
     """ε -> (a⊗b)·collision_unitary(ε)·(c⊗d), with the Haar locals a, b, c, d
     drawn in that order from default_rng(seed)."""
@@ -257,11 +279,15 @@ def test_unitary_of_circuit_folds_two_qubit_runs(c):
     assert np.abs(unitary_of_circuit(c) - np.exp(1j * c.global_phase) * want).max() <= 1e-12
 
 
-def test_transpile_rejects_large_unitary_payload(rng):
-    u = random_unitary(rng, 8)
-    c = Circuit(("a", "b", "c"), [Gate("UNITARY", ("a", "b", "c"), matrix=u)])
-    with pytest.raises(ValueError):
-        transpile(c)
+@pytest.mark.parametrize("kind, qubits", [
+    ("CNOT", ("a", "a")), ("ECR", ("b", "b")), ("UNITARY", ("a", "b", "a")),
+])
+def test_gate_rejects_a_repeated_qubit(kind, qubits):
+    """A gate acts on distinct qubits: one label named twice is rejected when
+    the gate is built, not lowered by ``transpile`` onto the one wire."""
+    matrix = np.eye(2 ** len(qubits)) if kind == "UNITARY" else None
+    with pytest.raises(ValueError, match="names a qubit twice"):
+        Gate(kind, qubits, matrix=matrix)
 
 
 def test_decompose_multiqubit(rng):
@@ -278,17 +304,20 @@ def test_decompose_multiqubit(rng):
     assert 100 <= sum(counts.values()) <= 2000  # naive-route cost, reported
 
 
-def test_transpile_asks_for_pre_decomposition_of_multiqubit_unitary(rng):
-    """A UNITARY on three qubits is not lowered on two placeholder wires:
-    ``transpile``, and noisy sampling that transpiles, ask for
-    ``decompose_multiqubit`` instead."""
-    c = Circuit(("a", "b", "c"), [Gate("UNITARY", ("a", "b", "c"),
-                                       matrix=random_unitary(rng, 8))])
-    with pytest.raises(ValueError, match="pre-decomposed"):
-        transpile(c)
-    job = noisytomo.TomographyJob(c, ("a", "b"), shots=16)
-    with pytest.raises(ValueError, match="pre-decomposed"):
-        noisytomo.sample(job, noise=noisytomo.NoiseConfig())
+def test_transpile_expands_multiqubit_payloads(rng):
+    """A UNITARY on three qubits, random or the two-qubit model's step, lowers
+    in one ``transpile`` call, exact including phase; noisy sampling of the
+    circuit equals sampling of its transpile."""
+    labels = ("a", "b", "c")
+    noise = noisytomo.NoiseConfig()
+    for u in (random_unitary(rng, 8), two_qubit_unitary(1.1)):
+        c = Circuit(labels, [Gate("UNITARY", labels, matrix=u)], global_phase=0.3)
+        t = transpile(c)
+        assert all(g.kind in NATIVE_KINDS for g in t.gates)
+        assert np.abs(unitary_of_circuit(t) - unitary_of_circuit(c)).max() <= 1e-8
+        job = noisytomo.TomographyJob(c, ("a", "b"), shots=16)
+        native_job = noisytomo.TomographyJob(t, ("a", "b"), shots=16)
+        assert noisytomo.sample(job, noise) == noisytomo.sample(native_job, noise)
 
 
 def reference_merge_rz(gates):
@@ -462,10 +491,10 @@ def test_toy_transpile_is_local_and_lowers_each_payload_once():
 
     with mock.patch.object(circ, "unitary_of_circuit", spy), \
             mock.patch.object(circ, "_kak", wraps=circ._kak) as kak:
-        collision._native(Circuit(model.register, collision._prep_gates(model)))
+        circ.transpile(Circuit(model.register, collision._prep_gates(model)))
         assert kak.call_count == 0
         for gates in model.steps:
-            collision._native(Circuit(se, gates))
+            circ.transpile(Circuit(se, gates))
     assert widths and max(widths) <= 2
     assert kak.call_count == 2
 
@@ -516,7 +545,7 @@ def test_transpiled_models_keep_their_global_phase_bit_for_bit():
         se = QubitRegister(model.system_labels + model.env_labels)
         prep = Circuit(QubitRegister(model.ancilla_labels + model.system_labels),
                        collision._prep_gates(model))
-        got = [float(collision._native(c).global_phase).hex()
+        got = [float(circ.transpile(c).global_phase).hex()
                for c in [prep] + [Circuit(se, gates) for gates in model.steps]]
         assert tuple(got) == want, name
 
@@ -540,7 +569,7 @@ def test_transpiled_models_keep_their_native_gates_bit_for_bit():
         prep = Circuit(QubitRegister(model.ancilla_labels + model.system_labels),
                        collision._prep_gates(model))
         for c in [prep] + [Circuit(se, gates) for gates in model.steps]:
-            for g in collision._native(c).gates:
+            for g in circ.transpile(c).gates:
                 theta = None if g.theta is None else float(g.theta).hex()
                 digest.update(repr((g.kind, g.qubits, theta)).encode())
             digest.update(b"|")

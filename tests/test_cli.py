@@ -422,6 +422,21 @@ def test_malformed_witness_csv_is_input_error(tmp_path, capsys, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "single", "--noise", "{path}", "--out", "{out}"],
+    ["witness", "--csv", "{path}", "--t1", "0", "--t2", "1", "--out", "{out}"],
+], ids=["noise-config", "witness-csv"])
+def test_undecodable_input_file_is_input_error(tmp_path, capsys, argv):
+    """A file that does not decode is an input error, exit 1, although
+    ``UnicodeDecodeError`` is a ``ValueError``, which ``main`` maps to 2."""
+    path, out = tmp_path / "binary", tmp_path / "out"
+    path.write_bytes(b"\xff\xfe\x00\x80 = 1\n")
+    assert main([a.format(path=path, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not out.exists()
+
+
 def test_manifest_records_resolved_noise_config(tmp_path):
     import scipy  # loaded, so the manifest records its version
 

@@ -1187,7 +1187,7 @@ def reference_evolve(model, n, noise):
     c = Circuit(model.register, (prep if noisy else []) + steps)
     se = Circuit(QubitRegister(model.system_labels + model.env_labels), steps)
     if noisy:
-        c, se = collision._native(c), collision._native(se)
+        c, se = circ.transpile(c), circ.transpile(se)
     full = noisytomo.apply_noisy_circuit(c, None if noisy else model.initial_state, noise)
     joint = partial_trace(full, model.ancilla_labels + model.system_labels)
     return joint, noisy_channel_of_circuit(se, noise, keep=model.system_labels)
@@ -1254,9 +1254,9 @@ def reference_series_read_off(model, n_max, noise, mesh):
     steps = [Circuit(se, gates) for gates in model.steps[:n_max]]
     prepared = partial_trace(model.initial_state, model.ancilla_labels + model.system_labels)
     if noise is not None:
-        prep = collision._native(Circuit(prepared.register, collision._prep_gates(model)))
+        prep = circ.transpile(Circuit(prepared.register, collision._prep_gates(model)))
         prepared = noisytomo.apply_noisy_circuit(prep, None, noise)
-        steps = [collision._native(c) for c in steps]
+        steps = [circ.transpile(c) for c in steps]
     blocks = [noisytomo._fused_superops(c, noise) for c in steps]
     pos, stack = noisytomo._channel_inputs(se, model.system_labels)
     d = 2 ** len(pos)

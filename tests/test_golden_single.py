@@ -12,6 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
+from conftest import assert_csv_matches_golden
 from qcollide.cli import main
 
 GOLDEN = Path(__file__).with_name("data") / "golden_single.json"
@@ -36,32 +37,12 @@ def _run(tmp: Path) -> dict:
     return frozen
 
 
-def _values(cell: str):
-    """A CSV cell as a list of floats, or the cell itself if it is not numeric
-    (``rhp_series`` cells are ``n:value`` pairs joined by ``;``)."""
-    try:
-        return [float(part.split(":")[-1]) for part in cell.split(";")]
-    except ValueError:
-        return cell
-
-
 def test_single_pipeline_matches_golden(tmp_path):
     frozen = json.loads(GOLDEN.read_text())
     got = _run(tmp_path)
     for run, files in frozen.items():
         for name, rows in files.items():
-            where = (run, name)
-            assert len(got[run][name]) == len(rows), where
-            for want_row, got_row in zip(rows, got[run][name]):
-                assert len(got_row) == len(want_row), (where, want_row)
-                for want, cell in zip(want_row, got_row):
-                    w, g = _values(want), _values(cell)
-                    if isinstance(w, str) or isinstance(g, str):
-                        assert cell == want, (where, want_row)
-                    else:
-                        assert len(g) == len(w)
-                        assert max(abs(a - b) for a, b in zip(g, w)) <= DRIFT_TOL, \
-                            (where, want_row)
+            assert_csv_matches_golden(got[run][name], rows, (run, name), DRIFT_TOL)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
+from conftest import assert_csv_matches_golden
 from qcollide.cli import main
 
 GOLDEN = Path(__file__).with_name("data") / "golden_toy_shots.json"
@@ -27,29 +28,11 @@ def _run(tmp: Path) -> dict:
             for name in ("concurrence.csv", "nonmarkov.csv")}
 
 
-def _values(cell: str):
-    """A CSV cell as a list of floats, or the cell itself if it is not numeric
-    (``rhp_series`` cells are ``n:value`` pairs joined by ``;``)."""
-    try:
-        return [float(part.split(":")[-1]) for part in cell.split(";")]
-    except ValueError:
-        return cell
-
-
 def test_toy_shot_pipeline_matches_golden(tmp_path):
     frozen = json.loads(GOLDEN.read_text())
     got = _run(tmp_path)
     for name, rows in frozen.items():
-        assert len(got[name]) == len(rows), name
-        for want_row, got_row in zip(rows, got[name]):
-            assert len(got_row) == len(want_row), (name, want_row)
-            for want, cell in zip(want_row, got_row):
-                w, g = _values(want), _values(cell)
-                if isinstance(w, str) or isinstance(g, str):
-                    assert cell == want, (name, want_row)
-                else:
-                    assert len(g) == len(w)
-                    assert max(abs(a - b) for a, b in zip(g, w)) <= DRIFT_TOL, (name, want_row)
+        assert_csv_matches_golden(got[name], rows, name, DRIFT_TOL)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ import pytest
 from conftest import assert_cptp, random_density
 from qcollide import collision, noisytomo
 from qcollide.channel import apply, choi_of_channel
-from qcollide.circuit import Circuit, Gate, bell_prep_circuit
+from qcollide.circuit import Circuit, Gate, bell_prep_circuit, transpile
 from qcollide.noisytomo import (
     NoiseConfig,
     ShotCounts,
@@ -172,10 +172,10 @@ def test_read_off_of_more_than_three_qubits_names_the_read_off():
             call()
 
 
-def test_noise_requires_native_gates():
-    c = Circuit(("a", "b"), [Gate("CNOT", ("a", "b"))])
-    with pytest.raises(ValueError):
-        noisy_channel_of_circuit(c, NoiseConfig())
+def test_noisy_channel_transpiles_non_native_gates():
+    c = Circuit(("a", "b"), [Gate("CNOT", ("a", "b")), Gate("H", ("a",))])
+    got = noisy_channel_of_circuit(c, NoiseConfig()).superop
+    assert np.array_equal(got, noisy_channel_of_circuit(transpile(c), NoiseConfig()).superop)
 
 
 def test_all_settings_canonical_order():
