@@ -754,12 +754,15 @@ def _qsd(u: np.ndarray, labels: tuple[str, ...]) -> list[Gate]:
 
 
 def decompose_multiqubit(u: np.ndarray, labels) -> Circuit:
-    """Decompose an n-qubit (n >= 3) unitary into CNOTs, 1-qubit gates and
-    two-qubit UNITARY payloads; the result is transpile-ready and exact."""
+    """Decompose an n-qubit (3 <= n <= 8) unitary into CNOTs, 1-qubit gates
+    and two-qubit UNITARY payloads; the result is transpile-ready and exact."""
     labels = tuple(str(x) for x in labels)
     u = np.asarray(u, dtype=complex)
     if 2 ** len(labels) != u.shape[0]:
         raise ValueError("label count does not match matrix size")
+    if len(labels) > 8:
+        # The result is verified with unitary_of_circuit: refuse before the QSD.
+        raise ValueError("decompose_multiqubit supports at most 8 qubits")
     gates = _qsd(u, labels)
     out = Circuit(QubitRegister(labels), gates, 0.0)
     got = unitary_of_circuit(out)

@@ -290,6 +290,17 @@ def test_gate_rejects_a_repeated_qubit(kind, qubits):
         Gate(kind, qubits, matrix=matrix)
 
 
+def test_transpile_rejects_large_unitary_payload(rng):
+    """A payload on more than 8 qubits is past what ``decompose_multiqubit``
+    can verify: ``transpile`` refuses it before any decomposition."""
+    labels = tuple("abcdefghi")
+    c = Circuit(labels, [Gate("UNITARY", labels, matrix=random_unitary(rng, 2 ** 9))])
+    with mock.patch.object(circ, "_qsd", wraps=circ._qsd) as qsd:
+        with pytest.raises(ValueError, match="at most 8 qubits"):
+            transpile(c)
+    assert qsd.call_count == 0
+
+
 def test_decompose_multiqubit(rng):
     for _ in range(3):
         u = random_unitary(rng, 8)
