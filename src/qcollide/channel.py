@@ -67,9 +67,9 @@ class Channel:
     (out_dim², in_dim²), on ``n_qubits`` input qubits.
 
     Rejected if ``superop`` is not 2-D of shape (4^m, 4^k), or if
-    Tr E(|i><j|) is over 1e-3 from δ_ij (in trace-1 units).  Only trace
-    preservation is checked; complete positivity is the caller's
-    precondition."""
+    Tr E(|i><j|) is not within 1e-3 of δ_ij in trace-1 units (a non-finite
+    entry fails this too).  Only trace preservation is checked; complete
+    positivity is the caller's precondition."""
 
     def __init__(self, superop) -> None:
         superop = np.array(superop, dtype=complex)
@@ -77,7 +77,7 @@ class Channel:
             raise ValueError(f"superoperator shape {superop.shape} is not (4^m, 4^k)")
         d_out, d_in = map(math.isqrt, superop.shape)
         dev = np.abs(np.eye(d_out).ravel() @ superop - np.eye(d_in).ravel()).max() / d_in
-        if dev > 1e-3:
+        if not dev <= 1e-3:
             raise ValueError(f"trace-preservation violation {dev:.2e} > 1e-3")
         superop.setflags(write=False)
         self.superop = superop
@@ -92,7 +92,7 @@ def KrausChannel(ops) -> Channel:
     if ops.ndim != 3 or not len(ops):
         raise ValueError("need at least one Kraus operator, all of one 2-D shape")
     s = sum(k.conj().T @ k for k in ops)
-    if np.abs(s - np.eye(ops.shape[2])).max() > KRAUS_COMPLETE_TOL:
+    if not np.abs(s - np.eye(ops.shape[2])).max() <= KRAUS_COMPLETE_TOL:
         raise ValueError("Kraus completeness violated")
     return Channel(_superop(ops))
 

@@ -96,7 +96,7 @@ def rx_matrix(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """One gate: kind, ordered qubit labels, optional angle or unitary payload."""
+    """One gate: kind, ordered distinct qubit labels, finite angle or unitary payload."""
 
     kind: str
     qubits: tuple[str, ...]
@@ -105,6 +105,10 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(map(str, self.qubits)))
+        if not self.qubits:
+            raise ValueError(f"{self.kind} acts on no qubits")
+        if self.theta is not None and not np.isfinite(self.theta):
+            raise ValueError(f"{self.kind} angle {self.theta} is not finite")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.kind} names a qubit twice: {self.qubits}")
         arity = _ARITY.get(self.kind)
@@ -119,7 +123,7 @@ class Gate:
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (2 ** len(self.qubits),) * 2:
                 raise ValueError("matrix shape does not match qubit count")
-            if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > 1e-10:
+            if not np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() <= 1e-10:
                 raise ValueError("UNITARY payload is not unitary within 1e-10")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
@@ -151,10 +155,6 @@ class Circuit:
         object.__setattr__(self, "register", register)
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "global_phase", float(global_phase))
-
-    def with_gates(self, gates, global_phase=None) -> "Circuit":
-        phase = self.global_phase if global_phase is None else global_phase
-        return Circuit(self.register, gates, phase)
 
 
 def unitary_of_circuit(c: Circuit) -> np.ndarray:
@@ -608,7 +608,7 @@ def transpile(c: Circuit) -> Circuit:
         phase += local_phase
         dev += local_dev
     native, wraps, dropped = _merge_rz(native)
-    if dev + dropped / 2 > 1e-8:
+    if not dev + dropped / 2 <= 1e-8:
         raise AssertionError("transpile produced a non-equivalent circuit")
     return Circuit(c.register, native, _wrap_angle(phase + np.pi * wraps))
 
@@ -692,12 +692,9 @@ def _gray(i: int) -> int:
 
 
 def _uc_rotation(kind: str, angles, target: str, controls: tuple[str, ...]) -> list[Gate]:
-    """Uniformly-controlled RY/RZ: rotation on `target`, one angle per control
-    basis state (controls[0] = MSB of the state index).  Exact Gray-code form."""
+    """Uniformly-controlled RY/RZ on `target` by one or more controls, one angle
+    per control basis state (controls[0] = MSB of the index).  Exact Gray-code form."""
     k = len(controls)
-    if k == 0:
-        mat = ry_matrix(angles[0]) if kind == "RY" else rz_matrix(angles[0])
-        return [Gate("UNITARY", (target,), matrix=mat)]
     N = 2**k
     angles = np.asarray(angles, dtype=float)
     M = np.array(
@@ -760,6 +757,8 @@ def decompose_multiqubit(u: np.ndarray, labels) -> Circuit:
     u = np.asarray(u, dtype=complex)
     if 2 ** len(labels) != u.shape[0]:
         raise ValueError("label count does not match matrix size")
+    if len(labels) < 3:
+        raise ValueError("decompose_multiqubit needs at least 3 qubits")
     if len(labels) > 8:
         # The result is verified with unitary_of_circuit: refuse before the QSD.
         raise ValueError("decompose_multiqubit supports at most 8 qubits")

@@ -1,30 +1,31 @@
 """Builders and evolvers for the four collision dynamics, plus the
 continuum-limit checks.
 
-Models (registers use the global MSB-first label order):
+A ``CollisionModel`` is declared by its labels and steps.  Each ancilla
+starts in |Φ+> with the system qubit it is paired with (ancilla i with system
+qubit i) and every other qubit in |0>; the register holds the ancillas, the
+system, then the environment (the global MSB-first label order):
 
-* ``single_qubit_model``: ancilla A, system S, environment E; |Φ+>_{AS} ⊗ |0>_E;
-  one collision applies the exchange unitary on (S, E).
-* ``two_qubit_model``: A, S1, S2, E; (|00>+|11>)_{A S1}/√2 ⊗ |0>_{S2} ⊗ |0>_E;
-  one collision applies exp(i H g_dt) with the double-exchange H on (S1,S2,E).
-* ``toy_model`` / ``swap_model``: A1, A2, S1, S2, E1, E2; Bell(A1,S1) ⊗
-  Bell(A2,S2) ⊗ |00>_E; step 1 applies the pair unitary on (E1,S1) and
-  (E2,S2), step 2 applies its adjoint (at most two steps).
+* ``single_qubit_model``: A, S, E; one collision applies the exchange unitary
+  on (S, E).
+* ``two_qubit_model``: A, S1, S2, E (S2 unpaired); one collision applies
+  exp(i H g_dt) with the double-exchange H on (S1, S2, E).
+* ``toy_model`` / ``swap_model``: A1, A2, S1, S2, E1, E2; step 1 applies the
+  pair unitary on (E1, S1) and (E2, S2), step 2 its adjoint (at most two).
 
-Each model carries its dynamics: ``CollisionModel.steps`` holds the distinct
-steps (one for SingleQubit and TwoQubitExchange, the step and its adjoint for
-Toy/Swap) as one ``UNITARY`` gate per step operation, and ``max_steps`` the
-step limit (2 for Toy/Swap, else none).  One evolution path serves ideal and
-noisy runs: ``evolve_series`` makes one pass over the collisions (the
-collision-model picture of Ciccarello et al., Phys. Rep. 954 (2022)), and
-``evolve(model, n)`` is its record n.  One call of the circuit-channel
-read-off, ``noisytomo._channel_series`` (``noise=None`` for the ideal case),
-reads every reduced system channel Λ_n off the system's |i><j| input stack,
-the environment in |0...0>, run through the collisions' steps.  Λ_n is applied
+``CollisionModel.steps`` holds the distinct steps as one ``UNITARY`` gate per
+step operation, and ``step(n)`` is the one schedule that ``build_circuit`` and
+``evolve_series`` read.  One evolution path serves ideal and noisy runs:
+``evolve_series`` makes one pass over the collisions (the collision-model
+picture of Ciccarello et al., Phys. Rep. 954 (2022)), and ``evolve(model,
+n)`` is its record n.  One call of the circuit-channel read-off,
+``noisytomo._channel_series`` (``noise=None`` for the ideal case), reads
+every reduced system channel Λ_n off the system's |i><j| input stack, the
+environment in |0...0>, run through the collisions' steps.  Λ_n is applied
 to the prepared system + ancilla state, ρ_SA(n) = (Λ_n ⊗ id_A)(ρ_SA(0)), all
 N+1 records at once.  Noisy runs prepare that state with the noisy
-preparation gates, and the noisy circuit channel transpiles the preparation
-and each distinct step (on its system + environment qubits) once.
+``prep_gates``, and the noisy circuit channel transpiles the preparation and
+each distinct step (on its system + environment qubits) once.
 
 Tensor-order convention for the toy pair unitary: the matrix acts on (E, S)
 with the ENVIRONMENT as the first (most significant) factor.  This is the
@@ -42,7 +43,7 @@ import numpy as np
 from . import circuit as circ
 from . import noisytomo
 from .channel import Channel, _pauli_transfer, _superop_at
-from .qmat import DensityMatrix, QubitRegister, _projector, ket, partial_trace
+from .qmat import DensityMatrix, QubitRegister, _projector, partial_trace
 
 __all__ = [
     "CollisionModel",
@@ -111,21 +112,47 @@ def swap_unitary() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CollisionModel:
-    """A model and its dynamics: collision n applies the step
-    ``steps[min(n, len(steps)) - 1]``, one ``UNITARY`` gate per step
-    operation, and at most ``max_steps`` collisions exist (None: no limit).
-    ``g_dt`` is the collision strength of the models built from one (None
-    for the toy and swap models, whose pair unitaries are fixed)."""
+    """A model as its labels and steps.  Ancilla i is paired with system
+    qubit i (``zip`` of the labels).  Derived at construction: ``register``
+    (the ancillas, the system, then the environment; a label declared in two
+    roles is rejected), ``initial_state`` (|Φ+> on each pair, |0> on every
+    other qubit) and ``prep_gates`` (H on each paired ancilla, then a CNOT
+    onto its system qubit), which prepares that state from |0...0>.
+
+    Collision n applies ``step(n)`` (one ``UNITARY`` gate per step
+    operation), at most ``max_steps`` collisions exist (None: no limit), and
+    ``g_dt`` is the collision strength (None for the toy and swap models,
+    whose pair unitaries are fixed)."""
 
     kind: str  # SingleQubit | TwoQubitExchange | Swap | Toy
     g_dt: float | None
-    register: QubitRegister
-    initial_state: DensityMatrix = field(repr=False)
-    system_labels: tuple[str, ...]
     ancilla_labels: tuple[str, ...]
+    system_labels: tuple[str, ...]
     env_labels: tuple[str, ...]
     steps: tuple[tuple[circ.Gate, ...], ...] = field(repr=False)
     max_steps: int | None = None
+    register: QubitRegister = field(init=False, repr=False)
+    initial_state: DensityMatrix = field(init=False, repr=False)
+    prep_gates: tuple[circ.Gate, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        reg = QubitRegister(self.ancilla_labels + self.system_labels + self.env_labels)
+        pairs = list(zip(self.ancilla_labels, self.system_labels))
+        # |Φ+> on each pair: the basis states where both qubits of every pair agree.
+        bit = {q: 1 << (reg.n - 1 - i) for i, q in enumerate(reg.labels)}
+        index = [0]
+        for a, s in pairs:
+            index += [i | bit[a] | bit[s] for i in index]
+        psi = np.zeros(reg.dim, dtype=complex)
+        psi[index] = 1 / np.sqrt(2 ** len(pairs))
+        prep = [circ.Gate("H", (a,)) for a, _ in pairs] + [circ.Gate("CNOT", p) for p in pairs]
+        object.__setattr__(self, "register", reg)
+        object.__setattr__(self, "initial_state", _projector(psi, reg))
+        object.__setattr__(self, "prep_gates", tuple(prep))
+
+    def step(self, n: int) -> tuple[circ.Gate, ...]:
+        """The gates of collision n >= 1; the last step repeats."""
+        return self.steps[min(n, len(self.steps)) - 1]
 
     def check_collisions(self, n: int) -> None:
         """Reject a collision count outside 0..max_steps."""
@@ -143,38 +170,20 @@ class EvolutionRecord:
 
 
 def single_qubit_model(g_dt: float = np.pi / 4) -> CollisionModel:
-    reg = QubitRegister(("A", "S", "E"))
-    psi = np.kron((ket("00") + ket("11")) / np.sqrt(2), ket("0"))
-    rho = _projector(psi, reg)
     step = (circ.Gate("UNITARY", ("S", "E"), matrix=collision_unitary(g_dt)),)
-    return CollisionModel("SingleQubit", float(g_dt), reg, rho,
-                          ("S",), ("A",), ("E",), (step,))
+    return CollisionModel("SingleQubit", float(g_dt), ("A",), ("S",), ("E",), (step,))
 
 
 def two_qubit_model(g_dt: float = np.pi / 4) -> CollisionModel:
-    reg = QubitRegister(("A", "S1", "S2", "E"))
-    # Bell pair on (A, S1); S2 and E start in |0>.
-    psi = np.zeros(16, dtype=complex)
-    psi[int("0000", 2)] = 1 / np.sqrt(2)
-    psi[int("1100", 2)] = 1 / np.sqrt(2)
-    rho = _projector(psi, reg)
     step = (circ.Gate("UNITARY", ("S1", "S2", "E"), matrix=two_qubit_unitary(g_dt)),)
-    return CollisionModel("TwoQubitExchange", float(g_dt), reg, rho,
-                          ("S1", "S2"), ("A",), ("E",), (step,))
+    return CollisionModel("TwoQubitExchange", float(g_dt), ("A",), ("S1", "S2"), ("E",), (step,))
 
 
 def _pairwise_model(kind: str, u: np.ndarray) -> CollisionModel:
-    reg = QubitRegister(("A1", "A2", "S1", "S2", "E1", "E2"))
-    psi = np.zeros(64, dtype=complex)
-    for a1 in (0, 1):
-        for a2 in (0, 1):
-            idx = (a1 << 5) | (a2 << 4) | (a1 << 3) | (a2 << 2)
-            psi[idx] = 0.5
-    rho = _projector(psi, reg)
     steps = tuple((circ.Gate("UNITARY", ("E1", "S1"), matrix=v),
                    circ.Gate("UNITARY", ("E2", "S2"), matrix=v)) for v in (u, u.conj().T))
-    return CollisionModel(kind, None, reg, rho,
-                          ("S1", "S2"), ("A1", "A2"), ("E1", "E2"), steps, max_steps=2)
+    return CollisionModel(kind, None, ("A1", "A2"), ("S1", "S2"), ("E1", "E2"), steps,
+                          max_steps=2)
 
 
 def toy_model() -> CollisionModel:
@@ -185,25 +194,13 @@ def swap_model() -> CollisionModel:
     return _pairwise_model("Swap", swap_unitary())
 
 
-def _prep_gates(model: CollisionModel) -> list[circ.Gate]:
-    pairs = list(zip(model.ancilla_labels, model.system_labels))
-    gates = [circ.Gate("H", (a,)) for a, _ in pairs]
-    gates += [circ.Gate("CNOT", (a, s)) for a, s in pairs]
-    return gates
-
-
-def _collision_gates(model: CollisionModel, n: int) -> list[circ.Gate]:
-    """The gates of collisions 1..n."""
-    steps = model.steps
-    return [g for m in range(1, n + 1) for g in steps[min(m, len(steps)) - 1]]
-
-
 def build_circuit(model: CollisionModel, n: int, *, include_prep: bool = True,
                   native: bool = False) -> circ.Circuit:
     """The preparation + n-collision circuit for a model."""
     model.check_collisions(n)
-    gates = _prep_gates(model) if include_prep else []
-    c = circ.Circuit(model.register, gates + _collision_gates(model, n))
+    gates = list(model.prep_gates) if include_prep else []
+    gates += [g for m in range(1, n + 1) for g in model.step(m)]
+    c = circ.Circuit(model.register, gates)
     return circ.transpile(c) if native else c
 
 
@@ -215,7 +212,7 @@ def evolve_series(model: CollisionModel, n_max: int,
     pass of the stack of all inputs |i><j| on the system, the environment in
     |0...0>, through the per-collision steps, and one contraction applies
     them all to the prepared system + ancilla state (the reduced
-    ``model.initial_state`` for ``noise=None``, else the prep gates run
+    ``model.initial_state`` for ``noise=None``, else ``model.prep_gates`` run
     noisily from |0...0>), each record bit for bit as if done alone.  Each
     distinct step is fused once, and transpiled once before that when noisy.
 
@@ -225,12 +222,12 @@ def evolve_series(model: CollisionModel, n_max: int,
     no idle or crosstalk noise, so an untouched qubit is left as it is."""
     model.check_collisions(n_max)
     se = QubitRegister(model.system_labels + model.env_labels)
-    steps = [circ.Circuit(se, gates) for gates in model.steps[:n_max]]
+    steps = {id(gates): circ.Circuit(se, gates) for gates in model.steps}
+    collisions = [steps[id(model.step(n))] for n in range(1, n_max + 1)]
     prepared = partial_trace(model.initial_state, model.ancilla_labels + model.system_labels)
     if noise is not None:
-        prep = circ.Circuit(prepared.register, _prep_gates(model))
+        prep = circ.Circuit(prepared.register, model.prep_gates)
         prepared = noisytomo.apply_noisy_circuit(prep, None, noise)
-    collisions = [steps[min(n, len(steps)) - 1] for n in range(1, n_max + 1)]
     superops = noisytomo._channel_series(se, collisions, noise, model.system_labels)
     reg = prepared.register
     joints = _superop_at(superops, prepared.mat, reg.indices(model.system_labels), reg.n)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import random_unitary
 from qcollide import circuit as circ
 from qcollide import collision, noisytomo
-from qcollide.channel import _contract_at, embed_operator
+from qcollide.channel import Channel, KrausChannel, _contract_at, embed_operator
 from qcollide.circuit import (
     Circuit,
     ECR_MATRIX,
@@ -36,6 +36,34 @@ def test_gate_validation():
         Gate("UNITARY", ("a",), matrix=np.ones((2, 2)))  # not unitary
     with pytest.raises(ValueError):
         Gate("FOO", ("a",))
+
+
+_NAN_2X2 = np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Gate("RZ", ("a",), theta=np.nan), id="rz-nan"),
+    pytest.param(lambda: Gate("RZ", ("a",), theta=np.inf), id="rz-inf"),
+    pytest.param(lambda: Gate("UNITARY", ("a",), matrix=_NAN_2X2), id="unitary-nan"),
+    pytest.param(lambda: Channel(np.full((4, 4), np.nan)), id="channel-nan"),
+    pytest.param(lambda: KrausChannel([_NAN_2X2]), id="kraus-nan"),
+])
+def test_non_finite_values_are_rejected(build):
+    """A NaN compares False with every tolerance, so each check is written
+    to fail on it: non-finite angles, payloads and superoperators raise."""
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Gate("UNITARY", (), matrix=[[1]]), id="gate-on-no-qubits"),
+    pytest.param(lambda: decompose_multiqubit(np.eye(2), ("a",)), id="qsd-1-qubit"),
+    pytest.param(lambda: decompose_multiqubit(np.eye(4), ("a", "b")), id="qsd-2-qubits"),
+])
+def test_too_few_qubits_are_rejected(build):
+    """A gate acts on at least one qubit, and the QSD runs on 3 to 8."""
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_circuit_label_check():
@@ -96,7 +124,8 @@ def test_perturbed_reference_fails():
     g = gates[idx]
     gates[idx] = Gate("RZ", g.qubits, theta=g.theta + 0.01)
     ok, _ = equivalent_up_to_global_phase(
-        unitary_of_circuit(ref.with_gates(gates)), collision_unitary(np.pi / 4)
+        unitary_of_circuit(Circuit(ref.register, gates, ref.global_phase)),
+        collision_unitary(np.pi / 4),
     )
     assert not ok
 
@@ -316,12 +345,13 @@ def test_decompose_multiqubit(rng):
 
 
 def test_transpile_expands_multiqubit_payloads(rng):
-    """A UNITARY on three qubits, random or the two-qubit model's step, lowers
-    in one ``transpile`` call, exact including phase; noisy sampling of the
-    circuit equals sampling of its transpile."""
-    labels = ("a", "b", "c")
+    """A UNITARY on three qubits, random or the two-qubit model's step, or a
+    random one on four (which runs the QSD recursion), lowers in one
+    ``transpile`` call, exact including phase; noisy sampling of the circuit
+    equals sampling of its transpile."""
     noise = noisytomo.NoiseConfig()
-    for u in (random_unitary(rng, 8), two_qubit_unitary(1.1)):
+    for u in (random_unitary(rng, 8), two_qubit_unitary(1.1), random_unitary(rng, 16)):
+        labels = tuple("abcd"[: u.shape[0].bit_length() - 1])
         c = Circuit(labels, [Gate("UNITARY", labels, matrix=u)], global_phase=0.3)
         t = transpile(c)
         assert all(g.kind in NATIVE_KINDS for g in t.gates)
@@ -358,7 +388,7 @@ def reference_transpile(c):
     ok, phase = equivalent_up_to_global_phase(unitary_of_circuit(c),
                                               unitary_of_circuit(out), tol=1e-8)
     assert ok
-    return out.with_gates(out.gates, circ._wrap_angle(phase))
+    return Circuit(out.register, out.gates, circ._wrap_angle(phase))
 
 
 _BOUNDARY_ANGLES = (1e-9, 1e-6, -1e-6, 1e-3, 0.001953125, np.pi / 2 + 1e-7, np.pi - 1e-6)
@@ -453,7 +483,7 @@ def test_transpile_matches_reference_on_toy_circuits():
     +π on one side and −π on the other, equal modulo 2π."""
     model = collision.toy_model()
     se = QubitRegister(model.system_labels + model.env_labels)
-    circuits = [Circuit(model.register, collision._prep_gates(model))]
+    circuits = [Circuit(model.register, model.prep_gates)]
     circuits += [Circuit(se, gates) for gates in model.steps]
     for c in circuits:
         got, want = transpile(c), reference_transpile(c)
@@ -502,7 +532,7 @@ def test_toy_transpile_is_local_and_lowers_each_payload_once():
 
     with mock.patch.object(circ, "unitary_of_circuit", spy), \
             mock.patch.object(circ, "_kak", wraps=circ._kak) as kak:
-        circ.transpile(Circuit(model.register, collision._prep_gates(model)))
+        circ.transpile(Circuit(model.register, model.prep_gates))
         assert kak.call_count == 0
         for gates in model.steps:
             circ.transpile(Circuit(se, gates))
@@ -555,7 +585,7 @@ def test_transpiled_models_keep_their_global_phase_bit_for_bit():
         model = getattr(collision, name)()
         se = QubitRegister(model.system_labels + model.env_labels)
         prep = Circuit(QubitRegister(model.ancilla_labels + model.system_labels),
-                       collision._prep_gates(model))
+                       model.prep_gates)
         got = [float(circ.transpile(c).global_phase).hex()
                for c in [prep] + [Circuit(se, gates) for gates in model.steps]]
         assert tuple(got) == want, name
@@ -578,7 +608,7 @@ def test_transpiled_models_keep_their_native_gates_bit_for_bit():
         model = make()
         se = QubitRegister(model.system_labels + model.env_labels)
         prep = Circuit(QubitRegister(model.ancilla_labels + model.system_labels),
-                       collision._prep_gates(model))
+                       model.prep_gates)
         for c in [prep] + [Circuit(se, gates) for gates in model.steps]:
             for g in circ.transpile(c).gates:
                 theta = None if g.theta is None else float(g.theta).hex()

@@ -199,6 +199,35 @@ def test_initial_state_is_the_projector_of_the_model_vector(build, psi):
     DensityMatrix(model.register, model.initial_state.mat)
 
 
+def _declared_model():
+    """A model declared from labels and steps alone: two ancillas paired with
+    the first two of three system qubits, two environment qubits."""
+    step = (circ.Gate("UNITARY", ("S3", "E1"), matrix=collision.collision_unitary(0.4)),
+            circ.Gate("UNITARY", ("S1", "E2"), matrix=collision.swap_unitary()))
+    return collision.CollisionModel("Declared", 0.4, ("A1", "A2"), ("S1", "S2", "S3"),
+                                    ("E1", "E2"), (step,))
+
+
+@pytest.mark.parametrize("build", [
+    collision.single_qubit_model, collision.two_qubit_model,
+    collision.toy_model, collision.swap_model, _declared_model,
+])
+def test_initial_state_is_the_prep_gates_state(build):
+    """The state derived from the labels is the one ``prep_gates`` prepares
+    from |0...0>, and the register holds the ancillas, system, environment."""
+    model = build()
+    assert model.register.labels == (model.ancilla_labels + model.system_labels
+                                     + model.env_labels)
+    psi = unitary_of_circuit(circ.Circuit(model.register, model.prep_gates))[:, 0]
+    assert np.abs(model.initial_state.mat - np.outer(psi, psi.conj())).max() <= 1e-15
+
+
+def test_a_label_in_two_roles_is_rejected():
+    step = (circ.Gate("UNITARY", ("S", "E"), matrix=collision.swap_unitary()),)
+    with pytest.raises(ValueError, match="duplicate qubit labels"):
+        collision.CollisionModel("Clash", None, ("A",), ("S",), ("A", "E"), (step,))
+
+
 def test_toy_model_ideal_run():
     model = collision.toy_model()
     r1 = collision.evolve(model, 1)

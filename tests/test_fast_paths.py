@@ -1254,7 +1254,7 @@ def reference_series_read_off(model, n_max, noise, mesh):
     steps = [Circuit(se, gates) for gates in model.steps[:n_max]]
     prepared = partial_trace(model.initial_state, model.ancilla_labels + model.system_labels)
     if noise is not None:
-        prep = circ.transpile(Circuit(prepared.register, collision._prep_gates(model)))
+        prep = circ.transpile(Circuit(prepared.register, model.prep_gates))
         prepared = noisytomo.apply_noisy_circuit(prep, None, noise)
         steps = [circ.transpile(c) for c in steps]
     blocks = [noisytomo._fused_superops(c, noise) for c in steps]
