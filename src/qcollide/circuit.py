@@ -96,7 +96,8 @@ def rx_matrix(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """One gate: kind, ordered distinct qubit labels, finite angle or unitary payload."""
+    """One gate: kind and ordered distinct qubit labels, with a finite angle
+    on RZ alone and a unitary payload on UNITARY alone."""
 
     kind: str
     qubits: tuple[str, ...]
@@ -107,19 +108,22 @@ class Gate:
         object.__setattr__(self, "qubits", tuple(map(str, self.qubits)))
         if not self.qubits:
             raise ValueError(f"{self.kind} acts on no qubits")
+        arity = _ARITY.get(self.kind)
+        if arity is None and self.kind != "UNITARY":
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if (self.theta is None) == (self.kind == "RZ"):
+            raise ValueError("RZ needs an angle" if self.theta is None
+                             else f"{self.kind} takes no angle")
+        if (self.matrix is None) == (arity is None):
+            raise ValueError("UNITARY needs a matrix payload" if self.matrix is None
+                             else f"{self.kind} takes no matrix payload")
         if self.theta is not None and not np.isfinite(self.theta):
             raise ValueError(f"{self.kind} angle {self.theta} is not finite")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.kind} names a qubit twice: {self.qubits}")
-        arity = _ARITY.get(self.kind)
-        if arity is not None:
-            if len(self.qubits) != arity:
-                raise ValueError(f"{self.kind} needs {arity} qubits")
-            if self.kind == "RZ" and self.theta is None:
-                raise ValueError("RZ needs an angle")
-        elif self.kind == "UNITARY":
-            if self.matrix is None:
-                raise ValueError("UNITARY needs a matrix payload")
+        if arity is not None and len(self.qubits) != arity:
+            raise ValueError(f"{self.kind} needs {arity} qubits")
+        if self.matrix is not None:
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (2 ** len(self.qubits),) * 2:
                 raise ValueError("matrix shape does not match qubit count")
@@ -127,8 +131,6 @@ class Gate:
                 raise ValueError("UNITARY payload is not unitary within 1e-10")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
 
     def unitary(self) -> np.ndarray:
         if self.kind == "RZ":
@@ -574,7 +576,7 @@ def transpile(c: Circuit) -> Circuit:
 
     A payload on more than two qubits is first replaced by the gates of its
     ``decompose_multiqubit``.  Each distinct source gate (kind, angle,
-    payload, arity) is then lowered once per call on placeholder wires,
+    payload) is then lowered once per call on placeholder wires,
     checked on its own one or two qubits, and relabelled onto every wire
     pair it occurs on.  The check compares the lowered gates' unitary with
     the source gate's up to a local phase; the operator-norm deviations,
@@ -599,8 +601,7 @@ def transpile(c: Circuit) -> Circuit:
         else:
             source.append(g)
     for g in source:
-        key = (g.kind, g.theta, None if g.matrix is None else g.matrix.tobytes(),
-               len(g.qubits))
+        key = (g.kind, g.theta, None if g.matrix is None else g.matrix.tobytes())
         if key not in lowered:
             lowered[key] = _checked_lowering(g)
         gates, local_phase, local_dev = lowered[key]

@@ -46,13 +46,14 @@ from).  The estimate is projected onto the density matrices
 (Smolin–Gambetta–Smith).  Many frequency tables, such as bootstrap replicas,
 go through the same maps in one call.
 
-The shot path runs on count tables, rows in ``all_settings`` order:
-``_sample_table`` draws one, ``_frequencies`` normalises it,
+Count data has one form, the (settings × outcomes) count table that
+``ShotCounts`` holds.  ``_sample_state`` is the one draw: it selects the rows
+of the requested settings from ``_measurement_probs`` and draws them in one
+``multinomial`` call.  ``_frequencies`` normalises a table's rows,
 ``_mitigate_table`` mitigates a frequency table with the per-qubit inverses of
-``_confusion_inverses``, and ``_reconstruct_frequencies`` reconstructs it.
-``ShotCounts`` (setting -> bitstring -> count) is the boundary view:
-``_sample_state``, ``mitigate_readout`` and ``reconstruct`` are thin wrappers
-that convert to and from it, with the same numbers.
+``_confusion_inverses``, and ``_reconstruct_frequencies`` reconstructs it,
+rows in ``all_settings`` order.  ``mitigate_readout`` and ``reconstruct`` run
+these on the whole table of a ``ShotCounts``.
 
 ``tomography_estimates`` is the estimator.  Its draws come from named streams,
 ``_stream(seed, purpose, n)`` = ``default_rng(SeedSequence(seed,
@@ -372,31 +373,35 @@ class TomographyJob:
         return all_settings(len(self.measured))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotCounts:
-    """Measured (or mitigated, real-valued) counts per setting and bitstring."""
+    """The (settings × outcomes) count table of a tomography run: row i holds
+    ``settings[i]`` and column b the outcome bits b, in ``measured`` order.
+    Drawn counts are ints, mitigated counts real.  ``counts`` is a read-only
+    copy of the table; a table of another shape, or a repeated setting, is
+    rejected."""
 
     measured: tuple[str, ...]
     shots: int
-    counts: dict  # setting -> {bitstring: count}
+    settings: tuple[str, ...]
+    counts: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "measured", tuple(self.measured))
+        object.__setattr__(self, "settings", tuple(self.settings))
+        table = np.array(self.counts)
+        shape = (len(self.settings), 2 ** len(self.measured))
+        if table.shape != shape:
+            raise ValueError(f"count table of shape {table.shape}, not {shape}")
+        if len(set(self.settings)) != len(self.settings):
+            raise ValueError(f"repeated settings in {self.settings}")
+        table.setflags(write=False)
+        object.__setattr__(self, "counts", table)
 
     def frequencies(self, setting: str) -> np.ndarray:
-        k = len(self.measured)
-        vec = np.zeros(2**k)
-        for bits, cnt in self.counts[setting].items():
-            vec[int(bits, 2)] = cnt
-        return _frequencies(vec)
-
-    @classmethod
-    def of_table(cls, measured, shots: int, settings, table: np.ndarray) -> "ShotCounts":
-        """The counts of a (len(settings), 2^k) count table, row i for
-        ``settings[i]``; zero entries are left out."""
-        k = len(measured)
-        counts = {
-            setting: {format(b, f"0{k}b"): v for b, v in enumerate(row) if v > 0}
-            for setting, row in zip(settings, table.tolist())
-        }
-        return cls(tuple(measured), shots, counts)
+        if setting not in self.settings:
+            raise ValueError(f"no counts for setting {setting!r}")
+        return _frequencies(self.counts[self.settings.index(setting)])
 
 
 def _frequencies(table: np.ndarray) -> np.ndarray:
@@ -499,10 +504,11 @@ def sample(job: TomographyJob, noise: NoiseConfig | None = None,
 
 def _sample_state(rho: DensityMatrix, measured, shots: int, rng: np.random.Generator,
                   noise: NoiseConfig | None, settings=None) -> ShotCounts:
-    """Shot counts of the given settings (default: all of them) on rho, the
-    whole count table drawn from ``rng`` (``_sample_table``)."""
+    """Shot counts of the given settings (default: all of them, in
+    ``all_settings`` order) on rho: their rows of ``_measurement_probs``,
+    drawn in one ``multinomial`` call from ``rng``."""
     k = len(measured)
-    rows = None
+    probs = _measurement_probs(rho, measured, noise)
     if settings is None:
         settings = all_settings(k)
     else:
@@ -510,20 +516,8 @@ def _sample_state(rho: DensityMatrix, measured, shots: int, rng: np.random.Gener
         row = {s: i for i, s in enumerate(all_settings(k))}
         if not set(settings) <= row.keys():
             raise ValueError(f"{sorted(set(settings) - row.keys())} are not {k}-qubit settings")
-        rows = [row[s] for s in settings]
-    table = _sample_table(rho, measured, shots, rng, noise, rows)
-    return ShotCounts.of_table(measured, shots, settings, table)
-
-
-def _sample_table(rho: DensityMatrix, measured, shots: int, rng: np.random.Generator,
-                  noise: NoiseConfig | None, rows=None) -> np.ndarray:
-    """Count table (len(rows), 2^k) of the settings at ``rows`` of
-    ``all_settings(k)`` (default: all of them, in order), drawn in one
-    ``multinomial`` call from ``rng``."""
-    probs = _measurement_probs(rho, measured, noise)
-    if rows is not None:
-        probs = probs[rows]
-    return rng.multinomial(shots, probs)
+        probs = probs[[row[s] for s in settings]]
+    return ShotCounts(measured, shots, settings, rng.multinomial(shots, probs))
 
 
 def calibration_jobs(register, measured, shots: int = 4096, seed: int = 0):
@@ -548,12 +542,10 @@ def mitigate_readout(counts: ShotCounts, calib0: ShotCounts, calib1: ShotCounts)
     runs; negative entries are clipped and frequencies renormalized."""
     if calib0.measured != counts.measured or calib1.measured != counts.measured:
         raise ValueError("calibration runs must measure the same qubits")
-    settings = tuple(counts.counts)
-    k = len(counts.measured)
-    freqs = np.reshape([counts.frequencies(s) for s in settings], (-1, 2**k))
-    invs = _confusion_inverses(calib0.frequencies("Z" * k), calib1.frequencies("Z" * k))
-    table = _mitigate_table(freqs, invs, counts.shots)
-    return ShotCounts.of_table(counts.measured, counts.shots, settings, table)
+    zkey = "Z" * len(counts.measured)
+    invs = _confusion_inverses(calib0.frequencies(zkey), calib1.frequencies(zkey))
+    table = _mitigate_table(_frequencies(counts.counts), invs, counts.shots)
+    return ShotCounts(counts.measured, counts.shots, counts.settings, table)
 
 
 def _confusion_inverses(f0: np.ndarray, f1: np.ndarray) -> list:
@@ -579,7 +571,8 @@ def _mitigate_table(freqs: np.ndarray, invs, shots: int) -> np.ndarray:
     clipped, each row renormalised and scaled to ``shots``."""
     table = np.clip(_apply_per_qubit(invs, freqs), 0.0, None)
     table = table / table.sum(axis=1, keepdims=True)
-    # Clipped entries are exact zeros, as in the counts that leave them out.
+    # Clipped entries are exact (+0.0) zeros, and a row clipped to all zeros
+    # stays zero rather than 0/0.
     return np.where(table > 0, table * shots, 0.0)
 
 
@@ -611,8 +604,8 @@ def _estimate(rho: DensityMatrix, measured, shots: int, seed: int, n: int,
     tomography stream n (mitigated with ``invs`` unless None), then 20
     reconstructed bootstrap resamples of its frequencies, drawn from the
     bootstrap stream n; each made Hermitian, (m + m†)/2."""
-    freqs = _frequencies(_sample_table(rho, measured, shots, _stream(seed, _TOMOGRAPHY, n),
-                                       noise))
+    freqs = _frequencies(_sample_state(rho, measured, shots, _stream(seed, _TOMOGRAPHY, n),
+                                       noise).counts)
     if invs is not None:
         freqs = _frequencies(_mitigate_table(freqs, invs, shots))
     tables = np.concatenate([freqs[None],
@@ -643,11 +636,11 @@ def reconstruct(counts: ShotCounts) -> ReconstructionResult:
     Smith (PRL 108, 070502 (2012)).  The linear inversion is one 4x6 map per
     qubit (``_INVERSE``, see ``_reconstruct_frequencies``)."""
     settings = all_settings(len(counts.measured))
-    missing = [s for s in settings if s not in counts.counts]
+    missing = [s for s in settings if s not in counts.settings]
     if missing:
         raise ValueError(f"incomplete settings, missing {missing[:3]}...")
-    freqs = np.stack([counts.frequencies(s) for s in settings])
-    mat, dist = _reconstruct_frequencies(freqs)
+    rows = [counts.settings.index(s) for s in settings]
+    mat, dist = _reconstruct_frequencies(_frequencies(counts.counts[rows]))
     return ReconstructionResult(
         DensityMatrix(QubitRegister(counts.measured), mat, validate=False), float(dist)
     )

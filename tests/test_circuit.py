@@ -38,6 +38,24 @@ def test_gate_validation():
         Gate("FOO", ("a",))
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Gate("H", ("a",), theta=1.0), id="angle-on-h"),
+    pytest.param(lambda: Gate("ECR", ("a", "b"), theta=0.0), id="angle-on-ecr"),
+    pytest.param(lambda: Gate("X", ("a",), matrix=np.ones((2, 2))), id="payload-on-x"),
+    pytest.param(lambda: Gate("RZ", ("a",), theta=0.5, matrix=np.eye(2)), id="payload-on-rz"),
+    pytest.param(lambda: Gate("UNITARY", ("a",), theta=0.5, matrix=np.eye(2)),
+                 id="angle-on-unitary"),
+    pytest.param(lambda: Gate("UNITARY", ("a",)), id="unitary-without-payload"),
+    pytest.param(lambda: Gate("UNITARY", ("a",), matrix=np.eye(4)), id="payload-wrong-shape"),
+])
+def test_gate_takes_an_angle_on_rz_and_a_payload_on_unitary_alone(build):
+    """An angle is required on RZ and refused elsewhere, and a payload is
+    required on UNITARY and refused elsewhere: a stray value would build a
+    gate that ``unitary`` ignores and ``transpile`` keys its lowering on."""
+    with pytest.raises(ValueError):
+        build()
+
+
 _NAN_2X2 = np.full((2, 2), np.nan)
 
 
@@ -358,7 +376,8 @@ def test_transpile_expands_multiqubit_payloads(rng):
         assert np.abs(unitary_of_circuit(t) - unitary_of_circuit(c)).max() <= 1e-8
         job = noisytomo.TomographyJob(c, ("a", "b"), shots=16)
         native_job = noisytomo.TomographyJob(t, ("a", "b"), shots=16)
-        assert noisytomo.sample(job, noise) == noisytomo.sample(native_job, noise)
+        assert np.array_equal(noisytomo.sample(job, noise).counts,
+                              noisytomo.sample(native_job, noise).counts)
 
 
 def reference_merge_rz(gates):

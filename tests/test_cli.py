@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcollide
+from qcollide import circuit as circ
 from qcollide import cli, collision, entangle, pipeline
 from qcollide.cli import MODELS, main
 from qcollide.noisytomo import DEFAULT_DURATIONS_NS, NoiseConfig
@@ -218,6 +219,32 @@ def test_transpile_and_continuum_checks(capsys):
     assert main(["continuum-check"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
+
+
+def _shift_payload_phase(transpile):
+    """``transpile`` with 0.1 added to the global phase of a circuit that
+    holds a UNITARY payload."""
+    def shifted(c):
+        t = transpile(c)
+        if any(g.kind == "UNITARY" for g in c.gates):
+            t = circ.Circuit(t.register, t.gates, t.global_phase + 0.1)
+        return t
+    return shifted
+
+
+@pytest.mark.parametrize("name, replacement, failing", [
+    ("reference_bell_circuit", lambda: circ.Circuit(("A", "S")), ["bell-preparation"]),
+    ("reference_collision_circuit", lambda: circ.Circuit(("S", "E")), ["collision-unitary"]),
+    ("transpile", _shift_payload_phase(circ.transpile), ["collision-unitary", "random"]),
+])
+def test_transpile_check_reports_each_failure(capsys, name, replacement, failing):
+    """A wrong Bell sequence, collision sequence or payload lowering prints
+    FAIL on its own line and exits 2; the collision sequence is transpiled,
+    so a wrong payload lowering fails it too."""
+    with mock.patch.object(circ, name, replacement):
+        assert main(["transpile-check"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if "FAIL" in line] == failing
 
 
 def test_nonmarkov_subcommand(capsys):

@@ -2,7 +2,8 @@
 its forward map (the outcome table of every setting), the per-qubit
 tomography maps against the dense 4^k Pauli tables and the peak memory of a
 replica-stack reconstruction, the batched bootstrap,
-the estimator's shot path on count tables against the ShotCounts pipeline, the
+the estimator's shot path against ``_sample_state``, ``mitigate_readout`` and
+``reconstruct`` on a ``ShotCounts`` table, the
 superoperator contraction of ``_superop_at`` and ``unitary_of_circuit``, the
 column-blocked ``_contract_at`` against one ``tensordot``, the fused circuit
 application against one contraction per gate, the one channel type (its
@@ -119,17 +120,12 @@ def reference_reconstruct(counts):
 def reference_bootstrap(counts, rng, reps=20):
     """One ShotCounts per replica, reconstructed one at a time, every draw
     from ``rng``."""
-    k = len(counts.measured)
     out = []
     for _ in range(reps):
-        resampled = {}
-        for setting in counts.counts:
-            draw = rng.multinomial(counts.shots, counts.frequencies(setting))
-            resampled[setting] = {
-                format(b, f"0{k}b"): int(c) for b, c in enumerate(draw) if c > 0
-            }
+        resampled = [rng.multinomial(counts.shots, counts.frequencies(setting))
+                     for setting in counts.settings]
         out.append(reference_reconstruct(ShotCounts(counts.measured, counts.shots,
-                                                    resampled))[0])
+                                                    counts.settings, resampled))[0])
     return out
 
 
@@ -141,15 +137,14 @@ def _bootstrap_states(counts, rng, reps=20):
     """(reps, 2^k, 2^k) reconstructed states of ``reps`` multinomial
     resamples of the counts, each made exactly Hermitian.
 
-    Each replica draws one multinomial per setting, in ``counts.counts``
+    Each replica draws one multinomial per setting, in ``counts.settings``
     order, from ``rng``; all replicas are reconstructed in one call:
-    the ShotCounts form of the estimator's bootstrap on count tables."""
+    the estimator's bootstrap on a ``ShotCounts`` table."""
     k = len(counts.measured)
     row = {s: i for i, s in enumerate(all_settings(k))}
-    settings = list(counts.counts)
-    freqs = np.reshape([counts.frequencies(s) for s in settings], (-1, 2**k))
+    freqs = noisytomo._frequencies(counts.counts)
     table = np.zeros((reps, 3**k, 2**k))
-    table[:, [row[s] for s in settings]] = noisytomo._bootstrap_tables(
+    table[:, [row[s] for s in counts.settings]] = noisytomo._bootstrap_tables(
         freqs, counts.shots, rng, reps)
     mats, _ = noisytomo._reconstruct_frequencies(table)
     return (mats + mats.conj().swapaxes(-1, -2)) / 2
@@ -158,8 +153,8 @@ def _bootstrap_states(counts, rng, reps=20):
 def random_counts(seed, k, shots=512, mitigated=False):
     """Counts for every setting; mitigated counts are real and may be 0."""
     rng = np.random.default_rng(seed)
-    counts = {}
-    for setting in all_settings(k):
+    counts = []
+    for _ in range(3**k):
         probs = rng.dirichlet(np.full(2**k, 0.5))
         if mitigated:
             vals = np.where(rng.random(2**k) < 0.2, 0.0, probs * shots * rng.random(2**k))
@@ -168,9 +163,8 @@ def random_counts(seed, k, shots=512, mitigated=False):
             vals = vals / vals.sum() * shots
         else:
             vals = rng.multinomial(shots, probs)
-        counts[setting] = {format(b, f"0{k}b"): (float(v) if mitigated else int(v))
-                           for b, v in enumerate(vals) if v > 0}
-    return ShotCounts(tuple(f"q{i}" for i in range(k)), shots, counts)
+        counts.append(vals)
+    return ShotCounts(tuple(f"q{i}" for i in range(k)), shots, all_settings(k), counts)
 
 
 @settings(max_examples=24, deadline=None)
@@ -263,9 +257,9 @@ def test_reconstruct_replica_stack_peak_memory():
 def test_bootstrap_matches_reference_loop():
     for k, mitigated in ((2, False), (4, True)):
         counts = random_counts(7, k, shots=256, mitigated=mitigated)
-        # Draws follow counts.counts order, which need not be all_settings order.
-        counts = ShotCounts(counts.measured, counts.shots,
-                            dict(reversed(list(counts.counts.items()))))
+        # Draws follow counts.settings order, which need not be all_settings order.
+        counts = ShotCounts(counts.measured, counts.shots, counts.settings[::-1],
+                            counts.counts[::-1])
         got = _bootstrap_states(counts, bootstrap_stream(3007, 0), reps=5)
         want = reference_bootstrap(counts, bootstrap_stream(3007, 0), reps=5)
         assert len(got) == len(want)
@@ -407,7 +401,7 @@ def test_sampling_the_evolved_state_matches_sampling_the_circuit():
                             shots=256, seed=5)
         state = collision.evolve(model, n, noise).joint_state
         got = noisytomo._sample_state(state, measured, 256, np.random.default_rng(5), noise)
-        assert got.counts == sample(job, noise=noise).counts
+        assert np.array_equal(got.counts, sample(job, noise=noise).counts)
 
 
 @st.composite
